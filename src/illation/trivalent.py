@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Mapping
 
 from .errors import LimitExceededError, MissingVariableError
-from .formulas import Neg, Prod, PropFormula, Sum, Var
+from .formulas import Neg, Prod, PropFormula, Sum, Var, free_vars
+from .truth import render_tsv, row_bits
 
 MAX_TRI_VARS = 10  # 3^10 rows is the ceiling for a printable table
 
@@ -82,36 +84,79 @@ def tri_eval(formula: PropFormula, assignment: Mapping[str, TriValue]) -> TriVal
     raise UnsupportedConnectiveError(formula)
 
 
+def _tile(unit: int, period: int, total: int) -> int:
+    """Repeat the `period`-bit pattern `unit` across `total` bits."""
+    mask = unit
+    while period < total:
+        mask |= mask << period
+        period *= 2
+    return mask & ((1 << total) - 1)
+
+
+# The letter of each row from its (>= L, = V) bits.
+_LETTERS = {("1", "1"): "V", ("1", "0"): "L", ("0", "0"): "F"}
+
+
 @dataclass(frozen=True)
 class TriTable:
-    """Rows in canonical order: V before L before F, first variable slowest."""
+    """Rows in canonical order: V before L before F, first variable slowest.
+
+    The values are two bit-planes over the rows: bit r of `not_f` is set when
+    row r is V or L (at least L), bit r of `is_v` when it is V.
+    """
 
     variables: tuple[str, ...]
-    rows: tuple[tuple[tuple[TriValue, ...], TriValue], ...]
+    not_f: int
+    is_v: int
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[TriValue, ...], TriValue], ...]:
+        cells = product((V, L, F), repeat=len(self.variables))
+        return tuple(zip(cells, self.values()))
+
+    def _letters(self) -> str:
+        size = 3 ** len(self.variables)
+        planes = row_bits(self.not_f, size), row_bits(self.is_v, size)
+        return "".join(map(_LETTERS.__getitem__, zip(*planes)))
 
     def values(self) -> tuple[TriValue, ...]:
-        return tuple(value for _, value in self.rows)
+        return tuple(map(TriValue, self._letters()))
 
     def to_tsv(self) -> str:
-        lines = ["\t".join(self.variables + ("value",))]
-        for cells, value in self.rows:
-            lines.append("\t".join([c.value for c in cells] + [value.value]))
-        return "\n".join(lines) + "\n"
+        return render_tsv(self.variables, ("V", "L", "F"), self._letters())
 
 
 def tri_table(formula: PropFormula) -> TriTable:
-    from .formulas import free_vars
-
     _check_supported(formula)
     names = tuple(free_vars(formula))
     if len(names) > MAX_TRI_VARS:
         raise LimitExceededError(
             f"{len(names)} variables exceed the {MAX_TRI_VARS}-variable trivalent limit"
         )
-    rows = []
-    for cells in product((V, L, F), repeat=len(names)):
-        rows.append((cells, tri_eval(formula, dict(zip(names, cells)))))
-    return TriTable(names, tuple(rows))
+    size = 3 ** len(names)
+    full = (1 << size) - 1
+    # A variable whose value changes every 3^k rows is at least L on the
+    # first two thirds of each period of 3^(k+1) rows, and V on the first.
+    env = {}
+    for name, k in zip(names, reversed(range(len(names)))):
+        third = 3**k
+        env[name] = (
+            _tile((1 << 2 * third) - 1, 3 * third, size),
+            _tile((1 << third) - 1, 3 * third, size),
+        )
+
+    def go(f: PropFormula) -> tuple[int, int]:
+        if isinstance(f, Var):
+            return env[f.name]
+        if isinstance(f, Neg):
+            not_f, is_v = go(f.inner)
+            return full ^ is_v, full ^ not_f
+        (lg, lv), (rg, rv) = go(f.left), go(f.right)
+        if isinstance(f, Sum):
+            return lg | rg, lv | rv
+        return lg & rg, lv & rv  # Prod, the last node _check_supported admits
+
+    return TriTable(names, *go(formula))
 
 
 def _check_supported(formula: PropFormula) -> None:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import LimitExceededError, MissingVariableError
 from .formulas import (
@@ -30,6 +31,10 @@ from .formulas import (
 )
 
 MAX_TABLE_VARS = 16
+
+# Counterexample and difference searches scan rows in blocks of 2^BLOCK_BITS,
+# so a formula falsified early costs one block rather than the whole table.
+BLOCK_BITS = 10
 
 # The sixteen binary connectives, keyed by their column index in the MS 431
 # table.  Each vector lists the connective's value at the four assignment
@@ -94,25 +99,166 @@ def _row_of(left: bool, right: bool) -> int:
     return (0 if left else 2) + (0 if right else 1)
 
 
+def _check_table_limit(count: int) -> None:
+    if count > MAX_TABLE_VARS:
+        raise LimitExceededError(
+            f"{count} variables exceed the {MAX_TABLE_VARS}-variable table limit"
+        )
+
+
+# --- the bit-parallel engine ----------------------------------------------
+#
+# A truth table is one int: bit r holds the value in row r (Knuth, TAOCP 4A
+# 7.1.1).  Each variable is the mask of the rows where it is v, and one pass
+# over the tree with & | ^ evaluates every row at once.
+
+
+def row_masks(count: int) -> list[int]:
+    """Row masks of `count` variables in canonical order: the first variable
+    is v in the first half of the rows, the last in every other row.
+
+    Each mask follows from the one before by one shift and xor (Knuth's
+    magic masks, TAOCP 4A 7.1.3).
+    """
+    full = (1 << (1 << count)) - 1
+    mask, masks = full, []
+    for k in reversed(range(count)):
+        mask = (mask ^ (mask << (1 << k))) & full
+        masks.append(mask)
+    return masks
+
+
+def _eval_masks(formula: PropFormula, env: Mapping[str, int], full: int) -> int:
+    """eval2 on every row at once: `env` maps each variable to its row mask
+    and `full` is the mask of all rows.
+
+    `care` is the mask of the rows on which eval2 reaches a node.  A side
+    that eval2 skips on every such row is not visited, so a missing variable
+    or a non-formula raises exactly when eval2 raises on some row.
+    """
+
+    def go(f: PropFormula, care: int) -> int:
+        if isinstance(f, Var):
+            try:
+                return env[f.name]
+            except KeyError:
+                raise MissingVariableError(f.name) from None
+        if isinstance(f, Const):
+            return full if f.value else 0
+        if isinstance(f, Neg):
+            return full ^ go(f.inner, care)
+        if isinstance(f, Claw):
+            left = go(f.antecedent, care)
+            care &= left
+            return (full ^ left) | go(f.consequent, care) if care else full
+        if isinstance(f, Prod):
+            left = go(f.left, care)
+            care &= left
+            return left & go(f.right, care) if care else 0
+        if isinstance(f, Sum):
+            left = go(f.left, care)
+            care &= full ^ left
+            return left | go(f.right, care) if care else full
+        if isinstance(f, Conn16):
+            left, right = go(f.left, care), go(f.right, care)
+            quadrants = (
+                left & right,
+                left & (full ^ right),
+                (full ^ left) & right,
+                full ^ (left | right),
+            )
+            acc = 0
+            for quadrant, true in zip(quadrants, CONNECTIVE_VECTORS[f.index]):
+                if true:
+                    acc |= quadrant
+            return acc
+        raise TypeError(f"not a propositional formula: {f!r}")
+
+    return go(formula, full)
+
+
+def row_bits(mask: int, size: int) -> str:
+    """'1'/'0' per row of a `size`-row mask, row 0 first."""
+    return format(mask, f"0{size}b")[::-1]
+
+
+def _row_assignment(names: tuple[str, ...], row: int) -> dict[str, bool]:
+    last = len(names) - 1
+    return {name: not row >> (last - i) & 1 for i, name in enumerate(names)}
+
+
+def _first_row(
+    names: tuple[str, ...], hits: Callable[[dict[str, int], int], int]
+) -> Optional[dict[str, bool]]:
+    """Assignment of the first row (canonical order) set in `hits(env, full)`.
+
+    Rows go in blocks of 2^BLOCK_BITS: the fastest-varying variables are row
+    masks within a block and the others are constant across it, so the scan
+    stops at the first block with a hit.
+    """
+    low = min(len(names), BLOCK_BITS)
+    high = len(names) - low
+    full = (1 << (1 << low)) - 1
+    env = dict(zip(names[high:], row_masks(low)))
+    for block in range(1 << high):
+        for i, name in enumerate(names[:high]):
+            env[name] = 0 if block >> (high - 1 - i) & 1 else full
+        found = hits(env, full)
+        if found:
+            row = (block << low) + (found & -found).bit_length() - 1
+            return _row_assignment(names, row)
+    return None
+
+
+def render_tsv(variables: tuple[str, ...], cells: tuple[str, ...], column: str) -> str:
+    """TSV with a header, one row per canonical assignment over `cells` (the
+    one-character spelled values, first variable slowest), and `column` as
+    the value column.
+
+    Every row has the same width, so each column is written into a template
+    of tabs and newlines with one strided slice assignment.
+    """
+    count, size = len(variables), len(column)
+    width = 2 * count + 2
+    body = bytearray((b"\t" * (width - 1) + b"\n") * size)
+    for i in range(count):
+        run = len(cells) ** (count - 1 - i)
+        period = b"".join(cell.encode() * run for cell in cells)
+        body[2 * i :: width] = period * (size // len(period))
+    body[2 * count :: width] = column.encode()
+    return "\t".join(variables + ("value",)) + "\n" + body.decode()
+
+
+_SPELL_BITS = str.maketrans("10", "vf")
+
+
 @dataclass(frozen=True)
 class TruthTable:
-    """Rows run in canonical order: first variable slowest, v before f."""
+    """Rows run in canonical order: first variable slowest, v before f.
+
+    Bit r of `mask` is the value in row r.
+    """
 
     variables: tuple[str, ...]
-    rows: tuple[tuple[tuple[bool, ...], bool], ...]
+    mask: int
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[bool, ...], bool], ...]:
+        cells = product((True, False), repeat=len(self.variables))
+        return tuple(zip(cells, self.values()))
+
+    def _bits(self) -> str:
+        return row_bits(self.mask, 1 << len(self.variables))
 
     def values(self) -> tuple[bool, ...]:
-        return tuple(value for _, value in self.rows)
+        return tuple(bit == "1" for bit in self._bits())
 
     def assignment(self, row: int) -> dict[str, bool]:
-        cells, _ = self.rows[row]
-        return dict(zip(self.variables, cells))
+        return _row_assignment(self.variables, range(1 << len(self.variables))[row])
 
     def to_tsv(self) -> str:
-        lines = ["\t".join(self.variables + ("value",))]
-        for cells, value in self.rows:
-            lines.append("\t".join([spell(c) for c in cells] + [spell(value)]))
-        return "\n".join(lines) + "\n"
+        column = self._bits().translate(_SPELL_BITS)
+        return render_tsv(self.variables, ("v", "f"), column)
 
 
 def canonical_assignments(variables: Iterable[str]) -> Iterable[dict[str, bool]]:
@@ -129,22 +275,18 @@ def table_over(formula: PropFormula, variables: Iterable[str]) -> TruthTable:
     """Truth table over an explicit variable list (a superset of the free
     variables is allowed; used to compare formulas over merged variables)."""
     names = tuple(variables)
-    if len(names) > MAX_TABLE_VARS:
-        raise LimitExceededError(
-            f"{len(names)} variables exceed the {MAX_TABLE_VARS}-variable table limit"
-        )
-    rows = []
-    for cells in product((True, False), repeat=len(names)):
-        rows.append((cells, eval2(formula, dict(zip(names, cells)))))
-    return TruthTable(names, tuple(rows))
+    _check_table_limit(len(names))
+    full = (1 << (1 << len(names))) - 1
+    env = dict(zip(names, row_masks(len(names))))
+    return TruthTable(names, _eval_masks(formula, env, full))
 
 
 def find_counterexample(formula: PropFormula) -> Optional[dict[str, bool]]:
     """First falsifying assignment in canonical row order, or None."""
-    for assignment in canonical_assignments(free_vars(formula)):
-        if not eval2(formula, assignment):
-            return assignment
-    return None
+    return _first_row(
+        tuple(free_vars(formula)),
+        lambda env, full: full ^ _eval_masks(formula, env, full),
+    )
 
 
 def is_tautology(formula: PropFormula) -> bool:
@@ -368,24 +510,20 @@ def anf(formula: PropFormula) -> AnfPoly:
     """Zhegalkin polynomial via the Moebius (XOR) transform of the table."""
     names = free_vars(formula)
     n = len(names)
-    if n > MAX_TABLE_VARS:
-        raise LimitExceededError(
-            f"{n} variables exceed the {MAX_TABLE_VARS}-variable table limit"
-        )
+    _check_table_limit(n)
     size = 1 << n
-    coeff = [
-        eval2(formula, {names[i]: bool(mask >> i & 1) for i in range(n)})
-        for mask in range(size)
-    ]
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(size):
-            if mask & bit:
-                coeff[mask] ^= coeff[mask ^ bit]
+    full = (1 << size) - 1
+    # Here bit m of the table is the value where variable i is v iff bit i
+    # of m is set; lows[i] marks the positions m with bit i clear.  Step i
+    # xors each position with bit i set with its partner that has it clear.
+    lows = row_masks(n)[::-1]
+    coeff = _eval_masks(formula, {name: full ^ low for name, low in zip(names, lows)}, full)
+    for i, low in enumerate(lows):
+        coeff ^= (coeff & low) << (1 << i)
     monomials = frozenset(
-        frozenset(names[i] for i in range(n) if mask >> i & 1)
-        for mask in range(size)
-        if coeff[mask]
+        frozenset(name for i, name in enumerate(names) if m >> i & 1)
+        for m, bit in enumerate(row_bits(coeff, size))
+        if bit == "1"
     )
     return AnfPoly(monomials)
 
@@ -418,10 +556,10 @@ def semantic_difference(
 ) -> Optional[dict[str, bool]]:
     """First assignment (canonical order, merged variables) where the two
     formulas disagree, or None when they are semantically equal."""
-    for assignment in canonical_assignments(merged_vars(first, second)):
-        if eval2(first, assignment) != eval2(second, assignment):
-            return assignment
-    return None
+    return _first_row(
+        merged_vars(first, second),
+        lambda env, full: _eval_masks(first, env, full) ^ _eval_masks(second, env, full),
+    )
 
 
 def congruence_check(

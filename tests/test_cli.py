@@ -100,6 +100,17 @@ def test_taut_counterexample():
     assert r.stdout == "counterexample: a=v b=f\n"
 
 
+def test_taut_full_has_no_variable_cap():
+    # 18 variables: past the 16-variable table limit, which taut does not share
+    names = "abcdefghijklmnopqr"
+    either = "|".join(names)
+    r = run("taut", f"({either})>({either})")
+    assert (r.returncode, r.stdout) == (0, "tautology\n")
+    r = run("taut", either)
+    assert r.returncode == 1
+    assert r.stdout == "counterexample: " + " ".join(f"{n}=f" for n in names) + "\n"
+
+
 def test_taut_indirect_trace():
     r = run("taut", "--method", "indirect", "((a>b)>a)>a")
     assert r.returncode == 0
