@@ -68,12 +68,14 @@ def number_structure_to_json(s: NumberStructure) -> dict:
 
 def number_structure_from_json(data: dict) -> NumberStructure:
     try:
-        carrier = tuple(data["carrier"])
+        carrier = data["carrier"]
         one = data["one"]
         relation = frozenset((pair[0], pair[1]) for pair in data["R"])
     except (KeyError, TypeError, IndexError) as err:
         raise ValueError(f"number structure JSON needs carrier/one/R: {err}") from None
-    return NumberStructure(carrier, relation, one)
+    if not isinstance(carrier, list):
+        raise ValueError(f"number structure JSON: carrier must be a list, got {carrier!r}")
+    return NumberStructure(tuple(carrier), relation, one)
 
 
 def chain(n: int) -> NumberStructure:

@@ -18,8 +18,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Optional
+from typing import Optional
 
+from . import truth
 from .errors import LimitExceededError
 from .formulas import (
     PI,
@@ -40,7 +41,6 @@ from .formulas import (
     ensure_closed,
     predicate_signature,
 )
-from .truth import find_counterexample
 
 DEFAULT_MAX_ATOMS = 16
 MAX_ATOMS_ENV = "ILLATION_MAX_ATOMS"
@@ -97,15 +97,21 @@ def structure_to_json(s: Structure) -> dict:
     }
 
 
+def _json_int(value: object, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"structure JSON: {field} must be an integer, got {value!r}")
+    return value
+
+
 def structure_from_json(data: dict) -> Structure:
     if not isinstance(data, dict) or "domain" not in data:
         raise ValueError("structure JSON needs a 'domain' field")
     predicates = {}
     for name, body in data.get("predicates", {}).items():
-        arity = body["arity"]
-        rows = frozenset(tuple(row) for row in body.get("true", []))
-        predicates[name] = (arity, rows)
-    return Structure(int(data["domain"]), predicates)
+        cell = f"{name} tuple element"
+        rows = frozenset(tuple(_json_int(x, cell) for x in row) for row in body.get("true", []))
+        predicates[name] = (_json_int(body["arity"], f"{name} arity"), rows)
+    return Structure(_json_int(data["domain"], "domain"), predicates)
 
 
 # --- expansion --------------------------------------------------------------
@@ -203,47 +209,40 @@ def eval_in(formula: RelFormula, s: Structure) -> bool:
     return go(formula, {})
 
 
-def _interpretation_cells(
-    formula: RelFormula, n: int, limit: int
-) -> list[tuple[str, int, tuple[int, ...]]]:
-    cells = []
-    for name, arity in predicate_signature(formula).items():
-        for row in product(range(n), repeat=arity):
-            cells.append((name, arity, row))
-    if len(cells) > limit:
-        raise LimitExceededError(
-            f"{len(cells)} interpretation cells exceed the limit of {limit}"
-        )
-    return cells
-
-
-def _structures(formula: RelFormula, n: int, limit: int) -> Iterator[Structure]:
-    """All interpretations in the fixed bit order: predicates in first-use
-    order, tuples lexicographic, absent before present, first cell slowest."""
-    cells = _interpretation_cells(formula, n, limit)
-    arities = {name: arity for name, arity, _ in cells}
-    for bits in product((False, True), repeat=len(cells)):
-        tables: dict[str, set[tuple[int, ...]]] = {name: set() for name in arities}
-        for (name, _, row), present in zip(cells, bits):
-            if present:
-                tables[name].add(row)
-        yield Structure(
-            n, {name: (arities[name], frozenset(rows)) for name, rows in tables.items()}
-        )
-
-
 def sat_search(
     formula: RelFormula, n: int, max_atoms: Optional[int] = None
 ) -> Optional[Structure]:
-    """First satisfying structure in enumeration order, or None."""
+    """First satisfying structure in enumeration order, or None.
+
+    Order: predicates in first-use order, tuples lexicographic, absent before
+    present, first cell slowest.  That is the truth-table row order of the
+    expansion with each atom bound to the complement of its row mask.
+    """
     if n < 1:
         raise ValueError("domain must have at least one element")
     ensure_closed(formula)
     limit = max_atoms_limit(max_atoms)
-    for candidate in _structures(formula, n, limit):
-        if eval_in(formula, candidate):
-            return candidate
-    return None
+    signature = predicate_signature(formula)
+    count = sum(n**arity for arity in signature.values())
+    if count > limit:
+        raise LimitExceededError(f"{count} interpretation cells exceed the limit of {limit}")
+    expansion = expand(formula, n, limit)
+    cells = {name: list(product(range(n), repeat=a)) for name, a in signature.items()}
+    found = truth._first_row(
+        tuple(atom_name(name, row) for name, rows in cells.items() for row in rows),
+        lambda env, full: truth._eval_masks(
+            expansion, {atom: full ^ mask for atom, mask in env.items()}, full
+        ),
+    )
+    if found is None:
+        return None
+    witness = Structure(n, {
+        name: (signature[name], frozenset(r for r in rows if not found[atom_name(name, r)]))
+        for name, rows in cells.items()
+    })
+    if not eval_in(formula, witness):
+        raise RuntimeError("search postcondition failed: first model does not satisfy")
+    return witness
 
 
 def extend_model(formula: RelFormula, s: Structure) -> Structure:
@@ -303,7 +302,7 @@ def herbrand_scan(
             expansion = expand(formula, size, max_atoms)
         except LimitExceededError as err:
             raise LimitExceededError(f"size {size}: {err}") from None
-        if find_counterexample(expansion) is None:
+        if truth.find_counterexample(expansion) is None:
             return size, expansion
     return None
 

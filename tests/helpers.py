@@ -7,7 +7,25 @@ these helpers are genuine cross-checks rather than mirrors.
 
 import itertools
 
-from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var
+from illation.formulas import (
+    PI,
+    SIGMA,
+    Claw,
+    Conn16,
+    Const,
+    Neg,
+    Prod,
+    Quant,
+    RAtom,
+    RClaw,
+    RNeg,
+    RProd,
+    RSum,
+    Sum,
+    Var,
+    predicate_signature,
+)
+from illation.quantifiers import Structure, eval_in
 
 # The fixed 16-column connective table, rows (v,v),(v,f),(f,v),(f,f).
 # Frozen here independently of the library constant so the two can be
@@ -118,3 +136,51 @@ def random_formula(rng, depth, names, with_consts=True, with_conn16=False):
     if kind == "sum":
         return Sum(left, right)
     return Conn16(rng.randrange(1, 17), left, right)
+
+
+def random_closed_formula(rng, depth, signature, bound=()):
+    """A random closed relational formula over `signature` (predicate name
+    -> arity) whose atoms take their indices from the enclosing quantifiers;
+    at most three quantifiers nest, over i, j, k."""
+    free = [v for v in "ijk" if v not in bound]
+    if not bound or (free and depth > 1 and rng.random() < 0.3):
+        var = rng.choice(free)
+        body = random_closed_formula(rng, depth - 1, signature, bound + (var,))
+        return Quant(rng.choice((PI, SIGMA)), var, body)
+    if depth <= 1 or rng.random() < 0.2:
+        name = rng.choice(sorted(signature))
+        return RAtom(name, tuple(rng.choice(bound) for _ in range(signature[name])))
+    kind = rng.choice(["neg", "claw", "prod", "sum"])
+    if kind == "neg":
+        return RNeg(random_closed_formula(rng, depth - 1, signature, bound))
+    left = random_closed_formula(rng, depth - 1, signature, bound)
+    right = random_closed_formula(rng, depth - 1, signature, bound)
+    return {"claw": RClaw, "prod": RProd, "sum": RSum}[kind](left, right)
+
+
+def interpretation_cells(formula, n):
+    """(predicate, tuple) cells in the documented search order: predicates
+    in first-use order, tuples lexicographic."""
+    return [
+        (name, row)
+        for name, arity in predicate_signature(formula).items()
+        for row in itertools.product(range(n), repeat=arity)
+    ]
+
+
+def ref_sat_search(formula, n):
+    """The exhaustive first-model search: build every structure in order
+    (absent before present, first cell slowest) and check each with eval_in."""
+    arities = predicate_signature(formula)
+    cells = interpretation_cells(formula, n)
+    for bits in itertools.product((False, True), repeat=len(cells)):
+        tables = {name: set() for name in arities}
+        for (name, row), present in zip(cells, bits):
+            if present:
+                tables[name].add(row)
+        candidate = Structure(
+            n, {name: (arities[name], frozenset(rows)) for name, rows in tables.items()}
+        )
+        if eval_in(formula, candidate):
+            return candidate
+    return None

@@ -190,3 +190,9 @@ def test_wiener_pair_identical_components():
     p = wiener_pair(a, a)
     assert hf_equal(p, wiener_pair(a, a))
     assert not hf_equal(p, wiener_pair(a, HFAtom("b")))
+
+
+@pytest.mark.parametrize("carrier", ["12", {"1": 0}, 12])
+def test_number_structure_from_json_needs_a_carrier_list(carrier):
+    with pytest.raises(ValueError, match="carrier must be a list"):
+        number_structure_from_json({"carrier": carrier, "one": "1", "R": [["1", "1"]]})

@@ -288,3 +288,19 @@ def test_runs_are_deterministic():
         second = run(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def test_sat_cell_limit_exits_3_before_building_cells():
+    r = subprocess.run(
+        CMD + ["sat", "--domain", "3000", "Pi i . Pi j . Pi k . r(i,j,k)"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == "limit exceeded: 27000000000 interpretation cells exceed the limit of 16\n"
+
+
+def test_axioms_rejects_a_string_carrier():
+    blob = json.dumps({"carrier": "12", "one": "1", "R": [["1", "1"]]})
+    r = run("axioms", "-", stdin=blob)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "carrier must be a list" in r.stderr

@@ -323,3 +323,19 @@ def test_structure_validation():
         Structure(1, {"l": (2, frozenset({(0, 1)}))})  # element out of range
     with pytest.raises(ValueError):
         Structure(1, {"l": (2, frozenset({(0,)}))})  # wrong arity tuple
+
+
+@pytest.mark.parametrize(
+    "blob, field",
+    [
+        ({"domain": True}, "domain"),
+        ({"domain": 2.9}, "domain"),
+        ({"domain": "2"}, "domain"),
+        ({"domain": 2, "predicates": {"p": {"arity": 1, "true": [[True]]}}}, "p tuple element"),
+        ({"domain": 2, "predicates": {"p": {"arity": 1, "true": [[1.0]]}}}, "p tuple element"),
+        ({"domain": 2, "predicates": {"p": {"arity": True, "true": []}}}, "p arity"),
+    ],
+)
+def test_structure_from_json_rejects_non_integers(blob, field):
+    with pytest.raises(ValueError, match=f"structure JSON: {field} must be an integer"):
+        structure_from_json(blob)
