@@ -23,16 +23,16 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from ._record import record
 from .errors import LimitExceededError
 
 MAX_CARRIER = 12  # induction enumerates 2^|N| subsets
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NumberStructure:
     carrier: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
@@ -75,6 +75,11 @@ def number_structure_from_json(data: dict) -> NumberStructure:
         raise ValueError(f"number structure JSON needs carrier/one/R: {err}") from None
     if not isinstance(carrier, list):
         raise ValueError(f"number structure JSON: carrier must be a list, got {carrier!r}")
+    for field, value in [("one", one)] + [("carrier element", x) for x in carrier]:
+        if isinstance(value, (list, dict)):
+            raise ValueError(
+                f"number structure JSON: {field} must be a string or number, got {value!r}"
+            )
     return NumberStructure(tuple(carrier), relation, one)
 
 
@@ -89,13 +94,13 @@ def chain(n: int) -> NumberStructure:
     return NumberStructure(names, relation, "1")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AxiomVerdict:
     holds: bool
     witness: Optional[str] = None  # human-readable counterexample
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AxiomReport:
     reading: str
     verdicts: dict[str, AxiomVerdict]  # keys "1","2","3","4a","4b","5"

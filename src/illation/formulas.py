@@ -6,14 +6,15 @@ and a generalized binary connective addressed by its column index in the
 sixteen-connective table of MS 431.  Relational trees add indexed predicate
 atoms and Peirce's Pi/Sigma quantifiers over index variables.
 
-All nodes are immutable; structural equality and hashing come from the
-dataclasses.
+All nodes are frozen records (`_record.record`): immutable, equal when they
+are of the same class with equal fields, and hashed by their field tuple.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import record
 
 # Single letter, or an expansion atom such as l_0_1 produced by quantifier
 # elimination (predicate name + underscore-joined element indices).  The four
@@ -26,10 +27,10 @@ _PREDICATE_NAME = re.compile(r"^[a-z][a-z0-9]*$")
 class PropFormula:
     """Base class for propositional formula nodes."""
 
-    __hash__ = None  # concrete dataclasses supply their own
+    __hash__ = None  # each concrete node class is a frozen record with its own
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var(PropFormula):
     name: str
 
@@ -38,18 +39,18 @@ class Var(PropFormula):
             raise ValueError(f"bad variable name: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Const(PropFormula):
     # True is verum (v), False is falsum (f); constants are never variables.
     value: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Neg(PropFormula):
     inner: PropFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Claw(PropFormula):
     """Illation a -< b: false exactly when the antecedent holds and the
     consequent fails."""
@@ -58,19 +59,19 @@ class Claw(PropFormula):
     consequent: PropFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Prod(PropFormula):
     left: PropFormula
     right: PropFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sum(PropFormula):
     left: PropFormula
     right: PropFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Conn16(PropFormula):
     """Binary connective number `index` (1..16) from the MS 431 table."""
 
@@ -154,7 +155,7 @@ class RelFormula:
     __hash__ = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RAtom(RelFormula):
     predicate: str
     indices: tuple[str, ...]
@@ -166,30 +167,30 @@ class RAtom(RelFormula):
             raise ValueError("atoms need at least one index variable")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RNeg(RelFormula):
     inner: RelFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RClaw(RelFormula):
     antecedent: RelFormula
     consequent: RelFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RProd(RelFormula):
     left: RelFormula
     right: RelFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RSum(RelFormula):
     left: RelFormula
     right: RelFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Quant(RelFormula):
     """Peirce quantifier: Pi is the product (every element), Sigma the sum
     (some element)."""

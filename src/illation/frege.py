@@ -25,8 +25,6 @@ text, and g elements.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .formulas import Claw, Conn16, Const, Neg, Prod, PropFormula, Sum, Var
 from .truth import sop_expansion
 
@@ -34,6 +32,11 @@ _CELL_W = 12
 _CELL_H = 18
 _NUB_DEPTH = 7  # px the negation nub descends below the stroke
 _STROKE = 1.5
+
+
+def _escape(text: str) -> str:
+    """XML character data: `&` first, so the entities added after it stay."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _normalize(f: PropFormula) -> PropFormula:
@@ -142,7 +145,7 @@ def render_svg(f: PropFormula) -> str:
                 label = line[start : c + 1]
                 parts.append(
                     f'<text x="{start * _CELL_W}" y="{mid + 4}" stroke="none" '
-                    f'fill="currentColor">{escape(label)}</text>'
+                    f'fill="currentColor">{_escape(label)}</text>'
                 )
             c += 1
     parts.append("</g>")

@@ -18,9 +18,9 @@ the claw and a lone - is negation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import record
 from .formulas import _VAR_NAME, Claw, Conn16, Const, Neg, Prod, PropFormula, Sum, Var
 from .truth import EQUIVALENCE_INDEX, sop_expansion
 
@@ -63,14 +63,14 @@ class PrintError(ValueError):
     """The formula is not expressible in the requested notation."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Token:
     kind: str  # NAME CONST LPAREN RPAREN NEG POSTNEG PROD SUM CLAW EOF
     text: str
     offset: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Style:
     claw: str
     prod: str

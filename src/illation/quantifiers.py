@@ -16,11 +16,11 @@ indiscernibility of two elements.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 from . import truth
+from ._record import record
 from .errors import LimitExceededError
 from .formulas import (
     PI,
@@ -61,7 +61,7 @@ def max_atoms_limit(override: Optional[int] = None) -> int:
     return value
 
 
-@dataclass
+@record()
 class Structure:
     """Finite relational structure: domain {0..n-1} plus predicate tables."""
 
@@ -103,13 +103,26 @@ def _json_int(value: object, field: str) -> int:
     return value
 
 
+def _json_typed(value: object, kind: type, field: str):
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ValueError(f"structure JSON: {field} must be {noun}, got {value!r}")
+    return value
+
+
 def structure_from_json(data: dict) -> Structure:
     if not isinstance(data, dict) or "domain" not in data:
         raise ValueError("structure JSON needs a 'domain' field")
     predicates = {}
-    for name, body in data.get("predicates", {}).items():
+    for name, body in _json_typed(data.get("predicates", {}), dict, "predicates").items():
+        _json_typed(body, dict, f"predicate {name}")
+        if "arity" not in body:
+            raise ValueError(f"structure JSON: predicate {name} needs an 'arity' field")
         cell = f"{name} tuple element"
-        rows = frozenset(tuple(_json_int(x, cell) for x in row) for row in body.get("true", []))
+        rows = frozenset(
+            tuple(_json_int(x, cell) for x in _json_typed(row, list, f"{name} tuple"))
+            for row in _json_typed(body.get("true", []), list, f"{name} true")
+        )
         predicates[name] = (_json_int(body["arity"], f"{name} arity"), rows)
     return Structure(_json_int(data["domain"], "domain"), predicates)
 
@@ -269,7 +282,7 @@ def extend_model(formula: RelFormula, s: Structure) -> Structure:
     return bigger
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SatScanReport:
     """Per-size satisfiability verdicts plus verified extension witnesses."""
 

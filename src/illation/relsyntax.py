@@ -10,8 +10,7 @@ names are lowercase identifiers; parentheses group subformulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .formulas import (
     PI,
     SIGMA,
@@ -29,7 +28,7 @@ _SYMBOLS = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT",
             "~": "NEG", ">": "CLAW", "&": "PROD", "|": "SUM"}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Token:
     kind: str
     text: str

@@ -10,11 +10,11 @@ is no trivalent claw.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Mapping
 
+from ._record import record
 from .errors import LimitExceededError, MissingVariableError
 from .formulas import Neg, Prod, PropFormula, Sum, Var, free_vars
 from .truth import render_tsv, row_bits
@@ -97,7 +97,7 @@ def _tile(unit: int, period: int, total: int) -> int:
 _LETTERS = {("1", "1"): "V", ("1", "0"): "L", ("0", "0"): "F"}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TriTable:
     """Rows in canonical order: V before L before F, first variable slowest.
 

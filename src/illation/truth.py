@@ -11,11 +11,11 @@ Truth values are Python bools: True is v (verum), False is f (falsum).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional
 
+from ._record import record
 from .errors import LimitExceededError, MissingVariableError
 from .formulas import (
     Claw,
@@ -232,7 +232,7 @@ def render_tsv(variables: tuple[str, ...], cells: tuple[str, ...], column: str) 
 _SPELL_BITS = str.maketrans("10", "vf")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TruthTable:
     """Rows run in canonical order: first variable slowest, v before f.
 
@@ -296,7 +296,7 @@ def is_tautology(formula: PropFormula) -> bool:
 # --- indirect method ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tautology:
     """No falsifying assignment exists; trace is the forced-assignment run
     that ends in a contradiction (last step re-forces an earlier variable)."""
@@ -304,7 +304,7 @@ class Tautology:
     trace: tuple[tuple[str, bool], ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Falsified:
     counterexample: dict[str, bool]
 
@@ -482,7 +482,7 @@ def expand_conn16(formula: PropFormula) -> PropFormula:
 # --- algebraic normal form -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AnfPoly:
     """XOR of AND-monomials over GF(2); the empty monomial is the constant 1.
 
@@ -531,7 +531,7 @@ def anf(formula: PropFormula) -> AnfPoly:
 # --- Boole's congruence rule ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CongruenceReport:
     """Evidence that semantically equal terms stay equal inside a context."""
 

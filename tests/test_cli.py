@@ -304,3 +304,17 @@ def test_axioms_rejects_a_string_carrier():
     r = run("axioms", "-", stdin=blob)
     assert (r.returncode, r.stdout) == (2, "")
     assert "carrier must be a list" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "blob, field",
+    [
+        ({"carrier": [[1]], "one": "1", "R": []}, "carrier element"),
+        ({"carrier": ["1"], "one": ["1"], "R": []}, "one"),
+    ],
+)
+def test_axioms_rejects_a_list_element(blob, field):
+    r = run("axioms", "-", stdin=json.dumps(blob))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith(f"error: number structure JSON: {field} must be a string or number")
+    assert "Traceback" not in r.stderr

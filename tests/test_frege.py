@@ -1,9 +1,12 @@
 import random
 from xml.etree import ElementTree
+from xml.sax.saxutils import escape
+
+import pytest
 
 from illation.formulas import Claw, Conn16, Neg, Prod, Sum, Var
 
-from illation.frege import render_ascii, render_frege, render_svg, spine_branch_count
+from illation.frege import _escape, render_ascii, render_frege, render_svg, spine_branch_count
 
 from helpers import random_formula
 
@@ -107,3 +110,10 @@ def test_svg_has_strokes():
     root = ElementTree.fromstring(render_svg(Claw(X, Y)))
     lines = [el for el in root.iter() if el.tag.split("}")[-1] == "line"]
     assert len(lines) >= 3  # spine, vertical drop, branch stroke
+
+
+@pytest.mark.parametrize(
+    "text", ["", "x", "a&b", "<l_0_1>", "&lt;", "&amp;&", "<<&>>", "a > b < c & d"]
+)
+def test_label_escape_matches_xml_sax(text):
+    assert _escape(text) == escape(text)

@@ -339,3 +339,18 @@ def test_structure_validation():
 def test_structure_from_json_rejects_non_integers(blob, field):
     with pytest.raises(ValueError, match=f"structure JSON: {field} must be an integer"):
         structure_from_json(blob)
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({"domain": 2, "predicates": [1]}, "predicates must be an object"),
+        ({"domain": 2, "predicates": {"p": 3}}, "predicate p must be an object"),
+        ({"domain": 2, "predicates": {"p": {"arity": 1, "true": [5]}}}, "p tuple must be a list"),
+        ({"domain": 2, "predicates": {"p": {"arity": 1, "true": 5}}}, "p true must be a list"),
+        ({"domain": 2, "predicates": {"p": {"true": []}}}, "predicate p needs an 'arity' field"),
+    ],
+)
+def test_structure_from_json_rejects_malformed_predicates(blob, message):
+    with pytest.raises(ValueError, match=f"structure JSON: {message}"):
+        structure_from_json(blob)

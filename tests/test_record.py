@@ -1,0 +1,232 @@
+"""The record decorator against the real dataclasses, and the CLI's import set.
+
+Every record class in the package gets a dataclass twin built from the same
+annotations, defaults and `__post_init__`; the two must agree on repr text,
+equality (within and across classes), hashing, frozen assignment and
+validation errors.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import illation
+from illation import (
+    _record, arithmetic, formulas, notations, quantifiers, relsyntax, trivalent, truth,
+)
+from illation.formulas import PI, Claw, Const, Neg, Prod, RAtom, Sum, Var
+
+A, B = Var("a"), Var("b")
+ATOM = RAtom("l", ("i", "j"))
+TABLE = truth.truth_table(Claw(A, B))
+
+# One or two argument tuples per record class; the second differs from the first.
+SAMPLES = {
+    formulas.Var: [("a",), ("b",)],
+    formulas.Const: [(True,), (False,)],
+    formulas.Neg: [(A,), (B,)],
+    formulas.Claw: [(A, B), (B, A)],
+    formulas.Prod: [(A, B), (A, A)],
+    formulas.Sum: [(A, B), (B, B)],
+    formulas.Conn16: [(3, A, B), (4, A, B)],
+    formulas.RAtom: [("l", ("i", "j")), ("p", ("i",))],
+    formulas.RNeg: [(ATOM,)],
+    formulas.RClaw: [(ATOM, ATOM)],
+    formulas.RProd: [(ATOM, ATOM)],
+    formulas.RSum: [(ATOM, ATOM)],
+    formulas.Quant: [(PI, "i", ATOM), ("Sigma", "i", ATOM)],
+    truth.TruthTable: [(("a", "b"), 11), (("a", "b"), 7)],
+    truth.Tautology: [((("a", False),),)],
+    truth.Falsified: [({"a": True},)],
+    truth.AnfPoly: [(frozenset({frozenset({"a"})}),), (frozenset(),)],
+    truth.CongruenceReport: [(True, None, False, {"a": True}, TABLE, TABLE)],
+    trivalent.TriTable: [(("a",), 3, 1), (("a",), 3, 3)],
+    quantifiers.Structure: [(2, {"l": (2, frozenset({(0, 1)}))}), (3, {})],
+    quantifiers.SatScanReport: [(((1, None),), ())],
+    arithmetic.NumberStructure: [(("1", "2"), frozenset({("1", "2")}), "1")],
+    arithmetic.AxiomVerdict: [(True,), (False, "not reflexive at 1")],
+    arithmetic.AxiomReport: [("reading", {})],
+    notations._Token: [("NAME", "a", 0), ("NAME", "a", 1)],
+    notations._Style: [(">", "&", "|", "~", None, False)],
+    relsyntax._Token: [("NAME", "l", 0)],
+}
+
+
+def record_classes() -> list[type]:
+    modules = (formulas, truth, trivalent, quantifiers, arithmetic, notations, relsyntax)
+    return [
+        c
+        for m in modules
+        for c in vars(m).values()
+        if isinstance(c, type) and c.__module__ == m.__name__
+        and getattr(c.__init__, "__module__", None) == _record.__name__
+    ]
+
+
+def frozen(cls: type) -> bool:
+    return cls.__setattr__ is not object.__setattr__
+
+
+def twin(cls: type) -> type:
+    """The dataclass the record class replaced."""
+    spec = [
+        (n, object, dataclasses.field(default=vars(cls)[n])) if n in vars(cls) else (n, object)
+        for n in vars(cls)["__annotations__"]
+    ]
+    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    made = dataclasses.make_dataclass(cls.__name__, spec, namespace=namespace, frozen=frozen(cls))
+    made.__qualname__ = cls.__qualname__
+    return made
+
+
+def test_every_record_class_is_sampled():
+    assert set(record_classes()) == set(SAMPLES)
+    assert len(SAMPLES) == 27
+    assert [c for c in SAMPLES if not frozen(c)] == [quantifiers.Structure]
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_record_matches_dataclass(cls):
+    dc = twin(cls)
+    mine = [cls(*args) for args in SAMPLES[cls]]
+    theirs = [dc(*args) for args in SAMPLES[cls]]
+    for x, tx in zip(mine, theirs):
+        assert repr(x) == repr(tx)
+        assert x == cls(*(getattr(x, n) for n in vars(cls)["__annotations__"]))
+        assert x.__eq__(object()) is NotImplemented and tx.__eq__(object()) is NotImplemented
+        assert x != tx  # a different class, as with two dataclasses
+        if frozen(cls):
+            try:
+                assert hash(x) == hash(tx)
+            except TypeError:  # a dict field makes both unhashable
+                pytest.raises(TypeError, hash, tx)
+            name = next(iter(vars(cls)["__annotations__"]))
+            for attempt in (lambda o: setattr(o, name, None), lambda o: delattr(o, name)):
+                with pytest.raises(AttributeError) as mine_err:
+                    attempt(x)
+                with pytest.raises(AttributeError) as their_err:
+                    attempt(tx)
+                assert str(mine_err.value) == str(their_err.value)
+        else:
+            pytest.raises(TypeError, hash, x)
+    for (x, tx), (y, ty) in zip(zip(mine, theirs), zip(mine[1:], theirs[1:])):
+        assert (x == y, x != y) == (tx == ty, tx != ty) == (False, True)
+
+
+def test_equality_needs_the_same_class():
+    assert Prod(A, B) != Sum(A, B)
+    assert Prod(A, B) == Prod(Var("a"), Var("b"))
+    assert Neg(A) != A and Neg(A) != "Neg(a)" and A != "a"
+    assert Const(True) != True  # noqa: E712
+    assert len({Prod(A, B), Sum(A, B), Prod(A, B)}) == 2
+
+
+def test_hash_is_the_hash_of_the_field_tuple():
+    assert hash(A) == hash(("a",))
+    assert hash(Claw(A, B)) == hash((A, B))
+    assert hash(formulas.Conn16(3, A, B)) == hash((3, A, B))
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(A) == "Var(name='a')"
+    assert repr(Neg(A)) == "Neg(inner=Var(name='a'))"
+    assert repr(arithmetic.AxiomVerdict(True)) == "AxiomVerdict(holds=True, witness=None)"
+    with pytest.raises(TypeError, match=r"not a propositional formula: RAtom\(predicate='l'"):
+        formulas.free_vars(ATOM)
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (formulas.Var, ("A",)),
+        (formulas.Var, ("",)),
+        (formulas.Conn16, (17, A, B)),
+        (formulas.RAtom, ("l", ())),
+        (formulas.Quant, ("All", "i", ATOM)),
+        (quantifiers.Structure, (0, {})),
+        (arithmetic.NumberStructure, ((), frozenset(), "1")),
+    ],
+)
+def test_post_init_errors_match_dataclass(cls, args):
+    with pytest.raises(ValueError) as mine:
+        cls(*args)
+    with pytest.raises(ValueError) as theirs:
+        twin(cls)(*args)
+    assert str(mine.value) == str(theirs.value)
+
+
+def test_keywords_and_defaults():
+    Verdict = arithmetic.AxiomVerdict
+    assert Verdict(holds=False, witness="w") == Verdict(False, "w")
+    assert Verdict(witness="w", holds=False) == Verdict(False, "w")
+    assert Verdict(True) == Verdict(holds=True) == Verdict(True, None)
+    assert Var(name="a") == A
+    assert Claw(consequent=B, antecedent=A) == Claw(A, B)
+    for call in (lambda: Var(), lambda: Var("a", "b"), lambda: Var(nam="a"),
+                 lambda: Verdict(True, witness="w", holds=False)):
+        with pytest.raises(TypeError, match=r"Var\.__init__\(\)|AxiomVerdict\.__init__\(\)"):
+            call()
+
+
+def test_mutable_record_takes_assignment():
+    s = quantifiers.Structure(2, {})
+    s.domain_size = 3
+    assert s == quantifiers.Structure(3, {})
+    assert quantifiers.Structure.__hash__ is None
+
+
+def test_cached_rows_on_frozen_tables():
+    table = truth.truth_table(Claw(A, B))
+    fresh = truth.TruthTable(table.variables, table.mask)
+    rows = table.rows
+    assert rows is table.rows
+    assert [value for _, value in rows] == [True, False, True, True]
+    assert table == fresh and hash(table) == hash(fresh)  # the cache is not a field
+    assert "rows" in vars(table) and "rows" not in vars(fresh)
+    with pytest.raises(AttributeError):
+        table.mask = 0
+    tri = trivalent.tri_table(Neg(A))
+    assert tri.rows is tri.rows and len(tri.rows) == 3
+
+
+def test_record_rejects_unsupported_shapes():
+    with pytest.raises(TypeError, match="without a default follows"):
+        @_record.record(frozen=True)
+        class Late:
+            a: int = 0
+            b: int
+
+    with pytest.raises(TypeError, match="no record template for 4 fields"):
+        @_record.record()
+        class Wide:
+            a: int
+            b: int
+            c: int
+            d: int
+
+
+# Modules the benchmark's import probe and its traced run look up under
+# `import illation.cli`, and the heavy standard-library packages the CLI used
+# to load (the XML escape pulled in urllib/http/email/ssl, dataclasses pulled
+# in inspect).
+PROBED = ["illation.cli", "illation.formulas", "illation.notations", "illation.frege",
+          "illation.truth", "illation.quantifiers", "illation.arithmetic"]
+UNWANTED = ["dataclasses", "inspect", "xml", "urllib", "http", "email", "ssl"]
+
+
+def test_cli_import_stays_light():
+    # -S: no site hooks, so a module is present only if illation imported it.
+    code = "import sys, json, illation.cli; print(json.dumps(sorted(sys.modules)))"
+    src = str(Path(illation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                       env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    loaded = set(json.loads(r.stdout))
+    assert [m for m in PROBED if m not in loaded] == []
+    assert sorted(m for m in loaded if m.split(".")[0] in UNWANTED) == []
