@@ -66,12 +66,20 @@ def number_structure_to_json(s: NumberStructure) -> dict:
     }
 
 
+def _json_pair(pair: object) -> tuple:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(
+            f"number structure JSON: R pair must be a list of two elements, got {pair!r}"
+        )
+    return tuple(pair)
+
+
 def number_structure_from_json(data: dict) -> NumberStructure:
     try:
         carrier = data["carrier"]
         one = data["one"]
-        relation = frozenset((pair[0], pair[1]) for pair in data["R"])
-    except (KeyError, TypeError, IndexError) as err:
+        relation = frozenset(map(_json_pair, data["R"]))
+    except (KeyError, TypeError) as err:
         raise ValueError(f"number structure JSON needs carrier/one/R: {err}") from None
     if not isinstance(carrier, list):
         raise ValueError(f"number structure JSON: carrier must be a list, got {carrier!r}")

@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import arithmetic, frege, quantifiers, relsyntax, trivalent, truth
 from .errors import LimitExceededError
+from .formulas import free_vars
 from .notations import Notation, ParseError, PrintError, parse, print_formula
 
 _NOTATION_NAMES = [n.value for n in Notation]
@@ -147,8 +148,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_taut(args) -> int:
     formula = parse(_read_source(args.formula), Notation.from_name(args.notation))
-    from .formulas import free_vars
-
     order = free_vars(formula)
     if args.method == "full":
         counterexample = truth.find_counterexample(formula)

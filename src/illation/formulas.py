@@ -4,7 +4,8 @@ Propositional trees use Peirce's connective set: the claw (illation, his
 material implication), negation, Boolean product and sum, the two constants,
 and a generalized binary connective addressed by its column index in the
 sixteen-connective table of MS 431.  Relational trees add indexed predicate
-atoms and Peirce's Pi/Sigma quantifiers over index variables.
+atoms and Peirce's Pi/Sigma quantifiers over index variables, joined by the
+same connective nodes.
 
 All nodes are frozen records (`_record.record`): immutable, equal when they
 are of the same class with equal fields, and hashed by their field tuple.
@@ -150,7 +151,7 @@ SIGMA = "Sigma"
 
 
 class RelFormula:
-    """Base class for relational (quantified) formula nodes."""
+    """Base class for the relational leaves: predicate atoms and quantifiers."""
 
     __hash__ = None
 
@@ -167,27 +168,10 @@ class RAtom(RelFormula):
             raise ValueError("atoms need at least one index variable")
 
 
-@record(frozen=True)
-class RNeg(RelFormula):
-    inner: RelFormula
-
-
-@record(frozen=True)
-class RClaw(RelFormula):
-    antecedent: RelFormula
-    consequent: RelFormula
-
-
-@record(frozen=True)
-class RProd(RelFormula):
-    left: RelFormula
-    right: RelFormula
-
-
-@record(frozen=True)
-class RSum(RelFormula):
-    left: RelFormula
-    right: RelFormula
+# Peirce's quantified logic applies the same Boolean operations as the
+# propositional calculus, so a relational formula's connectives are the
+# propositional nodes themselves, with RAtom and Quant at the leaves.
+RNeg, RClaw, RProd, RSum = Neg, Claw, Prod, Sum
 
 
 @record(frozen=True)
@@ -216,12 +200,12 @@ def ensure_closed(formula: RelFormula) -> None:
             for ix in f.indices:
                 if ix not in bound:
                     raise ValueError(f"free index variable: {ix!r}")
-        elif isinstance(f, RNeg):
+        elif isinstance(f, Neg):
             walk(f.inner, bound)
-        elif isinstance(f, RClaw):
+        elif isinstance(f, Claw):
             walk(f.antecedent, bound)
             walk(f.consequent, bound)
-        elif isinstance(f, (RProd, RSum)):
+        elif isinstance(f, (Prod, Sum)):
             walk(f.left, bound)
             walk(f.right, bound)
         elif isinstance(f, Quant):
@@ -246,12 +230,12 @@ def predicate_signature(formula: RelFormula) -> dict[str, int]:
                     f"predicate {f.predicate!r} used with arities "
                     f"{sig[f.predicate]} and {arity}"
                 )
-        elif isinstance(f, RNeg):
+        elif isinstance(f, Neg):
             walk(f.inner)
-        elif isinstance(f, RClaw):
+        elif isinstance(f, Claw):
             walk(f.antecedent)
             walk(f.consequent)
-        elif isinstance(f, (RProd, RSum)):
+        elif isinstance(f, (Prod, Sum)):
             walk(f.left)
             walk(f.right)
         elif isinstance(f, Quant):

@@ -65,7 +65,9 @@ class PrintError(ValueError):
 
 @record(frozen=True)
 class _Token:
-    kind: str  # NAME CONST LPAREN RPAREN NEG POSTNEG PROD SUM CLAW EOF
+    # NAME CONST LPAREN RPAREN NEG POSTNEG PROD SUM CLAW EOF; the relational
+    # tokenizer also emits COMMA DOT PI SIGMA
+    kind: str
     text: str
     offset: int
 
@@ -166,7 +168,7 @@ class _AlgebraicParser:
         return tuple(kinds)
 
     def parse(self) -> PropFormula:
-        formula = self.claw()
+        formula = self.formula()
         if self.peek().kind != "EOF":
             raise self.fail(("end of input",))
         return formula
@@ -175,8 +177,12 @@ class _AlgebraicParser:
         left = self.sum()
         if self.peek().kind == "CLAW":
             self.advance()
-            return Claw(left, self.claw())
+            return Claw(left, self.formula())
         return left
+
+    # Where a whole formula starts: at the top, after a claw, inside
+    # parentheses.  The relational parser puts its quantifier prefix here.
+    formula = claw
 
     def sum(self) -> PropFormula:
         left = self.prod()
@@ -201,9 +207,6 @@ class _AlgebraicParser:
         if self.style.neg_prefix and self.peek().kind == "NEG":
             self.advance()
             return Neg(self.unary())
-        return self.postfix()
-
-    def postfix(self) -> PropFormula:
         node = self.atomic()
         while self.style.neg_postfix and self.peek().kind == "POSTNEG":
             self.advance()
@@ -211,6 +214,17 @@ class _AlgebraicParser:
         return node
 
     def atomic(self) -> PropFormula:
+        if self.peek().kind == "LPAREN":
+            self.advance()
+            inner = self.formula()
+            if self.peek().kind != "RPAREN":
+                raise self.fail(("')'",))
+            self.advance()
+            return inner
+        return self.leaf()
+
+    # A leaf, not a bracket: the relational parser reads predicate atoms here.
+    def leaf(self) -> PropFormula:
         token = self.peek()
         if token.kind == "NAME":
             self.advance()
@@ -218,13 +232,6 @@ class _AlgebraicParser:
         if token.kind == "CONST":
             self.advance()
             return Const(token.text == "#t")
-        if token.kind == "LPAREN":
-            self.advance()
-            inner = self.claw()
-            if self.peek().kind != "RPAREN":
-                raise self.fail(("')'",))
-            self.advance()
-            return inner
         expected = ["variable", "'#t'", "'#f'", "'('"]
         if self.style.neg_prefix:
             expected.append(repr(self.style.neg_prefix))

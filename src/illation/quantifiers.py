@@ -31,11 +31,7 @@ from .formulas import (
     PropFormula,
     Quant,
     RAtom,
-    RClaw,
     RelFormula,
-    RNeg,
-    RProd,
-    RSum,
     Sum,
     Var,
     ensure_closed,
@@ -160,13 +156,13 @@ def expand(
                     f"expansion needs more than {limit} distinct atoms"
                 )
             return Var(name)
-        if isinstance(f, RNeg):
+        if isinstance(f, Neg):
             return Neg(go(f.inner, env))
-        if isinstance(f, RClaw):
+        if isinstance(f, Claw):
             return Claw(go(f.antecedent, env), go(f.consequent, env))
-        if isinstance(f, RProd):
+        if isinstance(f, Prod):
             return Prod(go(f.left, env), go(f.right, env))
-        if isinstance(f, RSum):
+        if isinstance(f, Sum):
             return Sum(go(f.left, env), go(f.right, env))
         if isinstance(f, Quant):
             parts = [go(f.body, {**env, f.var: d}) for d in range(n)]
@@ -206,13 +202,13 @@ def eval_in(formula: RelFormula, s: Structure) -> bool:
     def go(f: RelFormula, env: dict[str, int]) -> bool:
         if isinstance(f, RAtom):
             return s.holds(f.predicate, tuple(env[ix] for ix in f.indices))
-        if isinstance(f, RNeg):
+        if isinstance(f, Neg):
             return not go(f.inner, env)
-        if isinstance(f, RClaw):
+        if isinstance(f, Claw):
             return (not go(f.antecedent, env)) or go(f.consequent, env)
-        if isinstance(f, RProd):
+        if isinstance(f, Prod):
             return go(f.left, env) and go(f.right, env)
-        if isinstance(f, RSum):
+        if isinstance(f, Sum):
             return go(f.left, env) or go(f.right, env)
         if isinstance(f, Quant):
             values = (go(f.body, {**env, f.var: d}) for d in range(s.domain_size))
@@ -341,13 +337,13 @@ def aeio(form: str, subject: str, predicate: str) -> RelFormula:
     s = RAtom(subject, ("i",))
     p = RAtom(predicate, ("i",))
     if form == "A":
-        return Quant(PI, "i", RClaw(s, p))
+        return Quant(PI, "i", Claw(s, p))
     if form == "E":
-        return Quant(PI, "i", RClaw(s, RNeg(p)))
+        return Quant(PI, "i", Claw(s, Neg(p)))
     if form == "I":
-        return Quant(SIGMA, "i", RProd(s, p))
+        return Quant(SIGMA, "i", Prod(s, p))
     if form == "O":
-        return Quant(SIGMA, "i", RProd(s, RNeg(p)))
+        return Quant(SIGMA, "i", Prod(s, Neg(p)))
     raise ValueError(f"form must be one of A, E, I, O, got {form!r}")
 
 

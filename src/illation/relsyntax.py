@@ -6,33 +6,19 @@ Quantifiers (`Pi v .` / `Sum v .`) scope as far right as possible; the
 propositional connectives reuse the Peano-Russell spellings (~ > & |) with
 the usual precedence, and the claw associates right.  Predicate and index
 names are lowercase identifiers; parentheses group subformulas.
+
+The parser is the Peano-Russell precedence core of `notations` with two
+rules of its own: the quantifier prefix where a formula starts, and
+predicate atoms where a variable would stand.
 """
 
 from __future__ import annotations
 
-from ._record import record
-from .formulas import (
-    PI,
-    SIGMA,
-    Quant,
-    RAtom,
-    RClaw,
-    RelFormula,
-    RNeg,
-    RProd,
-    RSum,
-)
-from .notations import ParseError
+from .formulas import PI, SIGMA, Quant, RAtom, RelFormula
+from .notations import _STYLES, Notation, ParseError, _AlgebraicParser, _Token
 
 _SYMBOLS = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT",
             "~": "NEG", ">": "CLAW", "&": "PROD", "|": "SUM"}
-
-
-@record(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -73,34 +59,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _RelParser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
+class _RelParser(_AlgebraicParser):
     def expect(self, kind: str, label: str) -> _Token:
         if self.peek().kind != kind:
             raise self.fail((label,))
         return self.advance()
-
-    def fail(self, expected: tuple[str, ...]) -> ParseError:
-        token = self.peek()
-        found = "end of input" if token.kind == "EOF" else repr(token.text)
-        return ParseError("syntax error", token.offset, expected, found)
-
-    def parse(self) -> RelFormula:
-        formula = self.formula()
-        if self.peek().kind != "EOF":
-            raise self.fail(("end of input",))
-        return formula
 
     def formula(self) -> RelFormula:
         kind = self.peek().kind
@@ -111,51 +74,19 @@ class _RelParser:
             return Quant(PI if kind == "PI" else SIGMA, var, self.formula())
         return self.claw()
 
-    def claw(self) -> RelFormula:
-        left = self.sum()
-        if self.peek().kind == "CLAW":
-            self.advance()
-            return RClaw(left, self.formula())
-        return left
-
-    def sum(self) -> RelFormula:
-        left = self.prod()
-        while self.peek().kind == "SUM":
-            self.advance()
-            left = RSum(left, self.prod())
-        return left
-
-    def prod(self) -> RelFormula:
-        left = self.unary()
-        while self.peek().kind == "PROD":
-            self.advance()
-            left = RProd(left, self.unary())
-        return left
-
-    def unary(self) -> RelFormula:
-        if self.peek().kind == "NEG":
-            self.advance()
-            return RNeg(self.unary())
-        return self.atomic()
-
-    def atomic(self) -> RelFormula:
+    def leaf(self) -> RAtom:
         token = self.peek()
-        if token.kind == "NAME":
+        if token.kind != "NAME":
+            raise self.fail(("predicate atom", "'('"))
+        self.advance()
+        self.expect("LPAREN", "'('")
+        indices = [self.expect("NAME", "index variable").text]
+        while self.peek().kind == "COMMA":
             self.advance()
-            self.expect("LPAREN", "'('")
-            indices = [self.expect("NAME", "index variable").text]
-            while self.peek().kind == "COMMA":
-                self.advance()
-                indices.append(self.expect("NAME", "index variable").text)
-            self.expect("RPAREN", "')'")
-            return RAtom(token.text, tuple(indices))
-        if token.kind == "LPAREN":
-            self.advance()
-            inner = self.formula()
-            self.expect("RPAREN", "')'")
-            return inner
-        raise self.fail(("predicate atom", "'('"))
+            indices.append(self.expect("NAME", "index variable").text)
+        self.expect("RPAREN", "')'")
+        return RAtom(token.text, tuple(indices))
 
 
 def parse_relational(text: str) -> RelFormula:
-    return _RelParser(_tokenize(text)).parse()
+    return _RelParser(_tokenize(text), _STYLES[Notation.PEANO_RUSSELL]).parse()

@@ -10,6 +10,7 @@ is no trivalent claw.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from functools import cached_property
 from itertools import product
 from typing import Mapping
@@ -127,7 +128,7 @@ class TriTable:
 
 
 def tri_table(formula: PropFormula) -> TriTable:
-    _check_supported(formula)
+    tri_eval(formula, defaultdict(lambda: V))  # unsupported nodes before the limit
     names = tuple(free_vars(formula))
     if len(names) > MAX_TRI_VARS:
         raise LimitExceededError(
@@ -154,19 +155,7 @@ def tri_table(formula: PropFormula) -> TriTable:
         (lg, lv), (rg, rv) = go(f.left), go(f.right)
         if isinstance(f, Sum):
             return lg | rg, lv | rv
-        return lg & rg, lv & rv  # Prod, the last node _check_supported admits
+        return lg & rg, lv & rv  # Prod, the last node tri_eval admits
 
     return TriTable(names, *go(formula))
 
-
-def _check_supported(formula: PropFormula) -> None:
-    if isinstance(formula, Var):
-        return
-    if isinstance(formula, Neg):
-        _check_supported(formula.inner)
-        return
-    if isinstance(formula, (Sum, Prod)):
-        _check_supported(formula.left)
-        _check_supported(formula.right)
-        return
-    raise UnsupportedConnectiveError(formula)

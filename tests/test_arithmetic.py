@@ -192,6 +192,13 @@ def test_wiener_pair_identical_components():
     assert not hf_equal(p, wiener_pair(a, HFAtom("b")))
 
 
+@pytest.mark.parametrize("pair", [["1", "1", "2"], ["1"], [], "12", {"1": "2"}, 12])
+def test_number_structure_from_json_needs_two_element_r_pairs(pair):
+    blob = {"carrier": ["1", "2"], "one": "1", "R": [["1", "1"], pair]}
+    with pytest.raises(ValueError, match="R pair must be a list of two elements"):
+        number_structure_from_json(blob)
+
+
 @pytest.mark.parametrize("carrier", ["12", {"1": 0}, 12])
 def test_number_structure_from_json_needs_a_carrier_list(carrier):
     with pytest.raises(ValueError, match="carrier must be a list"):

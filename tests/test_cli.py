@@ -318,3 +318,20 @@ def test_axioms_rejects_a_list_element(blob, field):
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.startswith(f"error: number structure JSON: {field} must be a string or number")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("pair", [["1", "1", "2"], "12"])
+def test_axioms_rejects_a_malformed_r_pair(pair):
+    blob = {"carrier": ["1", "2"], "one": "1", "R": [["1", "1"], pair, ["2", "2"]]}
+    r = run("axioms", "-", stdin=json.dumps(blob))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == (
+        f"error: number structure JSON: R pair must be a list of two elements, got {pair!r}\n"
+    )
+
+
+def test_table_values_3_names_an_unsupported_connective_before_the_limit():
+    formula = "a>b|" + "|".join("cdefghijk")  # 11 variables and a claw
+    r = run("table", "--values", "3", formula)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: no trivalent matrix exists for Claw nodes\n"

@@ -35,10 +35,6 @@ SAMPLES = {
     formulas.Sum: [(A, B), (B, B)],
     formulas.Conn16: [(3, A, B), (4, A, B)],
     formulas.RAtom: [("l", ("i", "j")), ("p", ("i",))],
-    formulas.RNeg: [(ATOM,)],
-    formulas.RClaw: [(ATOM, ATOM)],
-    formulas.RProd: [(ATOM, ATOM)],
-    formulas.RSum: [(ATOM, ATOM)],
     formulas.Quant: [(PI, "i", ATOM), ("Sigma", "i", ATOM)],
     truth.TruthTable: [(("a", "b"), 11), (("a", "b"), 7)],
     truth.Tautology: [((("a", False),),)],
@@ -53,7 +49,6 @@ SAMPLES = {
     arithmetic.AxiomReport: [("reading", {})],
     notations._Token: [("NAME", "a", 0), ("NAME", "a", 1)],
     notations._Style: [(">", "&", "|", "~", None, False)],
-    relsyntax._Token: [("NAME", "l", 0)],
 }
 
 
@@ -86,8 +81,17 @@ def twin(cls: type) -> type:
 
 def test_every_record_class_is_sampled():
     assert set(record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 27
+    assert len(SAMPLES) == 22
     assert [c for c in SAMPLES if not frozen(c)] == [quantifiers.Structure]
+
+
+def test_relational_connectives_are_the_propositional_nodes():
+    assert formulas.RNeg is formulas.Neg
+    assert formulas.RClaw is formulas.Claw
+    assert formulas.RProd is formulas.Prod
+    assert formulas.RSum is formulas.Sum
+    assert relsyntax.parse_relational("~p(i)") == Neg(RAtom("p", ("i",)))
+    assert repr(formulas.RNeg(ATOM)) == "Neg(inner=RAtom(predicate='l', indices=('i', 'j')))"
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)

@@ -148,6 +148,14 @@ def test_tri_var_limit():
         tri_table(f)
 
 
+def test_unsupported_connective_wins_over_the_variable_limit():
+    f = Claw(Var("a"), Var("b"))
+    for i in range(MAX_TRI_VARS - 1):
+        f = Sum(f, Var(chr(ord("c") + i)))
+    with pytest.raises(UnsupportedConnectiveError, match="for Claw nodes"):
+        tri_table(f)
+
+
 def test_trivalue_spellings():
     assert TriValue.V.name == "V"
     assert [v.name for v in (V, L, F)] == ["V", "L", "F"]
