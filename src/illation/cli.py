@@ -120,6 +120,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except LimitExceededError as err:
         print(f"limit exceeded: {err}", file=sys.stderr)
         return 3
+    except RecursionError:  # the parsers and eval_in still recurse per level
+        print("limit exceeded: formula nested too deeply", file=sys.stderr)
+        return 3
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -128,7 +131,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _cmd_translate(args) -> int:
     formula = parse(_read_source(args.formula), Notation.from_name(args.src))
     if args.dst == "frege":
-        _outline(frege.render_frege(formula, args.format or "ascii"))
+        for line in frege.render_lines(formula, args.format or "ascii"):
+            _outline(line)
         return 0
     if args.format is not None:
         print("error: --format applies only to the frege target", file=sys.stderr)

@@ -14,6 +14,9 @@ are of the same class with equal fields, and hashed by their field tuple.
 from __future__ import annotations
 
 import re
+from functools import partial
+from operator import attrgetter
+from typing import Iterator
 
 from ._record import record
 
@@ -87,61 +90,22 @@ class Conn16(PropFormula):
 
 def free_vars(formula: PropFormula) -> list[str]:
     """Variable names in first-occurrence order (duplicate-free)."""
-    seen: dict[str, None] = {}
-
-    def walk(f: PropFormula) -> None:
-        if isinstance(f, Var):
-            seen.setdefault(f.name, None)
-        elif isinstance(f, Const):
-            pass
-        elif isinstance(f, Neg):
-            walk(f.inner)
-        elif isinstance(f, Claw):
-            walk(f.antecedent)
-            walk(f.consequent)
-        elif isinstance(f, (Prod, Sum)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Conn16):
-            walk(f.left)
-            walk(f.right)
-        else:
-            raise TypeError(f"not a propositional formula: {f!r}")
-
-    walk(formula)
-    return list(seen)
+    names = (f.name for f in walk(formula, PROPOSITIONAL) if type(f) is Var)
+    return list(dict.fromkeys(names))
 
 
 def substitute(context: PropFormula, hole: str, filler: PropFormula) -> PropFormula:
     """Replace every occurrence of the variable `hole` with `filler`."""
-    if isinstance(context, Var):
-        return filler if context.name == hole else context
-    if isinstance(context, Const):
-        return context
-    if isinstance(context, Neg):
-        return Neg(substitute(context.inner, hole, filler))
-    if isinstance(context, Claw):
-        return Claw(
-            substitute(context.antecedent, hole, filler),
-            substitute(context.consequent, hole, filler),
-        )
-    if isinstance(context, Prod):
-        return Prod(
-            substitute(context.left, hole, filler),
-            substitute(context.right, hole, filler),
-        )
-    if isinstance(context, Sum):
-        return Sum(
-            substitute(context.left, hole, filler),
-            substitute(context.right, hole, filler),
-        )
-    if isinstance(context, Conn16):
-        return Conn16(
-            context.index,
-            substitute(context.left, hole, filler),
-            substitute(context.right, hole, filler),
-        )
-    raise TypeError(f"not a propositional formula: {context!r}")
+    tokens: list = []
+    for f in walk(context, PROPOSITIONAL):
+        cls = type(f)
+        if cls is Var and f.name == hole:
+            tokens.append(filler)
+        elif cls is Var or cls is Const:
+            tokens.append(f)
+        else:
+            tokens.append(partial(Conn16, f.index) if cls is Conn16 else cls)
+    return from_prefix(tokens)
 
 
 # --- relational formulas -------------------------------------------------
@@ -194,54 +158,91 @@ def ensure_closed(formula: RelFormula) -> None:
     Every atom index must be bound by exactly one enclosing quantifier;
     the public relational operations only accept closed formulas.
     """
-
-    def walk(f: RelFormula, bound: frozenset[str]) -> None:
-        if isinstance(f, RAtom):
+    todo = [(formula, frozenset())]
+    while todo:
+        f, bound = todo.pop()
+        cls = type(f)
+        if cls is RAtom:
             for ix in f.indices:
                 if ix not in bound:
                     raise ValueError(f"free index variable: {ix!r}")
-        elif isinstance(f, Neg):
-            walk(f.inner, bound)
-        elif isinstance(f, Claw):
-            walk(f.antecedent, bound)
-            walk(f.consequent, bound)
-        elif isinstance(f, (Prod, Sum)):
-            walk(f.left, bound)
-            walk(f.right, bound)
-        elif isinstance(f, Quant):
+            continue
+        if cls not in RELATIONAL:
+            raise TypeError(f"not a relational formula: {f!r}")
+        if cls is Quant:
             if f.var in bound:
                 raise ValueError(f"index variable shadowed: {f.var!r}")
-            walk(f.body, bound | {f.var})
-        else:
-            raise TypeError(f"not a relational formula: {f!r}")
-
-    walk(formula, frozenset())
+            bound = bound | {f.var}
+        todo += [(g, bound) for g in SUBFORMULAS[cls](f)[::-1]]
 
 
 def predicate_signature(formula: RelFormula) -> dict[str, int]:
     """Predicate arities in first-occurrence order; arity clashes are errors."""
     sig: dict[str, int] = {}
-
-    def walk(f: RelFormula) -> None:
-        if isinstance(f, RAtom):
+    for f in walk(formula, RELATIONAL):
+        if type(f) is RAtom:
             arity = len(f.indices)
             if sig.setdefault(f.predicate, arity) != arity:
                 raise ValueError(
                     f"predicate {f.predicate!r} used with arities "
                     f"{sig[f.predicate]} and {arity}"
                 )
-        elif isinstance(f, Neg):
-            walk(f.inner)
-        elif isinstance(f, Claw):
-            walk(f.antecedent)
-            walk(f.consequent)
-        elif isinstance(f, (Prod, Sum)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Quant):
-            walk(f.body)
-        else:
-            raise TypeError(f"not a relational formula: {f!r}")
-
-    walk(formula)
     return sig
+
+
+# --- the one traversal -----------------------------------------------------
+#
+# Peirce's sums and products are folded left, so long flat chains are
+# ordinary input and a walk that recursed once per level would overflow the
+# interpreter stack.  Every walk keeps an explicit stack instead and reads a
+# node's children from SUBFORMULAS, the only place that says which fields
+# are children: for each class with any, a getter of the tuple of them.
+
+SUBFORMULAS = {
+    Neg: lambda f: (f.inner,),
+    Claw: attrgetter("antecedent", "consequent"),
+    Prod: attrgetter("left", "right"),
+    Sum: attrgetter("left", "right"),
+    Conn16: attrgetter("left", "right"),
+    Quant: lambda f: (f.body,),
+}
+
+# The node classes of each kind of formula.
+PROPOSITIONAL = frozenset({Var, Const, Neg, Claw, Prod, Sum, Conn16})
+RELATIONAL = frozenset({RAtom, Neg, Claw, Prod, Sum, Quant})
+_KIND_NAMES = {PROPOSITIONAL: "propositional", RELATIONAL: "relational"}
+
+
+def walk(formula, kinds: frozenset | None = None) -> Iterator:
+    """Every node in preorder: each before its subformulas, left to right.
+
+    A node whose class is not in `kinds` raises TypeError when the walk
+    reaches it; without `kinds`, a non-formula is yielded as a leaf."""
+    todo = [formula]
+    pop = todo.pop
+    while todo:
+        f = pop()
+        cls = type(f)
+        if kinds is not None and cls not in kinds:
+            raise TypeError(f"not a {_KIND_NAMES[kinds]} formula: {f!r}")
+        yield f
+        children = SUBFORMULAS.get(cls)
+        if children is not None:
+            todo += children(f)[::-1]
+
+
+def from_prefix(tokens: list) -> PropFormula:
+    """The formula whose preorder is `tokens`, read as Polish notation is:
+    each token is a finished subformula, `Neg`, or a binary node's
+    constructor, which takes the two formulas after it as its sides.  Read
+    right to left, each constructor takes its sides off a stack, the first
+    side on top."""
+    built: list = []
+    for token in reversed(tokens):
+        if token is Neg:
+            built.append(Neg(built.pop()))
+        elif callable(token):
+            built.append(token(built.pop(), built.pop()))
+        else:
+            built.append(token)
+    return built[0]

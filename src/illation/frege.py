@@ -25,13 +25,17 @@ text, and g elements.
 
 from __future__ import annotations
 
-from .formulas import Claw, Conn16, Const, Neg, Prod, PropFormula, Sum, Var
-from .truth import sop_expansion
+import re
+from typing import Iterator
+
+from .formulas import SUBFORMULAS, Claw, Const, Neg, Prod, PropFormula, Sum, Var, free_vars
+from .truth import expanded
 
 _CELL_W = 12
 _CELL_H = 18
 _NUB_DEPTH = 7  # px the negation nub descends below the stroke
 _STROKE = 1.5
+_RUN = re.compile(r"[^ ]+")  # the SVG is drawn from the non-blank runs of the grid
 
 
 def _escape(text: str) -> str:
@@ -39,123 +43,128 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _normalize(f: PropFormula) -> PropFormula:
-    if isinstance(f, (Var, Const)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(_normalize(f.inner))
-    if isinstance(f, Claw):
-        antecedent = f.antecedent
-        if isinstance(antecedent, Conn16):
-            antecedent = sop_expansion(
-                antecedent.index, antecedent.left, antecedent.right
-            )
-        if isinstance(antecedent, Prod):
-            return _normalize(
-                Claw(antecedent.left, Claw(antecedent.right, f.consequent))
-            )
-        return Claw(_normalize(antecedent), _normalize(f.consequent))
-    if isinstance(f, Prod):
-        return Neg(Claw(_normalize(f.left), Neg(_normalize(f.right))))
-    if isinstance(f, Sum):
-        return Claw(Neg(_normalize(f.left)), _normalize(f.right))
-    if isinstance(f, Conn16):
-        return _normalize(sop_expansion(f.index, f.left, f.right))
-    raise TypeError(f"not a propositional formula: {f!r}")
+# On the drawing stack, under the subformula they follow: once it is drawn,
+# drop its indent; or, after a consequent, branch down to the antecedent.
+_DEDENT = object()
+_BRANCH = object()
 
 
-def _layout(f: PropFormula) -> list[str]:
-    """Render a normalized formula; line 0 carries the content stroke."""
-    if isinstance(f, Var):
-        return [f"-- {f.name}"]
-    if isinstance(f, Const):
-        return ["-- " + ("#t" if f.value else "#f")]
-    if isinstance(f, Neg):
-        inner = _layout(f.inner)
-        return ["-|" + inner[0]] + ["  " + line for line in inner[1:]]
-    if isinstance(f, Claw):
-        consequent = _layout(f.consequent)
-        antecedent = _layout(f.antecedent)
-        lines = ["-+" + consequent[0]]
-        lines += [" |" + line for line in consequent[1:]]
-        lines.append(" |")
-        lines.append(" +" + antecedent[0])
-        lines += ["  " + line for line in antecedent[1:]]
-        return lines
-    raise TypeError(f"normalization left an unexpected node: {f!r}")
+def _lines(f: PropFormula) -> Iterator[str]:
+    """The drawing, line by line; line 0 carries the content stroke.
+
+    One depth-first walk normalizes and lays out together.  `head` holds the
+    pieces of the next line's prefix and `indent` those of every later line
+    at the current depth; a line is joined only when it is yielded, so a long
+    chain of negation nubs draws in linear time.
+    """
+    free_vars(f)  # a non-formula raises before the first line is drawn
+    head: list[str] = []
+    indent: list[str] = []
+    todo: list = [f]
+    while todo:
+        f = todo.pop()
+        if f is _DEDENT:
+            indent.pop()
+            continue
+        if f is _BRANCH:
+            indent.pop()
+            yield "".join(indent) + " |"
+            head = indent + [" +"]
+            indent.append("  ")
+            continue
+        f = expanded(f)
+        cls = type(f)
+        if cls is Var or cls is Const:
+            yield "".join(head) + "-- " + (f.name if cls is Var else "#t" if f.value else "#f")
+            continue
+        if cls is Neg or cls is Prod:  # the nub; a product is a negated claw
+            head.append("-|")
+            indent.append("  ")
+            todo.append(_DEDENT)
+            if cls is Neg:
+                todo += SUBFORMULAS[cls](f)
+                continue
+        left, right = SUBFORMULAS[cls](f)
+        if cls is Claw:
+            left = expanded(left)
+            if type(left) is Prod:  # exportation: the conjuncts hang as branches
+                first, second = SUBFORMULAS[Prod](left)
+                todo.append(Claw(first, Claw(second, right)))
+                continue
+            antecedent, consequent = left, right
+        elif cls is Sum:
+            antecedent, consequent = Neg(left), right
+        else:  # the product's claw, drawn without exporting its antecedent
+            antecedent, consequent = left, Neg(right)
+        head.append("-+")
+        indent.append(" |")
+        todo += (_DEDENT, antecedent, _BRANCH, consequent)
 
 
 def render_ascii(f: PropFormula) -> str:
-    return "\n".join(_layout(_normalize(f)))
+    return "\n".join(_lines(f))
 
 
 def spine_branch_count(f: PropFormula) -> int:
     """Branch points on the main stroke (one per claw antecedent there)."""
-    return _layout(_normalize(f))[0].count("+")
+    return next(_lines(f)).count("+")
+
+
+def _svg_rows(f: PropFormula) -> Iterator[str]:
+    """The SVG document, one grid row's elements at a time."""
+    grid = list(_lines(f))
+    width = max(len(line) for line in grid) * _CELL_W + _CELL_W
+    height = len(grid) * _CELL_H
+    yield (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<g stroke="currentColor" stroke-width="{_STROKE}" '
+        'font-family="monospace" font-size="12">'
+    )
+    above = ""
+    for r, line in enumerate(grid):
+        top, mid, bottom = r * _CELL_H, r * _CELL_H + _CELL_H // 2, (r + 1) * _CELL_H
+        strokes, label = [], []
+        for run in _RUN.finditer(line):
+            for c, ch in enumerate(run.group(), run.start()):
+                x0, x1 = c * _CELL_W, (c + 1) * _CELL_W
+                cx = x0 + _CELL_W // 2
+                if ch not in "-+|":  # an atom label, which ends its line
+                    label.append(
+                        f'<text x="{x0}" y="{mid + 4}" stroke="none" '
+                        f'fill="currentColor">{_escape(line[c : run.end()])}</text>'
+                    )
+                    break
+                from_above = c < len(above) and above[c] in "+|"
+                if ch != "|" or not from_above:  # the horizontal stroke
+                    strokes.append((x0, mid, x1, mid))
+                if ch == "+":
+                    # a branch-end corner, where the descending stroke arrives
+                    # from above, or a spine branch point, where it leaves
+                    strokes.append((cx, top, cx, mid) if from_above else (cx, mid, cx, bottom))
+                elif ch == "|":
+                    # the descending stroke, or a negation nub inline in the stroke
+                    strokes.append((cx, top, cx, bottom) if from_above
+                                   else (cx, mid, cx, mid + _NUB_DEPTH))
+        above = line
+        yield "\n".join([f'<line x1="{x}" y1="{y}" x2="{u}" y2="{v}"/>'
+                          for x, y, u, v in strokes] + label)
+    yield "</g>\n</svg>"
 
 
 def render_svg(f: PropFormula) -> str:
-    grid = _layout(_normalize(f))
-    width = max(len(line) for line in grid) * _CELL_W + _CELL_W
-    height = len(grid) * _CELL_H
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<g stroke="currentColor" stroke-width="{_STROKE}" '
-        'font-family="monospace" font-size="12">',
-    ]
-    for r, line in enumerate(grid):
-        mid = r * _CELL_H + _CELL_H // 2
-        c = 0
-        while c < len(line):
-            ch = line[c]
-            x0, x1 = c * _CELL_W, (c + 1) * _CELL_W
-            cx = c * _CELL_W + _CELL_W // 2
-            if ch == "-":
-                parts.append(f'<line x1="{x0}" y1="{mid}" x2="{x1}" y2="{mid}"/>')
-            elif ch == "+":
-                parts.append(f'<line x1="{x0}" y1="{mid}" x2="{x1}" y2="{mid}"/>')
-                if r > 0 and c < len(grid[r - 1]) and grid[r - 1][c] in "+|":
-                    # branch-end corner: the descending stroke arrives from above
-                    parts.append(
-                        f'<line x1="{cx}" y1="{r * _CELL_H}" x2="{cx}" y2="{mid}"/>'
-                    )
-                else:
-                    # spine branch point: the stroke descends toward the antecedent
-                    parts.append(
-                        f'<line x1="{cx}" y1="{mid}" x2="{cx}" y2="{r * _CELL_H + _CELL_H}"/>'
-                    )
-            elif ch == "|":
-                if r > 0 and c < len(grid[r - 1]) and grid[r - 1][c] in "+|":
-                    parts.append(
-                        f'<line x1="{cx}" y1="{r * _CELL_H}" x2="{cx}" '
-                        f'y2="{r * _CELL_H + _CELL_H}"/>'
-                    )
-                else:
-                    # negation nub inline in the stroke
-                    parts.append(f'<line x1="{x0}" y1="{mid}" x2="{x1}" y2="{mid}"/>')
-                    parts.append(
-                        f'<line x1="{cx}" y1="{mid}" x2="{cx}" y2="{mid + _NUB_DEPTH}"/>'
-                    )
-            elif ch != " ":
-                # an atom label: consume the full run of name characters
-                start = c
-                while c + 1 < len(line) and line[c + 1] != " ":
-                    c += 1
-                label = line[start : c + 1]
-                parts.append(
-                    f'<text x="{start * _CELL_W}" y="{mid + 4}" stroke="none" '
-                    f'fill="currentColor">{_escape(label)}</text>'
-                )
-            c += 1
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return "\n".join(_svg_rows(f))
+
+
+def render_lines(f: PropFormula, format: str = "ascii") -> Iterator[str]:
+    """The drawing in pieces that join with newlines, made as they are
+    taken, so output can be written without holding the whole drawing."""
+    if format == "ascii":
+        return _lines(f)
+    if format == "svg":
+        return _svg_rows(f)
+    raise ValueError(f"unknown render format: {format!r}")
 
 
 def render_frege(f: PropFormula, format: str = "ascii") -> str:
-    if format == "ascii":
-        return render_ascii(f)
-    if format == "svg":
-        return render_svg(f)
-    raise ValueError(f"unknown render format: {format!r}")
+    return "\n".join(render_lines(f, format))

@@ -18,11 +18,25 @@ the claw and a lone - is negation.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+import re
+from functools import partial
+from typing import Iterator, Optional
 
 from ._record import record
-from .formulas import _VAR_NAME, Claw, Conn16, Const, Neg, Prod, PropFormula, Sum, Var
-from .truth import EQUIVALENCE_INDEX, sop_expansion
+from .formulas import (
+    _VAR_NAME,
+    SUBFORMULAS,
+    Claw,
+    Conn16,
+    Const,
+    Neg,
+    Prod,
+    PropFormula,
+    Sum,
+    Var,
+    from_prefix,
+)
+from .truth import EQUIVALENCE_INDEX, expanded
 
 
 class Notation(enum.Enum):
@@ -240,6 +254,9 @@ class _AlgebraicParser:
 
 _POLISH_EXPECTED = ("'C'", "'N'", "'K'", "'A'", "'E'", "variable")
 
+_POLISH = {"C": Claw, "N": Neg, "K": Prod, "A": Sum, "E": partial(Conn16, EQUIVALENCE_INDEX)}
+_POLISH_LETTER = {Claw: "C", Neg: "N", Prod: "K", Sum: "A"}
+
 
 def _parse_polish(text: str) -> PropFormula:
     stripped = text.strip()
@@ -253,36 +270,23 @@ def _parse_polish(text: str) -> PropFormula:
             raise ParseError(
                 "Polish notation has no constant literals", base + i, _POLISH_EXPECTED
             )
-    pos = 0
-
-    def rec() -> PropFormula:
-        nonlocal pos
-        if pos >= len(stripped):
-            raise ParseError(
-                "syntax error", base + pos, _POLISH_EXPECTED, "end of input"
-            )
-        c = stripped[pos]
-        pos += 1
-        if c == "C":
-            return Claw(rec(), rec())
-        if c == "N":
-            return Neg(rec())
-        if c == "K":
-            return Prod(rec(), rec())
-        if c == "A":
-            return Sum(rec(), rec())
-        if c == "E":
-            return Conn16(EQUIVALENCE_INDEX, rec(), rec())
-        if "a" <= c <= "z":
-            return Var(c)
-        raise ParseError("syntax error", base + pos - 1, _POLISH_EXPECTED, repr(c))
-
-    formula = rec()
-    if pos != len(stripped):
+    # A counted stack: `need` is the number of formulas still owed, so each
+    # operator adds its arity less the one it fills, and a variable fills one.
+    need = 1
+    for pos, c in enumerate(stripped):
+        if not need:
+            raise ParseError("syntax error", base + pos, ("end of input",), repr(c))
+        if c in _POLISH:
+            need += c != "N"
+        elif "a" <= c <= "z":
+            need -= 1
+        else:
+            raise ParseError("syntax error", base + pos, _POLISH_EXPECTED, repr(c))
+    if need:
         raise ParseError(
-            "syntax error", base + pos, ("end of input",), repr(stripped[pos])
+            "syntax error", base + len(stripped), _POLISH_EXPECTED, "end of input"
         )
-    return formula
+    return from_prefix([_POLISH[c] if c in _POLISH else Var(c) for c in stripped])
 
 
 def parse(text: str, notation: Notation) -> PropFormula:
@@ -296,84 +300,84 @@ def parse(text: str, notation: Notation) -> PropFormula:
 
 _CLAW_LEVEL, _SUM_LEVEL, _PROD_LEVEL, _NEG_LEVEL, _ATOM_LEVEL = 1, 2, 3, 4, 5
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_")
+_LEVEL = {Var: _ATOM_LEVEL, Const: _ATOM_LEVEL, Neg: _NEG_LEVEL, Prod: _PROD_LEVEL,
+          Sum: _SUM_LEVEL, Claw: _CLAW_LEVEL}
+# A side is bracketed when its level is below the lowest its place allows:
+# the right side of a product or sum binds tighter than the node, and nested
+# claws are bracketed on BOTH sides, the way the period sources set them,
+# even though the parser is right-associative.
+_LOWEST = {Neg: (_NEG_LEVEL,), Prod: (_PROD_LEVEL, _NEG_LEVEL),
+           Sum: (_SUM_LEVEL, _PROD_LEVEL), Claw: (_SUM_LEVEL, _SUM_LEVEL)}
 
 
-def _juxtapose(left: str, right: str) -> str:
-    if left and right and left[-1] in _NAME_CHARS and right[0] in _NAME_CHARS:
-        return f"{left} {right}"
-    return left + right
+class _Text(str):
+    """Text on a printer's stack; its own class, so no subformula is taken for it."""
 
 
-def _print_algebraic(f: PropFormula, style: _Style) -> tuple[str, int]:
-    if isinstance(f, Var):
-        return f.name, _ATOM_LEVEL
-    if isinstance(f, Const):
-        return ("#t" if f.value else "#f"), _ATOM_LEVEL
-    if isinstance(f, Neg):
-        text, level = _print_algebraic(f.inner, style)
-        if level < _NEG_LEVEL:
-            text = f"({text})"
-        if style.neg_prefix:
-            return style.neg_prefix + text, _NEG_LEVEL
-        return text + style.neg_postfix, _NEG_LEVEL
-    if isinstance(f, Prod):
-        lt, ll = _print_algebraic(f.left, style)
-        rt, rl = _print_algebraic(f.right, style)
-        if ll < _PROD_LEVEL:
-            lt = f"({lt})"
-        if rl <= _PROD_LEVEL:
-            rt = f"({rt})"
-        if style.juxtaposition:
-            return _juxtapose(lt, rt), _PROD_LEVEL
-        return lt + style.prod + rt, _PROD_LEVEL
-    if isinstance(f, Sum):
-        lt, ll = _print_algebraic(f.left, style)
-        rt, rl = _print_algebraic(f.right, style)
-        if ll < _SUM_LEVEL:
-            lt = f"({lt})"
-        if rl <= _SUM_LEVEL:
-            rt = f"({rt})"
-        if style.juxtaposition:
-            return f"{lt} {style.sum} {rt}", _SUM_LEVEL
-        return lt + style.sum + rt, _SUM_LEVEL
-    if isinstance(f, Claw):
-        lt, ll = _print_algebraic(f.antecedent, style)
-        rt, rl = _print_algebraic(f.consequent, style)
-        # nested claws are bracketed on BOTH sides, the way the period
-        # sources set them, even though the parser is right-associative
-        if ll <= _CLAW_LEVEL:
-            lt = f"({lt})"
-        if rl <= _CLAW_LEVEL:
-            rt = f"({rt})"
-        if style.juxtaposition:
-            return f"{lt} {style.claw} {rt}", _CLAW_LEVEL
-        return lt + style.claw + rt, _CLAW_LEVEL
-    if isinstance(f, Conn16):
-        return _print_algebraic(sop_expansion(f.index, f.left, f.right), style)
-    raise TypeError(f"not a propositional formula: {f!r}")
+_JOINT = "\0"  # between juxtaposed factors; no formula text contains it
+_SPACED_JOINT = re.compile(r"(?<=[a-z0-9_])\0(?=[a-z0-9_])")
 
 
-def _print_polish(f: PropFormula) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Const):
-        raise PrintError("Polish notation has no constant literals")
-    if isinstance(f, Neg):
-        return "N" + _print_polish(f.inner)
-    if isinstance(f, Claw):
-        return "C" + _print_polish(f.antecedent) + _print_polish(f.consequent)
-    if isinstance(f, Prod):
-        return "K" + _print_polish(f.left) + _print_polish(f.right)
-    if isinstance(f, Sum):
-        return "A" + _print_polish(f.left) + _print_polish(f.right)
-    if isinstance(f, Conn16):
-        return _print_polish(sop_expansion(f.index, f.left, f.right))
-    raise TypeError(f"not a propositional formula: {f!r}")
+def _layout(notation: Notation) -> dict:
+    """How `notation` writes each connective, as the pieces a printer's
+    stack takes, last first: text, or a side as (its position, the lowest
+    level it may have unbracketed)."""
+    if notation is Notation.POLISH:  # the letter, then sides that need no brackets
+        return {cls: [(1, 0), (0, 0), _Text(letter)] if cls is not Neg else [(0, 0), _Text("N")]
+                for cls, letter in _POLISH_LETTER.items()}
+    style = _STYLES[notation]
+    spaced = " {} " if style.juxtaposition else "{}"
+    pieces = {
+        Neg: (style.neg_prefix, 0) if style.neg_prefix else (0, style.neg_postfix),
+        Prod: (0, _JOINT if style.juxtaposition else style.prod, 1),
+        Sum: (0, spaced.format(style.sum), 1),
+        Claw: (0, spaced.format(style.claw), 1),
+    }
+    return {cls: [(p, _LOWEST[cls][p]) if type(p) is int else _Text(p) for p in reversed(ps)]
+            for cls, ps in pieces.items()}
+
+
+# The printer is a generator: CPython 3.11 specializes a function's
+# bytecode only once it has been entered a few times, and a generator is
+# entered again at every yield, so a long walk runs specialized.
+
+
+def _fragments(f: PropFormula, notation: Notation) -> Iterator[str]:
+    """The text in order, with the fewest brackets."""
+    layout = _layout(notation)
+    opened, closed = _Text("("), _Text(")")
+    todo: list = [expanded(f)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        f = pop()
+        cls = type(f)
+        if cls is Var:
+            yield f.name
+        elif cls is _Text:
+            yield f
+        elif cls in layout:
+            sides = SUBFORMULAS[cls](f)
+            for piece in layout[cls]:
+                if type(piece) is _Text:
+                    push(piece)
+                    continue
+                position, lowest = piece
+                side = sides[position]
+                if type(side) is Conn16:
+                    side = expanded(side)
+                if lowest and _LEVEL.get(type(side), _ATOM_LEVEL) < lowest:
+                    todo += (closed, side, opened)
+                else:
+                    push(side)
+        elif cls is Const and notation is not Notation.POLISH:
+            yield "#t" if f.value else "#f"
+        elif cls is Const:
+            raise PrintError("Polish notation has no constant literals")
+        else:
+            raise TypeError(f"not a propositional formula: {f!r}")
 
 
 def print_formula(f: PropFormula, notation: Notation) -> str:
-    if notation is Notation.POLISH:
-        return _print_polish(f)
-    text, _ = _print_algebraic(f, _STYLES[notation])
-    return text
+    text = "".join(_fragments(f, notation))
+    # between juxtaposed factors, a space only where two names would run together
+    return _SPACED_JOINT.sub(" ", text).replace(_JOINT, "")

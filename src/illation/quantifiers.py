@@ -25,6 +25,7 @@ from .errors import LimitExceededError
 from .formulas import (
     PI,
     SIGMA,
+    SUBFORMULAS,
     Claw,
     Neg,
     Prod,
@@ -35,6 +36,7 @@ from .formulas import (
     Sum,
     Var,
     ensure_closed,
+    from_prefix,
     predicate_signature,
 )
 
@@ -146,33 +148,30 @@ def expand(
     ensure_closed(formula)
     limit = max_atoms_limit(max_atoms)
     seen: set[str] = set()
-
-    def go(f: RelFormula, env: dict[str, int]) -> PropFormula:
-        if isinstance(f, RAtom):
+    # The expansion in prefix order: each atom as its variable, each
+    # quantifier as the n - 1 sums or products of its left fold followed by
+    # its body once per element, in index order.
+    tokens: list = []
+    todo: list = [(formula, {})]
+    while todo:
+        f, env = todo.pop()
+        cls = type(f)
+        if cls is RAtom:
             name = atom_name(f.predicate, tuple(env[ix] for ix in f.indices))
             seen.add(name)
             if len(seen) > limit:
                 raise LimitExceededError(
                     f"expansion needs more than {limit} distinct atoms"
                 )
-            return Var(name)
-        if isinstance(f, Neg):
-            return Neg(go(f.inner, env))
-        if isinstance(f, Claw):
-            return Claw(go(f.antecedent, env), go(f.consequent, env))
-        if isinstance(f, Prod):
-            return Prod(go(f.left, env), go(f.right, env))
-        if isinstance(f, Sum):
-            return Sum(go(f.left, env), go(f.right, env))
-        if isinstance(f, Quant):
-            parts = [go(f.body, {**env, f.var: d}) for d in range(n)]
-            acc = parts[0]
-            for part in parts[1:]:
-                acc = Prod(acc, part) if f.kind == PI else Sum(acc, part)
-            return acc
-        raise TypeError(f"not a relational formula: {f!r}")
-
-    return go(formula, {})
+            tokens.append(Var(name))
+        elif cls is Quant:
+            (body,) = SUBFORMULAS[cls](f)
+            tokens += [Prod if f.kind == PI else Sum] * (n - 1)
+            todo += [(body, {**env, f.var: d}) for d in reversed(range(n))]
+        else:
+            tokens.append(cls)
+            todo += [(g, env) for g in SUBFORMULAS[cls](f)[::-1]]
+    return from_prefix(tokens)
 
 
 def assignment_from_structure(s: Structure, variables: list[str]) -> dict[str, bool]:

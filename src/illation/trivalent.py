@@ -10,14 +10,13 @@ is no trivalent claw.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from functools import cached_property
 from itertools import product
 from typing import Mapping
 
 from ._record import record
 from .errors import LimitExceededError, MissingVariableError
-from .formulas import Neg, Prod, PropFormula, Sum, Var, free_vars
+from .formulas import Neg, Prod, PropFormula, Sum, Var, free_vars, walk
 from .truth import render_tsv, row_bits
 
 MAX_TRI_VARS = 10  # 3^10 rows is the ceiling for a printable table
@@ -128,7 +127,10 @@ class TriTable:
 
 
 def tri_table(formula: PropFormula) -> TriTable:
-    tri_eval(formula, defaultdict(lambda: V))  # unsupported nodes before the limit
+    nodes = list(walk(formula))
+    for f in nodes:  # unsupported nodes before the limit, in tri_eval's order
+        if type(f) not in (Var, Neg, Sum, Prod):
+            raise UnsupportedConnectiveError(f)
     names = tuple(free_vars(formula))
     if len(names) > MAX_TRI_VARS:
         raise LimitExceededError(
@@ -145,17 +147,16 @@ def tri_table(formula: PropFormula) -> TriTable:
             _tile((1 << 2 * third) - 1, 3 * third, size),
             _tile((1 << third) - 1, 3 * third, size),
         )
-
-    def go(f: PropFormula) -> tuple[int, int]:
-        if isinstance(f, Var):
-            return env[f.name]
-        if isinstance(f, Neg):
-            not_f, is_v = go(f.inner)
-            return full ^ is_v, full ^ not_f
-        (lg, lv), (rg, rv) = go(f.left), go(f.right)
-        if isinstance(f, Sum):
-            return lg | rg, lv | rv
-        return lg & rg, lv & rv  # Prod, the last node tri_eval admits
-
-    return TriTable(names, *go(formula))
-
+    # Preorder reversed: a node's sides are folded before it, the left on top.
+    planes: list[tuple[int, int]] = []
+    for f in reversed(nodes):
+        cls = type(f)
+        if cls is Var:
+            planes.append(env[f.name])
+        elif cls is Neg:
+            not_f, is_v = planes.pop()
+            planes.append((full ^ is_v, full ^ not_f))
+        else:
+            (lg, lv), (rg, rv) = planes.pop(), planes.pop()
+            planes.append((lg | rg, lv | rv) if cls is Sum else (lg & rg, lv & rv))
+    return TriTable(names, *planes[0])

@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Mapping, Optional
 from ._record import record
 from .errors import LimitExceededError, MissingVariableError
 from .formulas import (
+    PROPOSITIONAL,
+    SUBFORMULAS,
     Claw,
     Conn16,
     Const,
@@ -99,6 +101,13 @@ def _row_of(left: bool, right: bool) -> int:
     return (0 if left else 2) + (0 if right else 1)
 
 
+def _rows(index: int, value: bool) -> list[tuple[bool, bool]]:
+    """The (left, right) values, in canonical order, where connective
+    `index` has `value`."""
+    pairs = ((True, True), (True, False), (False, True), (False, False))
+    return [pair for pair, cell in zip(pairs, connective_vector(index)) if cell == value]
+
+
 def _check_table_limit(count: int) -> None:
     if count > MAX_TABLE_VARS:
         raise LimitExceededError(
@@ -134,47 +143,47 @@ def _eval_masks(formula: PropFormula, env: Mapping[str, int], full: int) -> int:
 
     `care` is the mask of the rows on which eval2 reaches a node.  A side
     that eval2 skips on every such row is not visited, so a missing variable
-    or a non-formula raises exactly when eval2 raises on some row.
+    or a non-formula raises exactly when eval2 raises on some row.  So the
+    second side of a node is pushed only once the first side's value, and
+    with it the second side's `care`, is known.
     """
-
-    def go(f: PropFormula, care: int) -> int:
-        if isinstance(f, Var):
-            try:
-                return env[f.name]
-            except KeyError:
-                raise MissingVariableError(f.name) from None
-        if isinstance(f, Const):
-            return full if f.value else 0
-        if isinstance(f, Neg):
-            return full ^ go(f.inner, care)
-        if isinstance(f, Claw):
-            left = go(f.antecedent, care)
-            care &= left
-            return (full ^ left) | go(f.consequent, care) if care else full
-        if isinstance(f, Prod):
-            left = go(f.left, care)
-            care &= left
-            return left & go(f.right, care) if care else 0
-        if isinstance(f, Sum):
-            left = go(f.left, care)
-            care &= full ^ left
-            return left | go(f.right, care) if care else full
-        if isinstance(f, Conn16):
-            left, right = go(f.left, care), go(f.right, care)
-            quadrants = (
-                left & right,
-                left & (full ^ right),
-                (full ^ left) & right,
-                full ^ (left | right),
-            )
-            acc = 0
-            for quadrant, true in zip(quadrants, CONNECTIVE_VECTORS[f.index]):
-                if true:
-                    acc |= quadrant
-            return acc
-        raise TypeError(f"not a propositional formula: {f!r}")
-
-    return go(formula, full)
+    values: list[int] = []
+    todo = [(formula, full, 0)]  # (node, care, how many sides are done)
+    while todo:
+        f, care, done = todo.pop()
+        cls = type(f)
+        if cls is Var:
+            if f.name not in env:
+                raise MissingVariableError(f.name)
+            values.append(env[f.name])
+        elif cls is Const:
+            values.append(full if f.value else 0)
+        elif cls not in PROPOSITIONAL:
+            raise TypeError(f"not a propositional formula: {f!r}")
+        elif done == 0:
+            todo += ((f, care, 1), (SUBFORMULAS[cls](f)[0], care, 0))
+        elif cls is Neg:
+            values[-1] ^= full
+        elif done == 1:
+            if cls is Claw:  # a -< b is the sum of not-a and b
+                values[-1] ^= full
+            if cls is not Conn16:
+                # the second side counts only where the first does not decide
+                care &= values[-1] if cls is Prod else full ^ values[-1]
+                if not care:
+                    values[-1] = 0 if cls is Prod else full
+                    continue
+            todo += ((f, care, 2), (SUBFORMULAS[cls](f)[1], care, 0))
+        else:
+            right, left = values.pop(), values.pop()
+            if cls is Conn16:  # the union of the disjoint quadrants where it is v
+                quadrants = (left & right, left & (full ^ right), right & (full ^ left),
+                             full ^ (left | right))
+                truths = CONNECTIVE_VECTORS[f.index]
+                values.append(sum(q for q, true in zip(quadrants, truths) if true))
+            else:  # a product, or a sum: a claw is one by now
+                values.append(left & right if cls is Prod else left | right)
+    return values[0]
 
 
 def row_bits(mask: int, size: int) -> str:
@@ -311,6 +320,11 @@ class Falsified:
 
 _INDIRECT_STATE_CAP = 200_000
 
+# For the claw, product and sum: the value of each side that alone decides
+# the node's value, which is then the second side's (a claw is v once its
+# antecedent is f or its consequent v).
+_DECIDING = {Claw: (False, True), Prod: (False, False), Sum: (True, True)}
+
 
 def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
     """MS 527's indirect method: assume the formula false and propagate.
@@ -338,61 +352,41 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
         while goals and not dead:
             node, want = goals[0]
             rest = goals[1:]
-            if isinstance(node, Var):
-                prior = assignment.get(node.name)
+            cls = type(node)
+            if cls is Var or cls is Const:  # a constant is a variable assigned from the start
+                name = node.name if cls is Var else "#t" if node.value else "#f"
+                prior = assignment.get(name) if cls is Var else node.value
                 if prior is None:
-                    assignment = {**assignment, node.name: want}
-                    trace = trace + ((node.name, want),)
+                    assignment = {**assignment, name: want}
+                    trace = trace + ((name, want),)
                     goals = rest
                 elif prior == want:
                     goals = rest
                 else:
-                    traces.append(trace + ((node.name, want),))
+                    traces.append(trace + ((name, want),))
                     dead = True
-            elif isinstance(node, Const):
-                if node.value == want:
-                    goals = rest
-                else:
-                    traces.append(trace + (("#t" if node.value else "#f", want),))
-                    dead = True
-            elif isinstance(node, Neg):
-                goals = ((node.inner, not want),) + rest
-            elif isinstance(node, Claw):
-                if not want:
-                    goals = ((node.antecedent, True), (node.consequent, False)) + rest
-                else:
+            elif cls is Neg:
+                goals = ((*SUBFORMULAS[cls](node), not want),) + rest
+            elif cls in _DECIDING:
+                (left, right), (on_left, on_right) = SUBFORMULAS[cls](node), _DECIDING[cls]
+                if want == on_right:  # either side alone gives this value
                     _branch(queue, rest, assignment, trace,
-                            [((node.antecedent, False),), ((node.consequent, True),)])
+                            [((left, on_left),), ((right, on_right),)])
                     dead = True
-            elif isinstance(node, Prod):
-                if want:
-                    goals = ((node.left, True), (node.right, True)) + rest
-                else:
-                    _branch(queue, rest, assignment, trace,
-                            [((node.left, False),), ((node.right, False),)])
-                    dead = True
-            elif isinstance(node, Sum):
-                if not want:
-                    goals = ((node.left, False), (node.right, False)) + rest
-                else:
-                    _branch(queue, rest, assignment, trace,
-                            [((node.left, True),), ((node.right, True),)])
-                    dead = True
-            elif isinstance(node, Conn16):
-                vector = CONNECTIVE_VECTORS[node.index]
-                rows = [(l, r) for l, r in ((True, True), (True, False), (False, True), (False, False))
-                        if vector[_row_of(l, r)] == want]
-                if not rows:
+                else:  # both sides are forced
+                    goals = ((left, not on_left), (right, not on_right)) + rest
+            elif cls is Conn16:
+                rows = _rows(node.index, want)
+                _branch(queue, rest, assignment, trace,
+                        [tuple(zip(SUBFORMULAS[cls](node), row)) for row in rows])
+                if not rows:  # no row gives the connective this value
                     traces.append(trace)
-                else:
-                    _branch(queue, rest, assignment, trace,
-                            [((node.left, l), (node.right, r)) for l, r in rows])
                 dead = True
             else:
                 raise TypeError(f"not a propositional formula: {node!r}")
         if not dead:
             complete = {name: assignment.get(name, True) for name in order}
-            if eval2(formula, complete):
+            if _eval_masks(formula, complete, 1):  # the completion as one row
                 raise RuntimeError("indirect method produced a non-falsifying leaf")
             completions.append(complete)
 
@@ -444,9 +438,7 @@ def sop_expansion(index: int, left: PropFormula, right: PropFormula) -> PropForm
     all-false vector becomes (l AND NOT l) AND (r AND NOT r), the all-true
     vector its dual.
     """
-    vector = connective_vector(index)
-    rows = [(l, r) for l, r in ((True, True), (True, False), (False, True), (False, False))
-            if vector[_row_of(l, r)]]
+    rows = _rows(index, True)
     if not rows:
         return Prod(Prod(left, Neg(left)), Prod(right, Neg(right)))
     if len(rows) == 4:
@@ -460,23 +452,11 @@ def sop_expansion(index: int, left: PropFormula, right: PropFormula) -> PropForm
     return acc
 
 
-def expand_conn16(formula: PropFormula) -> PropFormula:
-    """Rewrite every Conn16 node into its sum-of-products expansion."""
-    if isinstance(formula, (Var, Const)):
-        return formula
-    if isinstance(formula, Neg):
-        return Neg(expand_conn16(formula.inner))
-    if isinstance(formula, Claw):
-        return Claw(expand_conn16(formula.antecedent), expand_conn16(formula.consequent))
-    if isinstance(formula, Prod):
-        return Prod(expand_conn16(formula.left), expand_conn16(formula.right))
-    if isinstance(formula, Sum):
-        return Sum(expand_conn16(formula.left), expand_conn16(formula.right))
-    if isinstance(formula, Conn16):
-        return sop_expansion(
-            formula.index, expand_conn16(formula.left), expand_conn16(formula.right)
-        )
-    raise TypeError(f"not a propositional formula: {formula!r}")
+def expanded(f: PropFormula) -> PropFormula:
+    """`f` itself, or a Conn16 node's sum-of-products expansion."""
+    if type(f) is Conn16:
+        return sop_expansion(f.index, *SUBFORMULAS[Conn16](f))
+    return f
 
 
 # --- algebraic normal form -------------------------------------------------

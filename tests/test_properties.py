@@ -1,0 +1,142 @@
+"""Property tests over random trees, deep ones included.
+
+The trees come from hypothesis with a fixed seed (derandomize), so a run is
+repeatable.  Besides small random trees, the strategies fold lists of them
+into left- and right-deep chains and stack long runs of negations on them.
+The code under test runs with only a few dozen frames of stack to spare,
+so a walk that recursed once per level would fail; the recursive
+reference evaluators run outside that limit.
+"""
+
+import itertools
+import sys
+from contextlib import contextmanager
+from functools import reduce
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from illation.formulas import PI, SIGMA, Claw, Conn16, Const, Neg, Prod, Quant, RAtom, Sum, Var
+from illation.formulas import free_vars, substitute
+from illation.notations import Notation, parse, print_formula
+from illation.quantifiers import Structure, assignment_from_structure, eval_in, expand
+from illation.truth import table_over
+
+from helpers import all_envs, ref_eval
+
+PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+NAMES = "abcd"
+BINARY = (Claw, Prod, Sum)
+
+
+def _fold(parts, cls, left):
+    """`parts` joined by `cls` into one left-deep or right-deep chain."""
+    if left:
+        return reduce(cls, parts)
+    return reduce(lambda acc, part: cls(part, acc), reversed(parts))
+
+
+def _negated(f, times):
+    return reduce(lambda acc, _: Neg(acc), range(times), f)
+
+
+def trees(constants=True, conn16=False):
+    """Small random trees; chains of up to 100 of them, folded left or
+    right; and small trees under up to 300 negations."""
+    leaf = st.sampled_from(NAMES).map(Var)
+    if constants:
+        leaf = leaf | st.booleans().map(Const)
+
+    def extend(kids):
+        made = kids.map(Neg) | st.builds(lambda cls, left, right: cls(left, right),
+                                         st.sampled_from(BINARY), kids, kids)
+        if conn16:
+            made = made | st.builds(Conn16, st.integers(1, 16), kids, kids)
+        return made
+
+    small = st.recursive(leaf, extend, max_leaves=12)
+    chains = st.builds(_fold, st.lists(small, min_size=2, max_size=5).map(lambda p: p * 20),
+                       st.sampled_from(BINARY), st.booleans())
+    return small | chains | st.builds(_negated, small, st.integers(0, 300))
+
+
+@contextmanager
+def shallow_stack(room=40):
+    """Only `room` more frames of stack while the block runs."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + room)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+@PROPERTIES
+@given(trees(constants=False))
+def test_print_parse_round_trip_in_every_notation(f):
+    for notation in Notation:
+        with shallow_stack():
+            text = print_formula(f, notation)
+        # outside the limit: the parsers recurse per bracket and prefix negation
+        assert parse(text, notation) == f, (notation, text)
+
+
+@PROPERTIES
+@given(trees(constants=True))
+def test_print_parse_round_trip_with_constants(f):
+    for notation in (Notation.PEANO_RUSSELL, Notation.PEIRCE, Notation.SCHROEDER):
+        with shallow_stack():
+            text = print_formula(f, notation)
+        assert parse(text, notation) == f, (notation, text)
+
+
+@PROPERTIES
+@given(trees(conn16=True))
+def test_table_over_agrees_with_the_reference_evaluator(f):
+    with shallow_stack():
+        names = free_vars(f)
+        values = table_over(f, names).values()
+    assert values == tuple(ref_eval(f, env) for env in all_envs(names))
+
+
+@PROPERTIES
+@given(trees(conn16=True), st.sampled_from(NAMES), trees(conn16=True))
+def test_substitute_evaluates_as_the_filler_in_the_hole(context, hole, filler):
+    with shallow_stack():
+        plugged = substitute(context, hole, filler)
+    for env in all_envs(NAMES):
+        assert ref_eval(plugged, env) == ref_eval(context, {**env, hole: ref_eval(filler, env)})
+
+
+def _closed(atoms, joins, negations, left):
+    """Pi i . Sigma j . the atoms joined into a left- or right-deep chain,
+    with some of the partial chains negated."""
+    acc = atoms[0]
+    for atom, cls, negate in zip(atoms[1:], joins, negations):
+        acc = Neg(acc) if negate else acc
+        acc = cls(acc, atom) if left else cls(atom, acc)
+    return Quant(PI, "i", Quant(SIGMA, "j", acc))
+
+
+def relational():
+    atom = st.builds(lambda p, ix: RAtom(p, (ix,)), st.sampled_from("pq"), st.sampled_from("ij"))
+    return st.integers(1, 150).flatmap(lambda n: st.builds(
+        _closed, st.lists(atom, min_size=n, max_size=n),
+        st.lists(st.sampled_from(BINARY), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n), st.booleans()))
+
+
+@PROPERTIES
+@given(relational(), st.integers(1, 2))
+def test_expand_agrees_with_eval_in_on_every_structure(f, n):
+    with shallow_stack():
+        expansion = expand(f, n)
+        names = free_vars(expansion)
+    subsets = [frozenset((e,) for e in range(n) if bits >> e & 1) for bits in range(1 << n)]
+    for p, q in itertools.product(subsets, repeat=2):
+        s = Structure(n, {"p": (1, p), "q": (1, q)})
+        env = assignment_from_structure(s, names)
+        assert ref_eval(expansion, env) == eval_in(f, s)
