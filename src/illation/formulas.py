@@ -23,9 +23,9 @@ from ._record import record
 # Single letter, or an expansion atom such as l_0_1 produced by quantifier
 # elimination (predicate name + underscore-joined element indices).  The four
 # concrete grammars only ever parse the single-letter form.
-_VAR_NAME = re.compile(r"^(?:[a-z]|[a-z][a-z0-9]*(?:_[0-9]+)+)$")
+_VAR_NAME = re.compile(r"[a-z]|[a-z][a-z0-9]*(?:_[0-9]+)+")
 
-_PREDICATE_NAME = re.compile(r"^[a-z][a-z0-9]*$")
+_PREDICATE_NAME = re.compile(r"[a-z][a-z0-9]*")
 
 
 class PropFormula:
@@ -39,7 +39,7 @@ class Var(PropFormula):
     name: str
 
     def __post_init__(self) -> None:
-        if not _VAR_NAME.match(self.name):
+        if not _VAR_NAME.fullmatch(self.name):
             raise ValueError(f"bad variable name: {self.name!r}")
 
 
@@ -126,7 +126,7 @@ class RAtom(RelFormula):
     indices: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not _PREDICATE_NAME.match(self.predicate):
+        if not _PREDICATE_NAME.fullmatch(self.predicate):
             raise ValueError(f"bad predicate name: {self.predicate!r}")
         if not self.indices:
             raise ValueError("atoms need at least one index variable")

@@ -145,7 +145,7 @@ def _tokenize_algebraic(text: str, style: _Style) -> list[_Token]:
                 j = i + 1
                 while j < len(text) and (text[j] == "_" or text[j].isascii() and text[j].isalnum() and not text[j].isupper()):
                     j += 1
-                while j > i and not _VAR_NAME.match(text[i:j]):
+                while j > i and not _VAR_NAME.fullmatch(text[i:j]):
                     j -= 1
                 tokens.append(_Token("NAME", text[i:j], i))
                 i = j

@@ -10,7 +10,6 @@ Truth values are Python bools: True is v (verum), False is f (falsum).
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional
@@ -330,76 +329,92 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
     """MS 527's indirect method: assume the formula false and propagate.
 
     Claw false forces antecedent v and consequent f; Neg flips the goal;
-    Prod true / Sum false force both sides; the dual cases branch.  All
-    branches are explored; the result is the lexicographically least
-    falsifying completion (canonical variable order, v before f, unforced
-    variables defaulting to v), or a Tautology carrying the shortest
-    contradiction trace.
+    Prod true / Sum false force both sides; the dual cases branch.  The
+    result is the lexicographically least falsifying completion (canonical
+    variable order, v before f, unforced variables defaulting to v), or a
+    Tautology carrying the shortest contradiction trace: among the shortest,
+    the one reached with the fewest branchings, then the first in branch
+    order.
+
+    Up to MAX_TABLE_VARS variables the bit-parallel row search decides.
+    Every falsifying row lies on an open branch whose completion is no
+    greater, so the first falsifying row is the answer without any search;
+    for a tautology the depth-first search only looks for the trace, and
+    skips any branch that can no longer beat the best trace found.  Above
+    that, the search runs over the whole tree.
     """
     order = free_vars(formula)
-    queue: deque[tuple[tuple, dict, tuple]] = deque()
-    queue.append((((formula, False),), {}, ()))
-    completions: list[dict[str, bool]] = []
-    traces: list[tuple[tuple[str, bool], ...]] = []
+    known_tautology = False
+    if len(order) <= MAX_TABLE_VARS:
+        counterexample = find_counterexample(formula)
+        if counterexample is not None:
+            return Falsified(counterexample)
+        known_tautology = True
+    # each state: goals as (node, want, rest) cells, assignment, trace, branchings
+    stack: list[tuple[Optional[tuple], dict, tuple, int]] = [
+        ((formula, False, None), {}, (), 0)
+    ]
+    best, best_trace = (float("inf"), 0), ()  # (len(trace), branchings) of best_trace
+    least, least_assignment = None, {}  # the key and assignment of the least completion
     states = 0
 
-    while queue:
-        goals, assignment, trace = queue.popleft()
+    while stack:
+        goals, assignment, trace, level = stack.pop()
+        if known_tautology and (len(trace), level) >= best:
+            continue  # every trace below here is longer, or as long and deeper
         states += 1
         if states > _INDIRECT_STATE_CAP:
-            raise LimitExceededError("indirect search exceeded its state cap")
-        dead = False
-        while goals and not dead:
-            node, want = goals[0]
-            rest = goals[1:]
+            raise LimitExceededError(
+                f"indirect search exceeded its state cap of {_INDIRECT_STATE_CAP:,} states"
+            )
+        alternatives: list = []
+        while goals is not None:
+            node, want, goals = goals
             cls = type(node)
             if cls is Var or cls is Const:  # a constant is a variable assigned from the start
                 name = node.name if cls is Var else "#t" if node.value else "#f"
                 prior = assignment.get(name) if cls is Var else node.value
                 if prior is None:
                     assignment = {**assignment, name: want}
-                    trace = trace + ((name, want),)
-                    goals = rest
-                elif prior == want:
-                    goals = rest
-                else:
-                    traces.append(trace + ((name, want),))
-                    dead = True
+                    trace += ((name, want),)
+                elif prior != want:
+                    trace += ((name, want),)
+                    break
             elif cls is Neg:
-                goals = ((*SUBFORMULAS[cls](node), not want),) + rest
+                goals = (node.inner, not want, goals)
             elif cls in _DECIDING:
                 (left, right), (on_left, on_right) = SUBFORMULAS[cls](node), _DECIDING[cls]
                 if want == on_right:  # either side alone gives this value
-                    _branch(queue, rest, assignment, trace,
-                            [((left, on_left),), ((right, on_right),)])
-                    dead = True
-                else:  # both sides are forced
-                    goals = ((left, not on_left), (right, not on_right)) + rest
+                    alternatives = [((left, on_left),), ((right, on_right),)]
+                    break
+                goals = (left, not on_left, (right, not on_right, goals))  # both are forced
             elif cls is Conn16:
-                rows = _rows(node.index, want)
-                _branch(queue, rest, assignment, trace,
-                        [tuple(zip(SUBFORMULAS[cls](node), row)) for row in rows])
-                if not rows:  # no row gives the connective this value
-                    traces.append(trace)
-                dead = True
+                alternatives = [tuple(zip(SUBFORMULAS[cls](node), row))
+                                for row in _rows(node.index, want)]
+                break  # with no row giving the connective this value, a contradiction
             else:
                 raise TypeError(f"not a propositional formula: {node!r}")
-        if not dead:
-            complete = {name: assignment.get(name, True) for name in order}
-            if _eval_masks(formula, complete, 1):  # the completion as one row
-                raise RuntimeError("indirect method produced a non-falsifying leaf")
-            completions.append(complete)
+        else:  # an open branch: its completion sets the unforced variables v
+            key = tuple(not assignment.get(name, True) for name in order)
+            if least is None or key < least:
+                least, least_assignment = key, assignment
+            continue
+        if not alternatives:  # the branch closed in a contradiction
+            if (len(trace), level) < best:
+                best, best_trace = (len(trace), level), trace
+            continue
+        for alt in reversed(alternatives):  # so that they pop in order
+            cell = goals
+            for node, want in reversed(alt):
+                cell = (node, want, cell)
+            stack.append((cell, assignment, trace, level + 1))
 
-    if completions:
-        best = min(completions, key=lambda a: tuple(not a[n] for n in order))
-        return Falsified(best)
-    best_trace = min(traces, key=len) if traces else ()
-    return Tautology(tuple(best_trace))
-
-
-def _branch(queue, rest, assignment, trace, alternatives) -> None:
-    for alt in alternatives:
-        queue.append((tuple(alt) + rest, dict(assignment), trace))
+    if least is not None:
+        complete = {name: least_assignment.get(name, True) for name in order}
+        if _eval_masks(formula, complete, 1):  # the completion as one row
+            raise RuntimeError("indirect method produced a non-falsifying leaf")
+        return Falsified(complete)
+    return Tautology(best_trace)
 
 
 # --- the sixteen connectives ----------------------------------------------

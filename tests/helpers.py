@@ -6,7 +6,9 @@ these helpers are genuine cross-checks rather than mirrors.
 """
 
 import itertools
+from collections import deque
 
+from illation.errors import LimitExceededError
 from illation.formulas import (
     PI,
     SIGMA,
@@ -21,11 +23,21 @@ from illation.formulas import (
     RNeg,
     RProd,
     RSum,
+    SUBFORMULAS,
     Sum,
     Var,
+    free_vars,
     predicate_signature,
 )
 from illation.quantifiers import Structure, eval_in
+from illation.truth import (
+    _DECIDING,
+    _INDIRECT_STATE_CAP,
+    Falsified,
+    Tautology,
+    _eval_masks,
+    _rows,
+)
 
 # The fixed 16-column connective table, rows (v,v),(v,f),(f,v),(f,f).
 # Frozen here independently of the library constant so the two can be
@@ -184,3 +196,74 @@ def ref_sat_search(formula, n):
         if eval_in(formula, candidate):
             return candidate
     return None
+
+
+def ref_indirect(formula):
+    """The indirect method as an unpruned breadth-first search over every
+    branch: the oracle for `truth.indirect_falsify`, which decides by row
+    search and prunes its depth-first trace search.  Among the shortest
+    contradiction traces it keeps the first in breadth-first order."""
+    order = free_vars(formula)
+    queue = deque()
+    queue.append((((formula, False),), {}, ()))
+    completions = []
+    traces = []
+    states = 0
+
+    while queue:
+        goals, assignment, trace = queue.popleft()
+        states += 1
+        if states > _INDIRECT_STATE_CAP:
+            raise LimitExceededError("indirect search exceeded its state cap")
+        dead = False
+        while goals and not dead:
+            node, want = goals[0]
+            rest = goals[1:]
+            cls = type(node)
+            if cls is Var or cls is Const:  # a constant is a variable assigned from the start
+                name = node.name if cls is Var else "#t" if node.value else "#f"
+                prior = assignment.get(name) if cls is Var else node.value
+                if prior is None:
+                    assignment = {**assignment, name: want}
+                    trace = trace + ((name, want),)
+                    goals = rest
+                elif prior == want:
+                    goals = rest
+                else:
+                    traces.append(trace + ((name, want),))
+                    dead = True
+            elif cls is Neg:
+                goals = ((*SUBFORMULAS[cls](node), not want),) + rest
+            elif cls in _DECIDING:
+                (left, right), (on_left, on_right) = SUBFORMULAS[cls](node), _DECIDING[cls]
+                if want == on_right:  # either side alone gives this value
+                    _ref_branch(queue, rest, assignment, trace,
+                                [((left, on_left),), ((right, on_right),)])
+                    dead = True
+                else:  # both sides are forced
+                    goals = ((left, not on_left), (right, not on_right)) + rest
+            elif cls is Conn16:
+                rows = _rows(node.index, want)
+                _ref_branch(queue, rest, assignment, trace,
+                            [tuple(zip(SUBFORMULAS[cls](node), row)) for row in rows])
+                if not rows:  # no row gives the connective this value
+                    traces.append(trace)
+                dead = True
+            else:
+                raise TypeError(f"not a propositional formula: {node!r}")
+        if not dead:
+            complete = {name: assignment.get(name, True) for name in order}
+            if _eval_masks(formula, complete, 1):  # the completion as one row
+                raise RuntimeError("indirect method produced a non-falsifying leaf")
+            completions.append(complete)
+
+    if completions:
+        best = min(completions, key=lambda a: tuple(not a[n] for n in order))
+        return Falsified(best)
+    best_trace = min(traces, key=len) if traces else ()
+    return Tautology(tuple(best_trace))
+
+
+def _ref_branch(queue, rest, assignment, trace, alternatives):
+    for alt in alternatives:
+        queue.append((tuple(alt) + rest, dict(assignment), trace))

@@ -126,6 +126,16 @@ def test_taut_indirect_counterexample():
     assert r.stdout == "counterexample: x=v y=v z=f\n"
 
 
+def test_taut_indirect_state_cap_exits_3():
+    # 18 clauses over 19 variables and a consequent d outside them: above the
+    # table limit the search is unpruned, and its 2^18 open branches exceed the cap
+    names = "abcefghijklmnopqrst"
+    clauses = "&".join(f"({x}|{y})" for x, y in zip(names, names[1:]))
+    r = run("taut", "--method", "indirect", f"({clauses})>d")
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == "limit exceeded: indirect search exceeded its state cap of 200,000 states\n"
+
+
 def test_connectives_table():
     r = run("connectives")
     assert r.returncode == 0

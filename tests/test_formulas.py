@@ -37,9 +37,17 @@ def test_var_name_validation():
     Var("q")
     Var("l_0_1")
     Var("p_10")
-    for bad in ("", "A", "ab", "1a", "l_", "l_x", "a_1_", "#t"):
+    for bad in ("", "A", "ab", "1a", "l_", "l_x", "a_1_", "#t", "a\n", "l_0_1\n"):
         with pytest.raises(ValueError):
             Var(bad)
+
+
+def test_predicate_name_validation():
+    RAtom("p", ("i",))
+    RAtom("l2", ("i", "j"))
+    for bad in ("", "P", "2p", "p_1", "p\n"):
+        with pytest.raises(ValueError):
+            RAtom(bad, ("i",))
 
 
 def test_conn16_index_range():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from illation import truth
 from illation.errors import LimitExceededError, MissingVariableError
 from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var, free_vars
 from illation.notations import Notation, parse
@@ -28,7 +29,14 @@ from illation.truth import (
     xframe,
 )
 
-from helpers import EXPECTED_VECTORS, all_envs, formulas_up_to_depth, random_formula, ref_eval
+from helpers import (
+    EXPECTED_VECTORS,
+    all_envs,
+    formulas_up_to_depth,
+    random_formula,
+    ref_eval,
+    ref_indirect,
+)
 
 A, B, C = Var("a"), Var("b"), Var("c")
 PEIRCE_LAW = Claw(Claw(Claw(A, B), A), A)
@@ -205,6 +213,57 @@ def test_indirect_trace_replay():
                 assigned[name] = value
             assert conflict, result.trace
     assert seen_taut > 5
+
+
+def test_indirect_matches_the_breadth_first_oracle():
+    rng = random.Random(527)
+    tautologies = 0
+    for i in range(2_000):
+        f = random_formula(rng, rng.randrange(2, 6), "abcde"[: rng.randrange(1, 6)],
+                           with_conn16=True)
+        if i % 2:  # about half forced into tautologies
+            g = random_formula(rng, 4, "abcd", with_conn16=True)
+            f = rng.choice((Sum(f, Neg(f)), Claw(Prod(f, g), f), Claw(f, Sum(g, f))))
+        result = indirect_falsify(f)
+        assert result == ref_indirect(f), f
+        tautologies += isinstance(result, Tautology)
+    assert 1_000 < tautologies < 2_000
+
+
+def clauses(names):
+    """Positive two-literal clauses over consecutive pairs of `names`."""
+    return [Sum(Var(x), Var(y)) for x, y in zip(names[::2], names[1::2])]
+
+
+def conjunction(parts):
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = Prod(acc, part)
+    return acc
+
+
+def test_indirect_prunes_the_trace_search(monkeypatch):
+    # (C1 & ... & C16) > Cj: assumed false, every clause branches before the
+    # consequent closes the branch, so the whole tree has 2^17 - 1 states
+    rng = random.Random(16)
+    names = list("abcdefghijkl") + [rng.choice("abcdefghijkl") for _ in range(20)]
+    rng.shuffle(names)
+    parts = clauses(names)
+    f = Claw(conjunction(parts), parts[9])
+    expected = ref_indirect(f)
+    monkeypatch.setattr(truth, "_INDIRECT_STATE_CAP", 65_535)
+    assert isinstance(expected, Tautology) and indirect_falsify(f) == expected
+
+
+def test_indirect_above_the_table_limit_matches_the_oracle():
+    parts = clauses("abcdefghijklmnopqr")  # nine clauses over 18 variables
+    tautology = Claw(conjunction(parts), parts[4])
+    falsifiable = Claw(conjunction(parts), Prod(Var("a"), Var("b")))
+    for f in (tautology, falsifiable):
+        assert len(free_vars(f)) == 18
+        assert indirect_falsify(f) == ref_indirect(f)
+    assert isinstance(indirect_falsify(tautology), Tautology)
+    assert isinstance(indirect_falsify(falsifiable), Falsified)
 
 
 def test_connective_vectors_match_frozen_table():
