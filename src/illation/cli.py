@@ -120,7 +120,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except LimitExceededError as err:
         print(f"limit exceeded: {err}", file=sys.stderr)
         return 3
-    except RecursionError:  # the parsers and eval_in still recurse per level
+    except RecursionError:  # eval_in, the witness check of sat and scan, recurses per level
         print("limit exceeded: formula nested too deeply", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as err:

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import enum
 import re
-from functools import partial
+from functools import cache, partial
+from itertools import chain
 from typing import Iterator, Optional
 
 from ._record import record
 from .formulas import (
-    _VAR_NAME,
+    PI,
+    SIGMA,
     SUBFORMULAS,
     Claw,
     Conn16,
@@ -32,6 +34,9 @@ from .formulas import (
     Neg,
     Prod,
     PropFormula,
+    Quant,
+    RAtom,
+    RelFormula,
     Sum,
     Var,
     from_prefix,
@@ -78,15 +83,6 @@ class PrintError(ValueError):
 
 
 @record(frozen=True)
-class _Token:
-    # NAME CONST LPAREN RPAREN NEG POSTNEG PROD SUM CLAW EOF; the relational
-    # tokenizer also emits COMMA DOT PI SIGMA
-    kind: str
-    text: str
-    offset: int
-
-
-@record(frozen=True)
 class _Style:
     claw: str
     prod: str
@@ -103,153 +99,191 @@ _STYLES = {
 }
 
 
-def _operator_table(style: _Style) -> list[tuple[str, str]]:
-    ops = [(style.claw, "CLAW"), (style.prod, "PROD"), (style.sum, "SUM")]
+# --- reading ----------------------------------------------------------------
+#
+# A master regex per syntax lexes one token per match (the "Writing a
+# Tokenizer" recipe of the `re` documentation), and one loop reads the
+# algebraic notations and the relational grammar by operator precedence
+# (Dijkstra's shunting yard), with explicit stacks, so no nesting depth
+# exhausts the interpreter's.  Each match's group name is the token's kind:
+# LEAF (a variable or constant), NEG and POSTNEG, PROD, SUM and CLAW,
+# LPAREN and RPAREN, and BAD for a character that starts no token; the
+# relational lexer adds WORD, PI, SIGMA, COMMA and DOT.  A prefix negation
+# waits on the operator stack until its operand is complete; a quantifier
+# prefix waits there until its bracket closes or the text ends, so its scope
+# reaches as far right as it can.
+
+_BINARY = {"PROD": Prod, "SUM": Sum, "CLAW": Claw}
+_BINDS = {Prod: 3, Sum: 2, Claw: 1}
+# A binary operator first applies the pending ones that bind at least this
+# tightly: products and sums associate left, the claw to the right.
+_TAKES = {Prod: 3, Sum: 2, Claw: 2}
+_QUANTIFIERS = {"PI": PI, "SIGMA": SIGMA}
+_OPEN = "("  # an open bracket on the operator stack
+
+
+@cache
+def _grammar(style: _Style) -> tuple:
+    """The lexer and the expected-token lists of an algebraic notation,
+    compiled on its first use."""
+    ops = [(style.claw, "CLAW"), (style.prod, "PROD"), (style.sum, "SUM"),
+           (style.neg_prefix, "NEG"), (style.neg_postfix, "POSTNEG")]
+    ops = sorted((pair for pair in ops if pair[0]), key=lambda pair: -len(pair[0]))  # maximal munch
+    lexer = re.compile(
+        r"\s*(?:(?P<LEAF>#[tf]|[a-z](?:[a-z0-9]*(?:_[0-9]+)+)?)|"  # the longest valid name
+        + "".join(f"(?P<{kind}>{re.escape(literal)})|" for literal, kind in ops)
+        + r"(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<BAD>\S))"
+    )
+    lexicon = tuple(literal for literal, _ in ops) + ("variable", "'('", "')'", "'#t'", "'#f'")
+    operand = ("variable", "'#t'", "'#f'", "'('")
     if style.neg_prefix:
-        ops.append((style.neg_prefix, "NEG"))
-    if style.neg_postfix:
-        ops.append((style.neg_postfix, "POSTNEG"))
-    ops.sort(key=lambda pair: len(pair[0]), reverse=True)  # maximal munch
-    return ops
+        operand += (repr(style.neg_prefix),)
+    # with juxtaposition, a factor starts wherever an operand may
+    juxtaposed = {"LEAF", "LPAREN", "NEG"} if style.juxtaposition else set()
+    return lexer, lexicon, operand, juxtaposed
 
 
-def _tokenize_algebraic(text: str, style: _Style) -> list[_Token]:
-    ops = _operator_table(style)
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
+def _lexical_error(token, lexicon: tuple[str, ...]) -> Optional[ParseError]:
+    """The error of `token` if no token is spelled so, else None."""
+    kind = token.lastgroup
+    text = token[kind]
+    if kind == "BAD" or kind == "WORD" and not text[0].isalpha():
+        return ParseError("unexpected character", token.start(kind), lexicon, repr(text[0]))
+    if kind == "WORD" and not text.islower():
+        return ParseError("unexpected word", token.start(kind),
+                          ("'Pi'", "'Sum'", "lowercase name"), repr(text))
+    return None
+
+
+def _first_lexical_error(tokens, lexicon: tuple[str, ...]) -> Optional[ParseError]:
+    for token in tokens:
+        error = _lexical_error(token, lexicon)
+        if error:
+            return error
+    return None
+
+
+def _close(ops: list, operands: list) -> None:
+    """Apply the pending operators down to the innermost open bracket, or
+    the bottom of the stack, and take that mark off."""
+    op = ops.pop()
+    while op is not _OPEN and op is not None:
+        if op in _BINDS:
+            right = operands.pop()
+            operands[-1] = op(operands[-1], right)
+        else:  # a quantifier prefix
+            operands[-1] = op(operands[-1])
+        op = ops.pop()
+
+
+def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
+          operand: tuple[str, ...], juxtaposed: set[str]) -> PropFormula | RelFormula:
+    """The formula spelled by `text`.  `lexicon` is what may stand where a
+    character starts no token, `operand` what may stand where an operand is
+    due, and `juxtaposed` the kinds of token that start a factor with no
+    product sign before it."""
+    tokens = lexer.finditer(text)
+
+    def error(token, expected: tuple[str, ...]) -> ParseError:
+        """The error where `token` (None: the end) cannot stand.  A
+        character or word that no token spells is reported first, wherever
+        it stands."""
+        rest = tokens if token is None else chain((token,), tokens)
+        found = _first_lexical_error(rest, lexicon)
+        if found:
+            return found
+        if token is None:
+            return ParseError("syntax error", len(text), expected, "end of input")
+        return ParseError("syntax error", token.start(token.lastgroup), expected,
+                          repr(token[token.lastgroup]))
+
+    def expect(kind: str, expected: tuple[str, ...]) -> str:
+        token = next(tokens, None)
+        if token is None or token.lastgroup != kind:
+            raise error(token, expected)
+        found = _lexical_error(token, lexicon)
+        if found:
+            raise found
+        return token[kind]
+
+    leaves: dict = {}  # one node per distinct variable or constant
+    operands: list = []
+    ops: list = [None]  # pending operators over a bottom mark
+    depth = 0  # open brackets
+    start = True  # a whole formula starts here, so a quantifier may
+    due = True  # an operand is due
+    for token in tokens:
+        kind = token.lastgroup
+        if not due:
+            binary = _BINARY.get(kind)
+            if binary or kind in juxtaposed:
+                op = binary or Prod  # juxtaposition is a product
+                takes = _TAKES[op]
+                while _BINDS.get(ops[-1], 0) >= takes:
+                    right = operands.pop()
+                    operands[-1] = ops.pop()(operands[-1], right)
+                ops.append(op)
+                due, start = True, op is Claw
+                if binary:
+                    continue
+            elif kind == "POSTNEG":
+                operands[-1] = Neg(operands[-1])
+                continue
+            elif kind == "RPAREN" and depth:
+                _close(ops, operands)
+                depth -= 1
+                while ops[-1] is Neg:
+                    operands[-1] = Neg(operands[-1])
+                    ops.pop()
+                continue
+            else:
+                raise error(token, ("')'",) if depth else ("end of input",))
+        if kind == "LEAF":
+            name = token["LEAF"]
+            leaf = leaves.get(name)
+            if leaf is None:
+                leaf = leaves[name] = Const(name == "#t") if name[0] == "#" else Var(name)
+        elif kind == "NEG":
+            ops.append(Neg)
+            start = False
             continue
-        if c == "(":
-            tokens.append(_Token("LPAREN", c, i))
-            i += 1
+        elif kind == "LPAREN":
+            ops.append(_OPEN)
+            depth += 1
+            start = True
             continue
-        if c == ")":
-            tokens.append(_Token("RPAREN", c, i))
-            i += 1
+        elif kind == "WORD":  # a predicate atom
+            found = _lexical_error(token, lexicon)
+            if found:
+                raise found
+            expect("LPAREN", ("'('",))
+            indices = [expect("WORD", ("index variable",))]
+            closing = next(tokens, None)
+            while closing is not None and closing.lastgroup == "COMMA":
+                indices.append(expect("WORD", ("index variable",)))
+                closing = next(tokens, None)
+            if closing is None or closing.lastgroup != "RPAREN":
+                raise error(closing, ("')'",))
+            try:
+                leaf = RAtom(token["WORD"], tuple(indices))
+            except ValueError as bad:  # a name no predicate may have
+                raise _first_lexical_error(tokens, lexicon) or bad
+        elif kind in _QUANTIFIERS and start:
+            var = expect("WORD", ("index variable",))
+            expect("DOT", ("'.'",))
+            ops.append(partial(Quant, _QUANTIFIERS[kind], var))
             continue
-        if text.startswith("#t", i) or text.startswith("#f", i):
-            tokens.append(_Token("CONST", text[i : i + 2], i))
-            i += 2
-            continue
-        for literal, kind in ops:
-            if text.startswith(literal, i):
-                tokens.append(_Token(kind, literal, i))
-                i += len(literal)
-                break
         else:
-            if "a" <= c <= "z":
-                # longest valid name wins: l_0_1 is one variable, ab is two
-                j = i + 1
-                while j < len(text) and (text[j] == "_" or text[j].isascii() and text[j].isalnum() and not text[j].isupper()):
-                    j += 1
-                while j > i and not _VAR_NAME.fullmatch(text[i:j]):
-                    j -= 1
-                tokens.append(_Token("NAME", text[i:j], i))
-                i = j
-            else:
-                lexicon = tuple(lit for lit, _ in ops) + ("variable", "'('", "')'", "'#t'", "'#f'")
-                raise ParseError("unexpected character", i, lexicon, repr(c))
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
-
-
-class _AlgebraicParser:
-    def __init__(self, tokens: list[_Token], style: _Style):
-        self.tokens = tokens
-        self.style = style
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def fail(self, expected: tuple[str, ...]) -> ParseError:
-        token = self.peek()
-        found = "end of input" if token.kind == "EOF" else repr(token.text)
-        return ParseError("syntax error", token.offset, expected, found)
-
-    def atom_first(self) -> tuple[str, ...]:
-        kinds = ["NAME", "CONST", "LPAREN"]
-        if self.style.neg_prefix:
-            kinds.append("NEG")
-        return tuple(kinds)
-
-    def parse(self) -> PropFormula:
-        formula = self.formula()
-        if self.peek().kind != "EOF":
-            raise self.fail(("end of input",))
-        return formula
-
-    def claw(self) -> PropFormula:
-        left = self.sum()
-        if self.peek().kind == "CLAW":
-            self.advance()
-            return Claw(left, self.formula())
-        return left
-
-    # Where a whole formula starts: at the top, after a claw, inside
-    # parentheses.  The relational parser puts its quantifier prefix here.
-    formula = claw
-
-    def sum(self) -> PropFormula:
-        left = self.prod()
-        while self.peek().kind == "SUM":
-            self.advance()
-            left = Sum(left, self.prod())
-        return left
-
-    def prod(self) -> PropFormula:
-        left = self.unary()
-        while True:
-            kind = self.peek().kind
-            if kind == "PROD":
-                self.advance()
-                left = Prod(left, self.unary())
-            elif self.style.juxtaposition and kind in self.atom_first():
-                left = Prod(left, self.unary())
-            else:
-                return left
-
-    def unary(self) -> PropFormula:
-        if self.style.neg_prefix and self.peek().kind == "NEG":
-            self.advance()
-            return Neg(self.unary())
-        node = self.atomic()
-        while self.style.neg_postfix and self.peek().kind == "POSTNEG":
-            self.advance()
-            node = Neg(node)
-        return node
-
-    def atomic(self) -> PropFormula:
-        if self.peek().kind == "LPAREN":
-            self.advance()
-            inner = self.formula()
-            if self.peek().kind != "RPAREN":
-                raise self.fail(("')'",))
-            self.advance()
-            return inner
-        return self.leaf()
-
-    # A leaf, not a bracket: the relational parser reads predicate atoms here.
-    def leaf(self) -> PropFormula:
-        token = self.peek()
-        if token.kind == "NAME":
-            self.advance()
-            return Var(token.text)
-        if token.kind == "CONST":
-            self.advance()
-            return Const(token.text == "#t")
-        expected = ["variable", "'#t'", "'#f'", "'('"]
-        if self.style.neg_prefix:
-            expected.append(repr(self.style.neg_prefix))
-        raise self.fail(tuple(expected))
+            raise error(token, operand)
+        while ops[-1] is Neg:
+            leaf = Neg(leaf)
+            ops.pop()
+        operands.append(leaf)
+        due = start = False
+    if due or depth:
+        raise error(None, operand if due else ("')'",))
+    _close(ops, operands)
+    return operands[0]
 
 
 _POLISH_EXPECTED = ("'C'", "'N'", "'K'", "'A'", "'E'", "variable")
@@ -286,14 +320,14 @@ def _parse_polish(text: str) -> PropFormula:
         raise ParseError(
             "syntax error", base + len(stripped), _POLISH_EXPECTED, "end of input"
         )
-    return from_prefix([_POLISH[c] if c in _POLISH else Var(c) for c in stripped])
+    leaves = {c: Var(c) for c in set(stripped) - _POLISH.keys()}
+    return from_prefix([_POLISH.get(c) or leaves[c] for c in stripped])
 
 
 def parse(text: str, notation: Notation) -> PropFormula:
     if notation is Notation.POLISH:
         return _parse_polish(text)
-    style = _STYLES[notation]
-    return _AlgebraicParser(_tokenize_algebraic(text, style), style).parse()
+    return _read(text, *_grammar(_STYLES[notation]))
 
 
 # --- printing ---------------------------------------------------------------

@@ -7,86 +7,32 @@ propositional connectives reuse the Peano-Russell spellings (~ > & |) with
 the usual precedence, and the claw associates right.  Predicate and index
 names are lowercase identifiers; parentheses group subformulas.
 
-The parser is the Peano-Russell precedence core of `notations` with two
-rules of its own: the quantifier prefix where a formula starts, and
-predicate atoms where a variable would stand.
+The reading loop is the one of `notations`; this lexer's words and
+punctuation give it its two rules of its own: the quantifier prefix where a
+formula starts, and predicate atoms where a variable would stand.
 """
 
 from __future__ import annotations
 
-from .formulas import PI, SIGMA, Quant, RAtom, RelFormula
-from .notations import _STYLES, Notation, ParseError, _AlgebraicParser, _Token
+import re
+from functools import cache
 
-_SYMBOLS = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT",
-            "~": "NEG", ">": "CLAW", "&": "PROD", "|": "SUM"}
+from .formulas import RelFormula
+from .notations import _read
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append(_Token(_SYMBOLS[c], c, i))
-            i += 1
-            continue
-        if c.isalpha():
-            j = i + 1
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            word = text[i:j]
-            if word == "Pi":
-                tokens.append(_Token("PI", word, i))
-            elif word == "Sum":
-                tokens.append(_Token("SIGMA", word, i))
-            elif word.islower():
-                tokens.append(_Token("NAME", word, i))
-            else:
-                raise ParseError(
-                    "unexpected word", i, ("'Pi'", "'Sum'", "lowercase name"), repr(word)
-                )
-            i = j
-            continue
-        raise ParseError(
-            "unexpected character", i,
-            ("'Pi'", "'Sum'", "name", "'('", "')'", "','", "'.'", "'~'", "'>'", "'&'", "'|'"),
-            repr(c),
-        )
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+_LEXICON = ("'Pi'", "'Sum'", "name", "'('", "')'", "','", "'.'", "'~'", "'>'", "'&'", "'|'")
 
 
-class _RelParser(_AlgebraicParser):
-    def expect(self, kind: str, label: str) -> _Token:
-        if self.peek().kind != kind:
-            raise self.fail((label,))
-        return self.advance()
-
-    def formula(self) -> RelFormula:
-        kind = self.peek().kind
-        if kind in ("PI", "SIGMA"):
-            self.advance()
-            var = self.expect("NAME", "index variable").text
-            self.expect("DOT", "'.'")
-            return Quant(PI if kind == "PI" else SIGMA, var, self.formula())
-        return self.claw()
-
-    def leaf(self) -> RAtom:
-        token = self.peek()
-        if token.kind != "NAME":
-            raise self.fail(("predicate atom", "'('"))
-        self.advance()
-        self.expect("LPAREN", "'('")
-        indices = [self.expect("NAME", "index variable").text]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            indices.append(self.expect("NAME", "index variable").text)
-        self.expect("RPAREN", "')'")
-        return RAtom(token.text, tuple(indices))
+@cache
+def _lexer() -> re.Pattern:
+    # a word is a run of letters and digits; the reader rejects one that
+    # starts with a digit or is not lowercase
+    return re.compile(
+        r"\s*(?:(?P<PI>Pi(?![^\W_]))|(?P<SIGMA>Sum(?![^\W_]))|(?P<WORD>[^\W_]+)"
+        r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<DOT>\.)"
+        r"|(?P<NEG>~)|(?P<CLAW>>)|(?P<PROD>&)|(?P<SUM>\|)|(?P<BAD>\S))"
+    )
 
 
 def parse_relational(text: str) -> RelFormula:
-    return _RelParser(_tokenize(text), _STYLES[Notation.PEANO_RUSSELL]).parse()
+    return _read(text, _lexer(), _LEXICON, ("predicate atom", "'('"), set())

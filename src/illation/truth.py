@@ -391,7 +391,9 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
             elif cls is Conn16:
                 alternatives = [tuple(zip(SUBFORMULAS[cls](node), row))
                                 for row in _rows(node.index, want)]
-                break  # with no row giving the connective this value, a contradiction
+                if not alternatives:  # a constant connective asked for the other value
+                    trace += (("#f", True) if want else ("#t", False),)
+                break
             else:
                 raise TypeError(f"not a propositional formula: {node!r}")
         else:  # an open branch: its completion sets the unforced variables v

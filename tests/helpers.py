@@ -6,10 +6,11 @@ these helpers are genuine cross-checks rather than mirrors.
 """
 
 import itertools
-from collections import deque
+from collections import deque, namedtuple
 
 from illation.errors import LimitExceededError
 from illation.formulas import (
+    _VAR_NAME,
     PI,
     SIGMA,
     Claw,
@@ -17,18 +18,21 @@ from illation.formulas import (
     Const,
     Neg,
     Prod,
+    PropFormula,
     Quant,
     RAtom,
     RClaw,
     RNeg,
     RProd,
     RSum,
+    RelFormula,
     SUBFORMULAS,
     Sum,
     Var,
     free_vars,
     predicate_signature,
 )
+from illation.notations import Notation, ParseError
 from illation.quantifiers import Structure, eval_in
 from illation.truth import (
     _DECIDING,
@@ -246,8 +250,8 @@ def ref_indirect(formula):
                 rows = _rows(node.index, want)
                 _ref_branch(queue, rest, assignment, trace,
                             [tuple(zip(SUBFORMULAS[cls](node), row)) for row in rows])
-                if not rows:  # no row gives the connective this value
-                    traces.append(trace)
+                if not rows:  # constant f asked v, or constant v asked f
+                    traces.append(trace + (("#f", True) if want else ("#t", False),))
                 dead = True
             else:
                 raise TypeError(f"not a propositional formula: {node!r}")
@@ -267,3 +271,251 @@ def ref_indirect(formula):
 def _ref_branch(queue, rest, assignment, trace, alternatives):
     for alt in alternatives:
         queue.append((tuple(alt) + rest, dict(assignment), trace))
+
+
+# --- the recursive-descent parsers ------------------------------------------
+#
+# The tokenizers and recursive-descent parsers that the reading loop of
+# `notations` replaced, kept as they were: the oracle for its trees and its
+# error text.  They tokenize the whole text before parsing, and recurse once
+# per bracket, so they take only shallow input.
+
+_Token = namedtuple("_Token", "kind text offset")
+_Style = namedtuple("_Style", "claw prod sum neg_prefix neg_postfix juxtaposition")
+
+_STYLES = {
+    Notation.PEANO_RUSSELL: _Style(">", "&", "|", "~", None, False),
+    Notation.PEIRCE: _Style("-<", "*", "+", "-", None, True),
+    Notation.SCHROEDER: _Style("=<", "*", "+", None, "'", True),
+}
+
+
+def _operator_table(style: _Style) -> list[tuple[str, str]]:
+    ops = [(style.claw, "CLAW"), (style.prod, "PROD"), (style.sum, "SUM")]
+    if style.neg_prefix:
+        ops.append((style.neg_prefix, "NEG"))
+    if style.neg_postfix:
+        ops.append((style.neg_postfix, "POSTNEG"))
+    ops.sort(key=lambda pair: len(pair[0]), reverse=True)  # maximal munch
+    return ops
+
+
+def _tokenize_algebraic(text: str, style: _Style) -> list[_Token]:
+    ops = _operator_table(style)
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "(":
+            tokens.append(_Token("LPAREN", c, i))
+            i += 1
+            continue
+        if c == ")":
+            tokens.append(_Token("RPAREN", c, i))
+            i += 1
+            continue
+        if text.startswith("#t", i) or text.startswith("#f", i):
+            tokens.append(_Token("CONST", text[i : i + 2], i))
+            i += 2
+            continue
+        for literal, kind in ops:
+            if text.startswith(literal, i):
+                tokens.append(_Token(kind, literal, i))
+                i += len(literal)
+                break
+        else:
+            if "a" <= c <= "z":
+                # longest valid name wins: l_0_1 is one variable, ab is two
+                j = i + 1
+                while j < len(text) and (text[j] == "_" or text[j].isascii() and text[j].isalnum() and not text[j].isupper()):
+                    j += 1
+                while j > i and not _VAR_NAME.fullmatch(text[i:j]):
+                    j -= 1
+                tokens.append(_Token("NAME", text[i:j], i))
+                i = j
+            else:
+                lexicon = tuple(lit for lit, _ in ops) + ("variable", "'('", "')'", "'#t'", "'#f'")
+                raise ParseError("unexpected character", i, lexicon, repr(c))
+    tokens.append(_Token("EOF", "", len(text)))
+    return tokens
+
+
+class _AlgebraicParser:
+    def __init__(self, tokens: list[_Token], style: _Style):
+        self.tokens = tokens
+        self.style = style
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def fail(self, expected: tuple[str, ...]) -> ParseError:
+        token = self.peek()
+        found = "end of input" if token.kind == "EOF" else repr(token.text)
+        return ParseError("syntax error", token.offset, expected, found)
+
+    def atom_first(self) -> tuple[str, ...]:
+        kinds = ["NAME", "CONST", "LPAREN"]
+        if self.style.neg_prefix:
+            kinds.append("NEG")
+        return tuple(kinds)
+
+    def parse(self) -> PropFormula:
+        formula = self.formula()
+        if self.peek().kind != "EOF":
+            raise self.fail(("end of input",))
+        return formula
+
+    def claw(self) -> PropFormula:
+        left = self.sum()
+        if self.peek().kind == "CLAW":
+            self.advance()
+            return Claw(left, self.formula())
+        return left
+
+    # Where a whole formula starts: at the top, after a claw, inside
+    # parentheses.  The relational parser puts its quantifier prefix here.
+    formula = claw
+
+    def sum(self) -> PropFormula:
+        left = self.prod()
+        while self.peek().kind == "SUM":
+            self.advance()
+            left = Sum(left, self.prod())
+        return left
+
+    def prod(self) -> PropFormula:
+        left = self.unary()
+        while True:
+            kind = self.peek().kind
+            if kind == "PROD":
+                self.advance()
+                left = Prod(left, self.unary())
+            elif self.style.juxtaposition and kind in self.atom_first():
+                left = Prod(left, self.unary())
+            else:
+                return left
+
+    def unary(self) -> PropFormula:
+        if self.style.neg_prefix and self.peek().kind == "NEG":
+            self.advance()
+            return Neg(self.unary())
+        node = self.atomic()
+        while self.style.neg_postfix and self.peek().kind == "POSTNEG":
+            self.advance()
+            node = Neg(node)
+        return node
+
+    def atomic(self) -> PropFormula:
+        if self.peek().kind == "LPAREN":
+            self.advance()
+            inner = self.formula()
+            if self.peek().kind != "RPAREN":
+                raise self.fail(("')'",))
+            self.advance()
+            return inner
+        return self.leaf()
+
+    # A leaf, not a bracket: the relational parser reads predicate atoms here.
+    def leaf(self) -> PropFormula:
+        token = self.peek()
+        if token.kind == "NAME":
+            self.advance()
+            return Var(token.text)
+        if token.kind == "CONST":
+            self.advance()
+            return Const(token.text == "#t")
+        expected = ["variable", "'#t'", "'#f'", "'('"]
+        if self.style.neg_prefix:
+            expected.append(repr(self.style.neg_prefix))
+        raise self.fail(tuple(expected))
+
+
+def ref_parse(text, notation):
+    """`notations.parse` of an algebraic notation, by recursive descent."""
+    style = _STYLES[notation]
+    return _AlgebraicParser(_tokenize_algebraic(text, style), style).parse()
+
+
+_SYMBOLS = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT",
+            "~": "NEG", ">": "CLAW", "&": "PROD", "|": "SUM"}
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _SYMBOLS:
+            tokens.append(_Token(_SYMBOLS[c], c, i))
+            i += 1
+            continue
+        if c.isalpha():
+            j = i + 1
+            while j < len(text) and (text[j].isalnum()):
+                j += 1
+            word = text[i:j]
+            if word == "Pi":
+                tokens.append(_Token("PI", word, i))
+            elif word == "Sum":
+                tokens.append(_Token("SIGMA", word, i))
+            elif word.islower():
+                tokens.append(_Token("NAME", word, i))
+            else:
+                raise ParseError(
+                    "unexpected word", i, ("'Pi'", "'Sum'", "lowercase name"), repr(word)
+                )
+            i = j
+            continue
+        raise ParseError(
+            "unexpected character", i,
+            ("'Pi'", "'Sum'", "name", "'('", "')'", "','", "'.'", "'~'", "'>'", "'&'", "'|'"),
+            repr(c),
+        )
+    tokens.append(_Token("EOF", "", len(text)))
+    return tokens
+
+
+class _RelParser(_AlgebraicParser):
+    def expect(self, kind: str, label: str) -> _Token:
+        if self.peek().kind != kind:
+            raise self.fail((label,))
+        return self.advance()
+
+    def formula(self) -> RelFormula:
+        kind = self.peek().kind
+        if kind in ("PI", "SIGMA"):
+            self.advance()
+            var = self.expect("NAME", "index variable").text
+            self.expect("DOT", "'.'")
+            return Quant(PI if kind == "PI" else SIGMA, var, self.formula())
+        return self.claw()
+
+    def leaf(self) -> RAtom:
+        token = self.peek()
+        if token.kind != "NAME":
+            raise self.fail(("predicate atom", "'('"))
+        self.advance()
+        self.expect("LPAREN", "'('")
+        indices = [self.expect("NAME", "index variable").text]
+        while self.peek().kind == "COMMA":
+            self.advance()
+            indices.append(self.expect("NAME", "index variable").text)
+        self.expect("RPAREN", "')'")
+        return RAtom(token.text, tuple(indices))
+
+
+def ref_parse_relational(text):
+    """`relsyntax.parse_relational`, by recursive descent."""
+    return _RelParser(_tokenize(text), _STYLES[Notation.PEANO_RUSSELL]).parse()

@@ -3,8 +3,9 @@
 Peirce's sums and products fold left, so a chain of n terms is a tree n
 levels deep.  Every command here walks such trees without recursing, so
 each must answer as it does on a short input.  The expected text is built
-directly from the chain's leaves, not by the printers under test.  Nesting
-that the recursive-descent parsers cannot take ends in exit 3 with one
+directly from the chain's leaves, not by the printers under test.  The
+parsers take brackets and negations nested 10^4 and 10^5 deep; nesting that
+the witness check of `sat` and `scan` cannot take ends in exit 3 with one
 line on stderr.
 """
 
@@ -117,11 +118,45 @@ def test_streamed_frege_drawing_equals_the_rendered_string():
     assert out.count("\n") == 2 * 1_600 - 1
 
 
+DEPTH = 10_000
+# notation -> its prefix negation, or None for Schroeder's postfix one
+NEGATION = {"peano-russell": "~", "peirce": "-", "schroeder": None}
+
+
+@pytest.mark.parametrize("src", list(NEGATION))
+def test_ten_thousand_brackets_in_every_algebraic_notation(src):
+    code, out, err = run("translate", "--from", src, "--to", "polish", "-",
+                         stdin="(" * DEPTH + "a" + ")" * DEPTH)
+    assert (code, out, err) == (0, "a\n", "")
+    neg = NEGATION[src]
+    text = (neg + "(") * DEPTH + "a" + ")" * DEPTH if neg else "(" * DEPTH + "a" + ")'" * DEPTH
+    code, out, err = run("translate", "--from", src, "--to", "polish", "-", stdin=text)
+    assert (code, out, err) == (0, "N" * DEPTH + "a\n", "")
+
+
+@pytest.mark.parametrize("neg", ["~", "-"])
+def test_hundred_thousand_prefix_negations(neg):
+    src = "peano-russell" if neg == "~" else "peirce"
+    code, out, _ = run("translate", "--from", src, "--to", "polish", "-", stdin=neg * 100_000 + "a")
+    assert (code, out) == (0, "N" * 100_000 + "a\n")
+
+
+def test_ten_thousand_brackets_in_the_relational_grammar():
+    code, out, err = run("expand", "--domain", "1", "-",
+                         stdin="Pi i . " + "(" * DEPTH + "p(i)" + ")" * DEPTH)
+    assert (code, out, err) == (0, "p_0\n", "")
+    code, out, err = run("expand", "--domain", "1", "--to", "polish", "-",
+                         stdin="Pi i . " + "~(" * DEPTH + "Sum j . p(j)" + ")" * DEPTH)
+    assert (code, out, err) == (0, "N" * DEPTH + "p_0\n", "")
+
+
+# `sat` and `scan` check their witness with the recursive Tarskian evaluator,
+# the one place where depth is bounded; past it the CLI exits 3.
 @pytest.mark.parametrize("argv, stdin", [
-    (["expand", "--domain", "1", "-"], "Pi i . " + "~(" * 150 + "p(i)" + ")" * 150),
-    (["table", "-"], "(" * 250 + "a" + ")" * 250),
-], ids=["expand-150-negated-brackets", "table-250-brackets"])
-def test_nesting_too_deep_for_the_parser_exits_3(argv, stdin):
+    (["sat", "--domain", "1", "-"], "Pi i . " + "~(" * 1_500 + "p(i)" + ")" * 1_500),
+    (["scan", "--max-size", "1", "-"], "Pi i . " + " & ".join(["p(i)"] * 1_500)),
+], ids=["sat-1500-negated-brackets", "scan-1500-term-chain"])
+def test_nesting_too_deep_for_the_witness_check_exits_3(argv, stdin):
     done = subprocess.run([sys.executable, "-m", "illation.cli"] + argv, input=stdin,
                           capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (3, "")

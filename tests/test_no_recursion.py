@@ -1,4 +1,4 @@
-"""No function in the package calls itself, except the five allowlisted.
+"""No function in the package calls itself, except the three reference evaluators.
 
 Peirce's sums and products fold into long flat chains, and a walk that
 recursed once per level would overflow the interpreter stack on them, so
@@ -20,10 +20,6 @@ ALLOWED = {
     "trivalent.tri_eval": "the trivalent reference evaluator the tests compare against",
     "quantifiers.eval_in.go": "Tarskian evaluation, the reference the expansion is checked "
                               "against and the postcondition of the model search",
-    "notations._AlgebraicParser.unary": "recursive descent, until the parsers are one "
-                                        "operator-precedence loop (ROADMAP)",
-    "relsyntax._RelParser.formula": "recursive descent, until the parsers are one "
-                                    "operator-precedence loop (ROADMAP)",
 }
 
 

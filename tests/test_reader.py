@@ -1,0 +1,122 @@
+"""The reading loop against the recursive-descent parsers it replaced.
+
+`helpers.ref_parse` and `helpers.ref_parse_relational` are those parsers,
+kept as they were.  On strings over each grammar's alphabet, well formed,
+slightly broken, or random, the loop must build the same tree, or raise the
+same error with the same text.  The strings come from hypothesis with a
+fixed seed (derandomize), so a run is repeatable.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from illation.notations import Notation, ParseError, parse
+from illation.relsyntax import parse_relational
+
+from helpers import ref_parse, ref_parse_relational
+
+ORACLE = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+WHITESPACE = ["", "", " ", "\t", "\n", "\u00a0"]  # no-break space too
+# every notation's operators, so each grammar also meets the others' spellings
+OPERATORS = ["~", ">", "&", "|", "-<", "-", "=<", "=", "<", "'", "*", "+"]
+LEAVES = ["a", "b", "z", "l_0_1", "ab_1c", "x9_2", "q_", "a1", "#t", "#f", "#", "#x"]
+STRAY = ["$", "A", "1", "_", "é", ",", "."]
+ALGEBRAIC_PIECES = LEAVES + ["(", ")"] + OPERATORS + WHITESPACE + STRAY
+RELATIONAL_PIECES = (
+    ["p", "q", "l", "i", "j", "pi", "p1", "é", "(", ")", ",", ".", "p(i)", "l(i,j)", "p(é)",
+     "é(i)", "Pi", "Sum", "Pi i .", "Sum j .", "P", "Sigma", "Pie", "1", "²", "_", "#t", "$"]
+    + OPERATORS + WHITESPACE
+)
+# notation -> (claw, product, sum, prefix negation, postfix negation)
+SPELLING = {
+    Notation.PEANO_RUSSELL: (">", "&", "|", "~", ""),
+    Notation.PEIRCE: ("-<", "*", "+", "-", ""),
+    Notation.SCHROEDER: ("=<", "*", "+", "", "'"),
+}
+
+
+def outcome(read, *args):
+    """The tree read, or the error raised as (class name, text)."""
+    try:
+        return read(*args)
+    except (ParseError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def formulas(notation):
+    """Well-formed text: names and constants joined by the notation's
+    connectives (juxtaposition too, where it has it), bracketed and negated,
+    with whitespace anywhere between tokens."""
+    claw, prod, sum_, neg, postneg = SPELLING[notation]
+    space = st.sampled_from(WHITESPACE)
+    joints = [claw, prod, sum_] + ([" "] if notation is not Notation.PEANO_RUSSELL else [])
+
+    def extend(kids):
+        joined = st.builds(lambda a, s, op, t, b: a + s + op + t + b,
+                           kids, space, st.sampled_from(joints), space, kids)
+        return (joined | kids.map(lambda k: "(" + k + ")")
+                | kids.map(lambda k: neg + k if neg else "(" + k + ")" + postneg))
+
+    leaf = st.sampled_from(["a", "b", "l_0_1", "x9_2", "#t", "#f"])
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+def relational_formulas():
+    """Well-formed relational text, with quantifiers where a formula starts."""
+    space = st.sampled_from(WHITESPACE)
+    atom = st.sampled_from(["p(i)", "q(j)", "l(i, j)", "l(j,i)", "r( i , j , i )"])
+
+    def extend(kids):
+        joined = st.builds(lambda a, s, op, t, b: a + s + op + t + b,
+                           kids, space, st.sampled_from([">", "&", "|"]), space, kids)
+        quantified = st.builds(lambda q, v, k: f"{q} {v} . {k}", st.sampled_from(["Pi", "Sum"]),
+                               st.sampled_from("ij"), kids)
+        return (joined | kids.map(lambda k: "(" + k + ")") | kids.map(lambda k: "~" + k)
+                | quantified | st.builds(lambda a, q: a + " > " + q, kids, quantified))
+
+    return st.recursive(atom, extend, max_leaves=8)
+
+
+def spliced(texts, pieces):
+    """`texts` with one piece put in at some place, in place of the
+    character there or between two."""
+    def splice(text, place, piece, replace):
+        place %= len(text) + 1
+        return text[:place] + piece + text[place + replace:]
+    return st.builds(splice, texts, st.integers(0, 200), st.sampled_from(pieces + [""]),
+                     st.integers(0, 1))
+
+
+def strings(pieces, own=()):
+    """Strings of up to 12 pieces, drawn thrice as often from `own`."""
+    return st.lists(st.sampled_from(pieces + 3 * list(own)), max_size=12).map("".join)
+
+
+@pytest.mark.parametrize("notation", list(SPELLING), ids=lambda n: n.value)
+def test_algebraic_reading_matches_the_recursive_descent(notation):
+    text_of = formulas(notation)
+    own = LEAVES + ["(", ")"] + [spelling for spelling in SPELLING[notation] if spelling]
+
+    @ORACLE
+    @given(text_of | spliced(text_of, ALGEBRAIC_PIECES) | strings(ALGEBRAIC_PIECES, own))
+    def check(text):
+        assert outcome(parse, text, notation) == outcome(ref_parse, text, notation)
+
+    check()
+
+
+@ORACLE
+@given(relational_formulas() | spliced(relational_formulas(), RELATIONAL_PIECES)
+       | strings(RELATIONAL_PIECES))
+@example("Pi é . p(é)")  # a lowercase word is a name, though no predicate's
+@example("é(i) & $")  # a bad character outranks the bad predicate name before it
+def test_relational_reading_matches_the_recursive_descent(text):
+    assert outcome(parse_relational, text) == outcome(ref_parse_relational, text)
+
+
+@pytest.mark.parametrize("notation", list(SPELLING), ids=lambda n: n.value)
+def test_one_node_per_distinct_name(notation):
+    f = parse("a" + SPELLING[notation][2] + "a", notation)
+    assert f.left is f.right

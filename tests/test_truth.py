@@ -191,6 +191,14 @@ def test_indirect_agrees_with_table_on_random_formulas():
         assert isinstance(indirect_falsify(f), Tautology) == is_tautology(f)
 
 
+def test_indirect_constant_connective_closes_with_a_constant_step():
+    # index 1 is constant f and index 16 constant v: asked for the other
+    # value, the branch closes as a constant's does, on the constant's step
+    f1, f16 = Claw(A, Neg(Conn16(1, B, C))), Claw(A, Conn16(16, B, C))
+    assert indirect_falsify(f1) == ref_indirect(f1) == Tautology((("a", True), ("#f", True)))
+    assert indirect_falsify(f16) == ref_indirect(f16) == Tautology((("a", True), ("#t", False)))
+
+
 def test_indirect_trace_replay():
     """Replaying a Tautology trace must hit an actual conflict."""
     rng = random.Random(630)
