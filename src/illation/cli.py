@@ -207,6 +207,9 @@ def _cmd_sat(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.max_size < 1:
+        print("error: --max-size must be at least 1", file=sys.stderr)
+        return 2
     formula = relsyntax.parse_relational(_read_source(args.formula))
     if args.herbrand:
         found = quantifiers.herbrand_scan(formula, args.max_size)
@@ -251,28 +254,7 @@ def _cmd_pair_check(args) -> int:
     if args.atoms < 1 or args.atoms > 4:
         print("error: --atoms must be between 1 and 4", file=sys.stderr)
         return 2
-    atoms = [arithmetic.HFAtom(chr(ord("a") + i)) for i in range(args.atoms)]
-    failures = 0
-    atom_comparisons = 0
-    for a in atoms:
-        for b in atoms:
-            left = arithmetic.wiener_pair(a, b)
-            for c in atoms:
-                for d in atoms:
-                    atom_comparisons += 1
-                    same = arithmetic.hf_equal(left, arithmetic.wiener_pair(c, d))
-                    if same != (arithmetic.hf_equal(a, c) and arithmetic.hf_equal(b, d)):
-                        failures += 1
-    pairs = [arithmetic.wiener_pair(a, b) for a in atoms for b in atoms]
-    nested = [arithmetic.wiener_pair(p, q) for p in pairs for q in pairs]
-    components = [(p, q) for p in pairs for q in pairs]
-    nested_comparisons = 0
-    for (p, q), left in zip(components, nested):
-        for (r, t), right in zip(components, nested):
-            nested_comparisons += 1
-            same = arithmetic.hf_equal(left, right)
-            if same != (arithmetic.hf_equal(p, r) and arithmetic.hf_equal(q, t)):
-                failures += 1
+    failures, atom_comparisons, nested_comparisons = arithmetic.pair_injectivity(args.atoms)
     if failures:
         _outline(f"pair injectivity: FAILED ({failures} violations)")
         return 1

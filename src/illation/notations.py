@@ -264,10 +264,7 @@ def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
                 closing = next(tokens, None)
             if closing is None or closing.lastgroup != "RPAREN":
                 raise error(closing, ("')'",))
-            try:
-                leaf = RAtom(token["WORD"], tuple(indices))
-            except ValueError as bad:  # a name no predicate may have
-                raise _first_lexical_error(tokens, lexicon) or bad
+            leaf = RAtom(token["WORD"], tuple(indices))
         elif kind in _QUANTIFIERS and start:
             var = expect("WORD", ("index variable",))
             expect("DOT", ("'.'",))

@@ -147,6 +147,8 @@ def expand(
         raise ValueError("domain must have at least one element")
     ensure_closed(formula)
     limit = max_atoms_limit(max_atoms)
+    if n > limit:  # each atom's index is bound, so it expands to n or more atoms
+        raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
     seen: set[str] = set()
     # The expansion in prefix order: each atom as its variable, each
     # quantifier as the n - 1 sums or products of its left fold followed by

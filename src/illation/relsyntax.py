@@ -5,7 +5,7 @@
 Quantifiers (`Pi v .` / `Sum v .`) scope as far right as possible; the
 propositional connectives reuse the Peano-Russell spellings (~ > & |) with
 the usual precedence, and the claw associates right.  Predicate and index
-names are lowercase identifiers; parentheses group subformulas.
+names are lowercase ASCII identifiers; parentheses group subformulas.
 
 The reading loop is the one of `notations`; this lexer's words and
 punctuation give it its two rules of its own: the quantifier prefix where a
@@ -25,10 +25,10 @@ _LEXICON = ("'Pi'", "'Sum'", "name", "'('", "')'", "','", "'.'", "'~'", "'>'", "
 
 @cache
 def _lexer() -> re.Pattern:
-    # a word is a run of letters and digits; the reader rejects one that
-    # starts with a digit or is not lowercase
+    # a word is a run of ASCII letters and digits (no other letter starts a
+    # token); the reader rejects one that starts with a digit or is not lowercase
     return re.compile(
-        r"\s*(?:(?P<PI>Pi(?![^\W_]))|(?P<SIGMA>Sum(?![^\W_]))|(?P<WORD>[^\W_]+)"
+        r"\s*(?:(?P<PI>Pi(?![A-Za-z0-9]))|(?P<SIGMA>Sum(?![A-Za-z0-9]))|(?P<WORD>[A-Za-z0-9]+)"
         r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<DOT>\.)"
         r"|(?P<NEG>~)|(?P<CLAW>>)|(?P<PROD>&)|(?P<SUM>\|)|(?P<BAD>\S))"
     )

@@ -30,8 +30,6 @@ class TriValue(enum.Enum):
 
 V, L, F = TriValue.V, TriValue.L, TriValue.F
 
-RANK = {F: 0, L: 1, V: 2}
-
 _NEG_TABLE = {V: F, L: L, F: V}
 
 _SUM_TABLE = {

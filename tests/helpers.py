@@ -8,6 +8,7 @@ these helpers are genuine cross-checks rather than mirrors.
 import itertools
 from collections import deque, namedtuple
 
+from illation.arithmetic import AxiomVerdict, HFAtom, _succ
 from illation.errors import LimitExceededError
 from illation.formulas import (
     _VAR_NAME,
@@ -461,9 +462,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(_SYMBOLS[c], c, i))
             i += 1
             continue
-        if c.isalpha():
+        if c.isascii() and c.isalpha():
             j = i + 1
-            while j < len(text) and (text[j].isalnum()):
+            while j < len(text) and text[j].isascii() and text[j].isalnum():
                 j += 1
             word = text[i:j]
             if word == "Pi":
@@ -519,3 +520,61 @@ class _RelParser(_AlgebraicParser):
 def ref_parse_relational(text):
     """`relsyntax.parse_relational`, by recursive descent."""
     return _RelParser(_tokenize(text), _STYLES[Notation.PEANO_RUSSELL]).parse()
+
+
+# --- Peirce's induction axiom and Wiener's pair, by brute force ----------------
+
+
+def ref_check_induction(s):
+    """`arithmetic._check_induction` by enumerating every subset of the
+    carrier: the first (by bit mask over the carrier) that contains 1, is
+    closed under succ and is proper is the witness."""
+    successor = {x: _succ(s, x) for x in s.carrier}
+    n = len(s.carrier)
+    for mask in range(1 << n):
+        subset = {s.carrier[i] for i in range(n) if mask >> i & 1}
+        if s.one not in subset:
+            continue
+        closed = all(
+            successor[x] is None or successor[x] in subset for x in subset
+        )
+        if closed and len(subset) != n:
+            inside = ",".join(x for x in s.carrier if x in subset)
+            return AxiomVerdict(False, f"closed proper subset {{{inside}}}")
+    return AxiomVerdict(True)
+
+
+def _extension(x):
+    """An HF set as a plain value: an atom by its name, a set as the
+    frozenset of its elements' values."""
+    if isinstance(x, HFAtom):
+        return ("atom", x.name)
+    return frozenset(_extension(e) for e in x.elements)
+
+
+def ref_pair_check(count, pair):
+    """`arithmetic.pair_injectivity` for the pairing `pair`, by comparing
+    every two pairs: (violations, atom-level comparisons, nested
+    comparisons)."""
+    atoms = [HFAtom(chr(ord("a") + i)) for i in range(count)]
+    failures = 0
+    atom_comparisons = 0
+    for a in atoms:
+        for b in atoms:
+            left = _extension(pair(a, b))
+            for c in atoms:
+                for d in atoms:
+                    atom_comparisons += 1
+                    same = left == _extension(pair(c, d))
+                    if same != (_extension(a) == _extension(c) and _extension(b) == _extension(d)):
+                        failures += 1
+    pairs = [pair(a, b) for a in atoms for b in atoms]
+    nested = [_extension(pair(p, q)) for p in pairs for q in pairs]
+    components = [(_extension(p), _extension(q)) for p in pairs for q in pairs]
+    nested_comparisons = 0
+    for (p, q), left in zip(components, nested):
+        for (r, t), right in zip(components, nested):
+            nested_comparisons += 1
+            if (left == right) != (p == r and q == t):
+                failures += 1
+    return failures, atom_comparisons, nested_comparisons

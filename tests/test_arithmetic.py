@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
 
+from illation import arithmetic
 from illation.errors import LimitExceededError
 from illation.arithmetic import (
     EMPTY,
@@ -15,10 +17,13 @@ from illation.arithmetic import (
     hf_equal,
     number_structure_from_json,
     number_structure_to_json,
+    pair_injectivity,
     report_json,
     report_text,
     wiener_pair,
 )
+
+from helpers import ref_check_induction, ref_pair_check
 
 AXIOM_KEYS = ["1", "2", "3", "4a", "4b", "5"]
 
@@ -125,6 +130,54 @@ def test_no_finite_model_of_all_axioms():
             rel = frozenset(c for c, b in zip(cells, bits) if b)
             for one in names:
                 assert not check_axioms(NumberStructure(names, rel, one)).all_hold()
+
+
+def random_relation(rng, n):
+    """A relation with each ordered pair in it at one rate, on a shuffled
+    carrier with a random 1."""
+    names = [f"e{i}" for i in range(n)]
+    rng.shuffle(names)
+    rate = rng.choice([0.1, 0.3, 0.5, 0.7])
+    rel = frozenset(c for c in itertools.product(names, repeat=2) if rng.random() < rate)
+    return NumberStructure(tuple(names), rel, rng.choice(names))
+
+
+def near_order(rng, n):
+    """The chain of n elements under <=, on a shuffled carrier, with up to
+    two ordered pairs flipped and, now and then, 1 moved off the bottom."""
+    ranks = list(range(n))
+    rng.shuffle(ranks)
+    names = tuple(f"e{r}" for r in ranks)
+    rel = {(f"e{i}", f"e{j}") for i in range(n) for j in range(i, n)}
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        rel ^= {(f"e{rng.randrange(n)}", f"e{rng.randrange(n)}")}
+    one = rng.choice(names) if rng.random() < 0.2 else "e0"
+    return NumberStructure(names, frozenset(rel), one)
+
+
+def test_induction_matches_the_subset_enumeration():
+    rng = random.Random(1881)
+    outcomes = {True: 0, False: 0}
+    for k in range(600):
+        make = near_order if k % 2 else random_relation
+        s = make(rng, rng.randint(1, MAX_CARRIER))
+        verdict = arithmetic._check_induction(s)
+        assert verdict == ref_check_induction(s), s
+        outcomes[verdict.holds] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+@pytest.mark.parametrize("pairing", [
+    wiener_pair,
+    lambda x, y: HFNode((x, y)),  # the unordered pair {x, y}
+    lambda x, y: EMPTY,
+], ids=["wiener", "unordered", "constant"])
+def test_pair_injectivity_matches_the_pairwise_sweep(monkeypatch, atoms, pairing):
+    monkeypatch.setattr(arithmetic, "wiener_pair", pairing)
+    expected = ref_pair_check(atoms, pairing)
+    assert pair_injectivity(atoms) == expected
+    assert (expected[0] == 0) == (pairing is wiener_pair or atoms == 1)
 
 
 # --- hereditarily finite sets and the 1914 pair -------------------------------

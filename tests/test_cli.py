@@ -281,6 +281,35 @@ def test_pair_check_atom_bounds():
     assert r.returncode == 2
 
 
+def _address_space_cap():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# Each limit is checked before its enumeration starts: the run ends at once
+# with one line on stderr, where a late check would exhaust time or memory
+# first (the run's address space is capped at 1 GiB).
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["expand", "--domain", str(10**9), "Pi i . p(i)"], None, 3),
+    (["sat", "--domain", str(10**9), "Pi i . p(i)"], None, 3),
+    (["scan", "--herbrand", "--max-size", str(10**9), "Pi i . p(i)"], None, 3),
+    (["scan", "--max-size", "0", "Pi i . p(i)"], None, 2),
+    (["scan", "--herbrand", "--max-size", "0", "Pi i . p(i)"], None, 2),
+    (["axioms", "-"], json.dumps({"carrier": [str(i) for i in range(13)], "one": "0", "R": []}),
+     3),
+    (["pair-check", "--atoms", "5"], None, 2),
+    (["table", "&".join(chr(ord("a") + i) for i in range(17))], None, 3),
+], ids=["expand-domain-1e9", "sat-domain-1e9", "herbrand-max-size-1e9", "scan-max-size-0",
+        "herbrand-max-size-0", "axioms-13-elements", "pair-check-5-atoms", "table-17-variables"])
+def test_limits_fail_before_enumeration(argv, stdin, code):
+    done = subprocess.run(CMD + argv, input=stdin, capture_output=True, text=True, timeout=20,
+                          preexec_fn=_address_space_cap)
+    assert (done.returncode, done.stdout) == (code, "")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("limit exceeded: " if code == 3 else "error: ")
+
+
 def test_unknown_subcommand():
     r = run("frobnicate")
     assert r.returncode == 2

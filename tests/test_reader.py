@@ -110,8 +110,8 @@ def test_algebraic_reading_matches_the_recursive_descent(notation):
 @ORACLE
 @given(relational_formulas() | spliced(relational_formulas(), RELATIONAL_PIECES)
        | strings(RELATIONAL_PIECES))
-@example("Pi é . p(é)")  # a lowercase word is a name, though no predicate's
-@example("é(i) & $")  # a bad character outranks the bad predicate name before it
+@example("Pi é . p(é)")  # a letter outside ASCII is no name character
+@example("é(i) & $")  # the first of two bad characters is reported
 def test_relational_reading_matches_the_recursive_descent(text):
     assert outcome(parse_relational, text) == outcome(ref_parse_relational, text)
 

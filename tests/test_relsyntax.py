@@ -2,6 +2,8 @@
 print-parse round trip of random closed formulas."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +52,16 @@ def test_malformed_input_error_text(source):
     with pytest.raises(ParseError) as err:
         parse_relational(source)
     assert str(err.value) == MALFORMED[source]
+
+
+# A name is /[a-z][a-z0-9]*/, so a letter outside ASCII is a character no
+# token spells, as an index variable and as a predicate name.
+@pytest.mark.parametrize("source, offset", [("Pi é . p(é)", 3), ("Pi i . é(i)", 7)])
+def test_a_non_ascii_letter_is_no_name(source, offset):
+    done = subprocess.run([sys.executable, "-m", "illation.cli", "expand", "--domain", "1",
+                           source], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: unexpected character at offset {offset}; found 'é'; {LEXICON}\n"
 
 
 _LEVEL = {RClaw: 1, RSum: 2, RProd: 3}
