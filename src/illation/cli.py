@@ -10,7 +10,6 @@ the same argv and stdin always produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -123,7 +122,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:  # eval_in, the witness check of sat and scan, recurses per level
         print("limit exceeded: formula nested too deeply", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:  # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -143,10 +142,9 @@ def _cmd_translate(args) -> int:
 
 def _cmd_table(args) -> int:
     formula = parse(_read_source(args.formula), Notation.from_name(args.notation))
-    if args.values == 2:
-        _out(truth.truth_table(formula).to_tsv())
-    else:
-        _out(trivalent.tri_table(formula).to_tsv())
+    table = truth.truth_table(formula) if args.values == 2 else trivalent.tri_table(formula)
+    for block in table.tsv_blocks():
+        _out(block)
     return 0
 
 
@@ -197,6 +195,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_sat(args) -> int:
+    import json
+
     formula = relsyntax.parse_relational(_read_source(args.formula))
     witness = quantifiers.sat_search(formula, args.domain)
     if witness is None:
@@ -207,6 +207,8 @@ def _cmd_sat(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    import json
+
     if args.max_size < 1:
         print("error: --max-size must be at least 1", file=sys.stderr)
         return 2
@@ -236,6 +238,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    import json
+
     if args.structure == "-":
         raw = sys.stdin.read()
     else:

@@ -52,30 +52,36 @@ _BRANCH = object()
 def _lines(f: PropFormula) -> Iterator[str]:
     """The drawing, line by line; line 0 carries the content stroke.
 
-    One depth-first walk normalizes and lays out together.  `head` holds the
-    pieces of the next line's prefix and `indent` those of every later line
-    at the current depth; a line is joined only when it is yielded, so a long
-    chain of negation nubs draws in linear time.
+    One depth-first walk normalizes and lays out together.  `indent` holds
+    the pieces of the prefix of every later line at the current depth, and
+    `head` those of the next line's prefix pushed since the last branch
+    line.  Every piece is two characters wide, and `known` is the text of
+    the first `valid` pieces of `indent`, kept from the last branch line, so
+    each line copies that text and joins only the pieces pushed since.
     """
     free_vars(f)  # a non-formula raises before the first line is drawn
     head: list[str] = []
     indent: list[str] = []
+    known, valid = "", 0
     todo: list = [f]
     while todo:
         f = todo.pop()
-        if f is _DEDENT:
+        if f is _DEDENT or f is _BRANCH:
             indent.pop()
-            continue
-        if f is _BRANCH:
-            indent.pop()
-            yield "".join(indent) + " |"
-            head = indent + [" +"]
+            valid = min(valid, len(indent))
+            if f is _DEDENT:
+                continue
+            known = known[: 2 * valid] + "".join(indent[valid:])
+            valid = len(indent)
+            yield known + " |"
+            head = [" +"]
             indent.append("  ")
             continue
         f = expanded(f)
         cls = type(f)
         if cls is Var or cls is Const:
-            yield "".join(head) + "-- " + (f.name if cls is Var else "#t" if f.value else "#f")
+            label = f.name if cls is Var else "#t" if f.value else "#f"
+            yield known + "".join(head) + "-- " + label
             continue
         if cls is Neg or cls is Prod:  # the nub; a product is a negated claw
             head.append("-|")

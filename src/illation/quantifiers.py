@@ -43,6 +43,10 @@ from .formulas import (
 DEFAULT_MAX_ATOMS = 16
 MAX_ATOMS_ENV = "ILLATION_MAX_ATOMS"
 
+# The most atom occurrences an expansion may have: 2^16 take ~0.6 s and
+# ~37 MB, and each further quantifier multiplies them by the domain size.
+MAX_EXPANSION_LEAVES = 1 << 16
+
 
 def max_atoms_limit(override: Optional[int] = None) -> int:
     if override is not None:
@@ -149,7 +153,21 @@ def expand(
     limit = max_atoms_limit(max_atoms)
     if n > limit:  # each atom's index is bound, so it expands to n or more atoms
         raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
-    seen: set[str] = set()
+    # Each atom occurs n^k times in the expansion, k the quantifiers above it.
+    leaves, todo = 0, [(formula, 1)]
+    while todo:
+        f, copies = todo.pop()
+        cls = type(f)
+        if cls is RAtom:
+            leaves += copies
+        else:  # every subformula holds an atom, so `copies` bounds the leaves too
+            copies *= n if cls is Quant else 1
+            todo += [(g, copies) for g in SUBFORMULAS[cls](f)]
+        if max(leaves, copies) > MAX_EXPANSION_LEAVES:
+            raise LimitExceededError(
+                f"expansion needs more than {MAX_EXPANSION_LEAVES:,} atom occurrences"
+            )
+    seen: dict[str, Var] = {}  # one Var per atom name
     # The expansion in prefix order: each atom as its variable, each
     # quantifier as the n - 1 sums or products of its left fold followed by
     # its body once per element, in index order.
@@ -160,12 +178,13 @@ def expand(
         cls = type(f)
         if cls is RAtom:
             name = atom_name(f.predicate, tuple(env[ix] for ix in f.indices))
-            seen.add(name)
-            if len(seen) > limit:
-                raise LimitExceededError(
-                    f"expansion needs more than {limit} distinct atoms"
-                )
-            tokens.append(Var(name))
+            if name not in seen:
+                seen[name] = Var(name)
+                if len(seen) > limit:
+                    raise LimitExceededError(
+                        f"expansion needs more than {limit} distinct atoms"
+                    )
+            tokens.append(seen[name])
         elif cls is Quant:
             (body,) = SUBFORMULAS[cls](f)
             tokens += [Prod if f.kind == PI else Sum] * (n - 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from functools import cached_property
 from itertools import product
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from ._record import record
 from .errors import LimitExceededError, MissingVariableError
@@ -112,16 +112,23 @@ class TriTable:
         cells = product((V, L, F), repeat=len(self.variables))
         return tuple(zip(cells, self.values()))
 
-    def _letters(self) -> str:
-        size = 3 ** len(self.variables)
-        planes = row_bits(self.not_f, size), row_bits(self.is_v, size)
-        return "".join(map(_LETTERS.__getitem__, zip(*planes)))
+    def _letters(self, start: int, size: int) -> str:
+        """'V'/'L'/'F' for the `size` rows from row `start`."""
+        rows = (1 << size) - 1
+        at_least_l = row_bits(self.not_f >> start & rows, size)
+        v = row_bits(self.is_v >> start & rows, size)
+        return "".join(map(_LETTERS.__getitem__, zip(at_least_l, v)))
 
     def values(self) -> tuple[TriValue, ...]:
-        return tuple(map(TriValue, self._letters()))
+        return tuple(map(TriValue, self._letters(0, 3 ** len(self.variables))))
+
+    def tsv_blocks(self) -> Iterator[str]:
+        """The text of to_tsv in pieces: the header line, then blocks of
+        whole rows, each made as it is taken."""
+        return render_tsv(self.variables, ("V", "L", "F"), self._letters)
 
     def to_tsv(self) -> str:
-        return render_tsv(self.variables, ("V", "L", "F"), self._letters())
+        return "".join(self.tsv_blocks())
 
 
 def tri_table(formula: PropFormula) -> TriTable:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from ._record import record
 from .errors import LimitExceededError, MissingVariableError
@@ -218,23 +218,37 @@ def _first_row(
     return None
 
 
-def render_tsv(variables: tuple[str, ...], cells: tuple[str, ...], column: str) -> str:
+def render_tsv(
+    variables: tuple[str, ...], cells: tuple[str, ...], column: Callable[[int, int], str]
+) -> Iterator[str]:
     """TSV with a header, one row per canonical assignment over `cells` (the
-    one-character spelled values, first variable slowest), and `column` as
-    the value column.
+    one-character spelled values, first variable slowest), in pieces: the
+    header line, then blocks of whole rows.  `column(start, size)` spells
+    the values of the `size` rows from row `start`.
 
-    Every row has the same width, so each column is written into a template
-    of tabs and newlines with one strided slice assignment.
+    A block is the largest power of len(cells) rows that is at most
+    2^BLOCK_BITS.  Every row has the same width, so each column is written
+    into a block of tabs and newlines with one strided slice assignment.  A
+    column that changes within a block tiles its period, the same in every
+    block, so it is written once; a slower one is one cell repeated.
     """
-    count, size = len(variables), len(column)
-    width = 2 * count + 2
-    body = bytearray((b"\t" * (width - 1) + b"\n") * size)
-    for i in range(count):
-        run = len(cells) ** (count - 1 - i)
+    yield "\t".join(variables + ("value",)) + "\n"
+    base, count = len(cells), len(variables)
+    fast, size = 0, 1
+    while fast < count and size * base <= 1 << BLOCK_BITS:
+        fast, size = fast + 1, size * base
+    slow, width = count - fast, 2 * count + 2
+    block = bytearray((b"\t" * (width - 1) + b"\n") * size)
+    for i in range(slow, count):
+        run = base ** (count - 1 - i)
         period = b"".join(cell.encode() * run for cell in cells)
-        body[2 * i :: width] = period * (size // len(period))
-    body[2 * count :: width] = column.encode()
-    return "\t".join(variables + ("value",)) + "\n" + body.decode()
+        block[2 * i :: width] = period * (size // len(period))
+    for start in range(0, base**count, size):
+        for i in range(slow):
+            cell = cells[start // base ** (count - 1 - i) % base]
+            block[2 * i :: width] = cell.encode() * size
+        block[2 * count :: width] = column(start, size).encode()
+        yield block.decode()
 
 
 _SPELL_BITS = str.maketrans("10", "vf")
@@ -255,18 +269,24 @@ class TruthTable:
         cells = product((True, False), repeat=len(self.variables))
         return tuple(zip(cells, self.values()))
 
-    def _bits(self) -> str:
-        return row_bits(self.mask, 1 << len(self.variables))
+    def _bits(self, start: int, size: int) -> str:
+        """'1'/'0' for the `size` rows from row `start`."""
+        return row_bits(self.mask >> start & ((1 << size) - 1), size)
 
     def values(self) -> tuple[bool, ...]:
-        return tuple(bit == "1" for bit in self._bits())
+        return tuple(bit == "1" for bit in self._bits(0, 1 << len(self.variables)))
 
     def assignment(self, row: int) -> dict[str, bool]:
         return _row_assignment(self.variables, range(1 << len(self.variables))[row])
 
+    def tsv_blocks(self) -> Iterator[str]:
+        """The text of to_tsv in pieces: the header line, then blocks of
+        whole rows, each made as it is taken."""
+        return render_tsv(self.variables, ("v", "f"),
+                          lambda start, size: self._bits(start, size).translate(_SPELL_BITS))
+
     def to_tsv(self) -> str:
-        column = self._bits().translate(_SPELL_BITS)
-        return render_tsv(self.variables, ("v", "f"), column)
+        return "".join(self.tsv_blocks())
 
 
 def canonical_assignments(variables: Iterable[str]) -> Iterable[dict[str, bool]]:

@@ -42,6 +42,7 @@ from illation.truth import (
     Tautology,
     _eval_masks,
     _rows,
+    expanded,
 )
 
 # The fixed 16-column connective table, rows (v,v),(v,f),(f,v),(f,f).
@@ -578,3 +579,69 @@ def ref_pair_check(count, pair):
             if (left == right) != (p == r and q == t):
                 failures += 1
     return failures, atom_comparisons, nested_comparisons
+
+
+def ref_render_tsv(variables, cells, column):
+    """The whole TSV table at once, `column` the spelled values of every
+    row: the renderer before tables were streamed in row blocks."""
+    count, size = len(variables), len(column)
+    width = 2 * count + 2
+    body = bytearray((b"\t" * (width - 1) + b"\n") * size)
+    for i in range(count):
+        run = len(cells) ** (count - 1 - i)
+        period = b"".join(cell.encode() * run for cell in cells)
+        body[2 * i :: width] = period * (size // len(period))
+    body[2 * count :: width] = column.encode()
+    return "\t".join(variables + ("value",)) + "\n" + body.decode()
+
+
+_DEDENT = object()
+_BRANCH = object()
+
+
+def ref_frege_lines(f):
+    """The Frege drawing's lines, each prefix joined from its pieces over
+    the whole depth: the layout before each line reused the last one's
+    prefix."""
+    free_vars(f)  # a non-formula raises before the first line is drawn
+    head = []
+    indent = []
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        if f is _DEDENT:
+            indent.pop()
+            continue
+        if f is _BRANCH:
+            indent.pop()
+            yield "".join(indent) + " |"
+            head = indent + [" +"]
+            indent.append("  ")
+            continue
+        f = expanded(f)
+        cls = type(f)
+        if cls is Var or cls is Const:
+            yield "".join(head) + "-- " + (f.name if cls is Var else "#t" if f.value else "#f")
+            continue
+        if cls is Neg or cls is Prod:  # the nub; a product is a negated claw
+            head.append("-|")
+            indent.append("  ")
+            todo.append(_DEDENT)
+            if cls is Neg:
+                todo += SUBFORMULAS[cls](f)
+                continue
+        left, right = SUBFORMULAS[cls](f)
+        if cls is Claw:
+            left = expanded(left)
+            if type(left) is Prod:  # exportation: the conjuncts hang as branches
+                first, second = SUBFORMULAS[Prod](left)
+                todo.append(Claw(first, Claw(second, right)))
+                continue
+            antecedent, consequent = left, right
+        elif cls is Sum:
+            antecedent, consequent = Neg(left), right
+        else:  # the product's claw, drawn without exporting its antecedent
+            antecedent, consequent = left, Neg(right)
+        head.append("-+")
+        indent.append(" |")
+        todo += (_DEDENT, antecedent, _BRANCH, consequent)

@@ -287,6 +287,10 @@ def _address_space_cap():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+# 16 distinct atoms, within the atom limit, but 16^6 atom occurrences.
+SIX_QUANTIFIERS = "Pi i . Pi j . Pi k . Pi l . Pi m . Pi o . p(i)"
+
+
 # Each limit is checked before its enumeration starts: the run ends at once
 # with one line on stderr, where a late check would exhaust time or memory
 # first (the run's address space is capped at 1 GiB).
@@ -300,8 +304,11 @@ def _address_space_cap():
      3),
     (["pair-check", "--atoms", "5"], None, 2),
     (["table", "&".join(chr(ord("a") + i) for i in range(17))], None, 3),
+    (["expand", "--domain", "16", SIX_QUANTIFIERS], None, 3),
+    (["sat", "--domain", "16", SIX_QUANTIFIERS], None, 3),
 ], ids=["expand-domain-1e9", "sat-domain-1e9", "herbrand-max-size-1e9", "scan-max-size-0",
-        "herbrand-max-size-0", "axioms-13-elements", "pair-check-5-atoms", "table-17-variables"])
+        "herbrand-max-size-0", "axioms-13-elements", "pair-check-5-atoms", "table-17-variables",
+        "expand-16-to-the-6-leaves", "sat-16-to-the-6-leaves"])
 def test_limits_fail_before_enumeration(argv, stdin, code):
     done = subprocess.run(CMD + argv, input=stdin, capture_output=True, text=True, timeout=20,
                           preexec_fn=_address_space_cap)

@@ -16,13 +16,14 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from illation import frege
 from illation.formulas import PI, SIGMA, Claw, Conn16, Const, Neg, Prod, Quant, RAtom, Sum, Var
 from illation.formulas import free_vars, substitute
 from illation.notations import Notation, parse, print_formula
 from illation.quantifiers import Structure, assignment_from_structure, eval_in, expand
 from illation.truth import table_over
 
-from helpers import all_envs, ref_eval
+from helpers import all_envs, ref_eval, ref_frege_lines
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 NAMES = "abcd"
@@ -91,6 +92,19 @@ def test_print_parse_round_trip_with_constants(f):
         with shallow_stack():
             text = print_formula(f, notation)
         assert parse(text, notation) == f, (notation, text)
+
+
+@PROPERTIES
+@given(trees(conn16=True))
+def test_the_frege_drawing_matches_the_joined_prefixes(f):
+    with shallow_stack():
+        ascii_lines, svg = list(frege._lines(f)), frege.render_svg(f)
+    assert ascii_lines == list(ref_frege_lines(f))
+    saved, frege._lines = frege._lines, ref_frege_lines
+    try:
+        assert svg == frege.render_svg(f)
+    finally:
+        frege._lines = saved
 
 
 @PROPERTIES

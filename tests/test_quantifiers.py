@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from illation import quantifiers
 from illation.errors import LimitExceededError
 from illation.formulas import (
     PI,
@@ -19,6 +20,7 @@ from illation.formulas import (
     Sum,
     Var,
     free_vars,
+    walk,
 )
 from illation.notations import ParseError
 from illation.quantifiers import (
@@ -117,6 +119,23 @@ def test_expand_atom_limit_env(monkeypatch):
     monkeypatch.setenv("ILLATION_MAX_ATOMS", "3")
     with pytest.raises(LimitExceededError):
         expand(LOVES, 2)
+
+
+def test_expand_bounds_its_atom_occurrences_before_the_walk(monkeypatch):
+    monkeypatch.setattr(quantifiers, "MAX_EXPANSION_LEAVES", 8)
+    # the occurrences are summed over the atoms: n^k for k quantifiers above
+    expand(parse_relational("Pi i . Pi j . Pi k . p(i)"), 2)  # 2^3 = 8
+    expand(parse_relational("Pi i . p(i) | q(i)"), 4)  # 4 + 4
+    for text, n in [("Pi i . Pi j . Pi k . Pi l . p(i)", 2), ("Pi i . p(i) | q(i) | r(i)", 3),
+                    ("Pi i . Pi j . l(i,j) & (Pi k . p(k))", 2)]:
+        with pytest.raises(LimitExceededError, match="more than 8 atom occurrences"):
+            expand(parse_relational(text), n)
+
+
+def test_expand_makes_one_var_per_atom_name():
+    atoms = [f for f in walk(expand(parse_relational("Pi i . p(i) & (Sum j . p(j))"), 3))
+             if type(f) is Var]
+    assert len(atoms) == 3 + 3 * 3 and len({id(f) for f in atoms}) == 3
 
 
 def test_eval_in_examples():

@@ -233,3 +233,11 @@ def test_cli_import_stays_light():
     loaded = set(json.loads(r.stdout))
     assert [m for m in PROBED if m not in loaded] == []
     assert sorted(m for m in loaded if m.split(".")[0] in UNWANTED) == []
+
+
+def test_cli_import_leaves_json_to_the_commands_that_use_it():
+    code = "import sys, illation.cli; print('json' in sys.modules)"
+    src = str(Path(illation.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
