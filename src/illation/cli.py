@@ -119,9 +119,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except LimitExceededError as err:
         print(f"limit exceeded: {err}", file=sys.stderr)
         return 3
-    except RecursionError:  # eval_in, the witness check of sat and scan, recurses per level
-        print("limit exceeded: formula nested too deeply", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as err:  # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2

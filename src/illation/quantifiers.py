@@ -208,7 +208,14 @@ def assignment_from_structure(s: Structure, variables: list[str]) -> dict[str, b
 
 
 def eval_in(formula: RelFormula, s: Structure) -> bool:
-    """Tarskian truth of a closed formula in a finite structure."""
+    """Tarskian truth of a closed formula in a finite structure.
+
+    One explicit-stack pass, left to right with short-circuit: a side whose
+    value alone decides its node (truth._DECIDING; Pi folds like a product
+    over the domain, Sigma like a sum) skips the sides after it, and
+    otherwise the last side's value is the node's.  It shares no evaluation
+    code with the row engine, so it checks the model search independently.
+    """
     ensure_closed(formula)
     for name, arity in predicate_signature(formula).items():
         if name not in s.predicates:
@@ -219,23 +226,38 @@ def eval_in(formula: RelFormula, s: Structure) -> bool:
                 f"structure has {s.predicates[name][0]}"
             )
 
-    def go(f: RelFormula, env: dict[str, int]) -> bool:
-        if isinstance(f, RAtom):
-            return s.holds(f.predicate, tuple(env[ix] for ix in f.indices))
-        if isinstance(f, Neg):
-            return not go(f.inner, env)
-        if isinstance(f, Claw):
-            return (not go(f.antecedent, env)) or go(f.consequent, env)
-        if isinstance(f, Prod):
-            return go(f.left, env) and go(f.right, env)
-        if isinstance(f, Sum):
-            return go(f.left, env) or go(f.right, env)
-        if isinstance(f, Quant):
-            values = (go(f.body, {**env, f.var: d}) for d in range(s.domain_size))
-            return all(values) if f.kind == PI else any(values)
-        raise TypeError(f"not a relational formula: {f!r}")
-
-    return go(formula, {})
+    values: list[bool] = []
+    todo: list = [(formula, {}, 0)]  # (node, env, how many sides are done)
+    while todo:
+        f, env, done = todo.pop()
+        cls = type(f)
+        if cls is RAtom:
+            values.append(s.holds(f.predicate, tuple(map(env.__getitem__, f.indices))))
+            continue
+        if cls is Neg:
+            if done:
+                values[-1] = not values[-1]
+            else:
+                todo += ((f, env, 1), (f.inner, env, 0))
+            continue
+        if cls is Quant:
+            sides, deciding = s.domain_size, truth._DECIDING[Prod if f.kind == PI else Sum]
+        elif cls in truth._DECIDING:
+            sides, deciding = 2, truth._DECIDING[cls]
+        else:
+            raise TypeError(f"not a relational formula: {f!r}")
+        if done:
+            if values[-1] == deciding[0]:  # the side decides the node
+                values[-1] = deciding[1]
+                continue
+            values.pop()
+        if done < sides - 1:  # else the last side's value is the node's
+            todo.append((f, env, done + 1))
+        if cls is Quant:
+            todo.append((f.body, {**env, f.var: done}, 0))
+        else:
+            todo.append((SUBFORMULAS[cls](f)[done], env, 0))
+    return values[0]
 
 
 def sat_search(

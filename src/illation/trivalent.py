@@ -12,10 +12,10 @@ from __future__ import annotations
 import enum
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from ._record import record
-from .errors import LimitExceededError, MissingVariableError
+from .errors import LimitExceededError
 from .formulas import Neg, Prod, PropFormula, Sum, Var, free_vars, walk
 from .truth import render_tsv, row_bits
 
@@ -65,21 +65,6 @@ class UnsupportedConnectiveError(ValueError):
             f"no trivalent matrix exists for {type(node).__name__} nodes"
         )
         self.node = node
-
-
-def tri_eval(formula: PropFormula, assignment: Mapping[str, TriValue]) -> TriValue:
-    if isinstance(formula, Var):
-        try:
-            return assignment[formula.name]
-        except KeyError:
-            raise MissingVariableError(formula.name) from None
-    if isinstance(formula, Neg):
-        return tri_neg(tri_eval(formula.inner, assignment))
-    if isinstance(formula, Sum):
-        return tri_or(tri_eval(formula.left, assignment), tri_eval(formula.right, assignment))
-    if isinstance(formula, Prod):
-        return tri_and(tri_eval(formula.left, assignment), tri_eval(formula.right, assignment))
-    raise UnsupportedConnectiveError(formula)
 
 
 def _tile(unit: int, period: int, total: int) -> int:
@@ -133,7 +118,7 @@ class TriTable:
 
 def tri_table(formula: PropFormula) -> TriTable:
     nodes = list(walk(formula))
-    for f in nodes:  # unsupported nodes before the limit, in tri_eval's order
+    for f in nodes:  # unsupported nodes before the limit, the first in preorder
         if type(f) not in (Var, Neg, Sum, Prod):
             raise UnsupportedConnectiveError(f)
     names = tuple(free_vars(formula))

@@ -70,34 +70,12 @@ def spell(value: bool) -> str:
 
 
 def eval2(formula: PropFormula, assignment: Mapping[str, bool]) -> bool:
-    """Evaluate under a bivalent assignment; unknown variables are errors."""
-    if isinstance(formula, Var):
-        try:
-            return assignment[formula.name]
-        except KeyError:
-            raise MissingVariableError(formula.name) from None
-    if isinstance(formula, Const):
-        return formula.value
-    if isinstance(formula, Neg):
-        return not eval2(formula.inner, assignment)
-    if isinstance(formula, Claw):
-        return (not eval2(formula.antecedent, assignment)) or eval2(
-            formula.consequent, assignment
-        )
-    if isinstance(formula, Prod):
-        return eval2(formula.left, assignment) and eval2(formula.right, assignment)
-    if isinstance(formula, Sum):
-        return eval2(formula.left, assignment) or eval2(formula.right, assignment)
-    if isinstance(formula, Conn16):
-        row = _row_of(
-            eval2(formula.left, assignment), eval2(formula.right, assignment)
-        )
-        return CONNECTIVE_VECTORS[formula.index][row]
-    raise TypeError(f"not a propositional formula: {formula!r}")
+    """Evaluate under a bivalent assignment; unknown variables are errors.
 
-
-def _row_of(left: bool, right: bool) -> int:
-    return (0 if left else 2) + (0 if right else 1)
+    The one-row case of the row engine: v and f are the one-row masks 1
+    and 0.
+    """
+    return bool(_eval_masks(formula, assignment, 1))
 
 
 def _rows(index: int, value: bool) -> list[tuple[bool, bool]]:
@@ -137,14 +115,15 @@ def row_masks(count: int) -> list[int]:
 
 
 def _eval_masks(formula: PropFormula, env: Mapping[str, int], full: int) -> int:
-    """eval2 on every row at once: `env` maps each variable to its row mask
-    and `full` is the mask of all rows.
+    """The formula on every row at once: `env` maps each variable to its row
+    mask and `full` is the mask of all rows.
 
-    `care` is the mask of the rows on which eval2 reaches a node.  A side
-    that eval2 skips on every such row is not visited, so a missing variable
-    or a non-formula raises exactly when eval2 raises on some row.  So the
-    second side of a node is pushed only once the first side's value, and
-    with it the second side's `care`, is known.
+    `care` is the mask of the rows on which a left-to-right, short-circuit
+    evaluation of one row reaches a node.  A side that it skips on every
+    such row is not visited, so a missing variable or a non-formula raises
+    exactly when it would on some row.  So the second side of a node is
+    pushed only once the first side's value, and with it the second side's
+    `care`, is known.
     """
     values: list[int] = []
     todo = [(formula, full, 0)]  # (node, care, how many sides are done)
@@ -289,12 +268,6 @@ class TruthTable:
         return "".join(self.tsv_blocks())
 
 
-def canonical_assignments(variables: Iterable[str]) -> Iterable[dict[str, bool]]:
-    names = tuple(variables)
-    for cells in product((True, False), repeat=len(names)):
-        yield dict(zip(names, cells))
-
-
 def truth_table(formula: PropFormula) -> TruthTable:
     return table_over(formula, free_vars(formula))
 
@@ -433,7 +406,7 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
 
     if least is not None:
         complete = {name: least_assignment.get(name, True) for name in order}
-        if _eval_masks(formula, complete, 1):  # the completion as one row
+        if eval2(formula, complete):
             raise RuntimeError("indirect method produced a non-falsifying leaf")
         return Falsified(complete)
     return Tautology(best_trace)

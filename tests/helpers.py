@@ -9,7 +9,7 @@ import itertools
 from collections import deque, namedtuple
 
 from illation.arithmetic import AxiomVerdict, HFAtom, _succ
-from illation.errors import LimitExceededError
+from illation.errors import LimitExceededError, MissingVariableError
 from illation.formulas import (
     _VAR_NAME,
     PI,
@@ -30,11 +30,13 @@ from illation.formulas import (
     SUBFORMULAS,
     Sum,
     Var,
+    ensure_closed,
     free_vars,
     predicate_signature,
 )
 from illation.notations import Notation, ParseError
-from illation.quantifiers import Structure, eval_in
+from illation.quantifiers import Structure
+from illation.trivalent import UnsupportedConnectiveError, tri_and, tri_neg, tri_or
 from illation.truth import (
     _DECIDING,
     _INDIRECT_STATE_CAP,
@@ -89,6 +91,54 @@ def ref_eval(f, env):
         ]
         return EXPECTED_VECTORS[f.index][row]
     raise AssertionError(f"unknown node {kind}")
+
+
+def ref_tri_eval(formula, assignment):
+    """Reference trivalent evaluator, by recursion over the tree."""
+    if isinstance(formula, Var):
+        try:
+            return assignment[formula.name]
+        except KeyError:
+            raise MissingVariableError(formula.name) from None
+    if isinstance(formula, Neg):
+        return tri_neg(ref_tri_eval(formula.inner, assignment))
+    if isinstance(formula, Sum):
+        return tri_or(ref_tri_eval(formula.left, assignment), ref_tri_eval(formula.right, assignment))
+    if isinstance(formula, Prod):
+        return tri_and(ref_tri_eval(formula.left, assignment), ref_tri_eval(formula.right, assignment))
+    raise UnsupportedConnectiveError(formula)
+
+
+def ref_eval_in(formula, s):
+    """Reference Tarskian evaluator, by recursion over the tree: the oracle
+    for `quantifiers.eval_in`, which keeps an explicit stack."""
+    ensure_closed(formula)
+    for name, arity in predicate_signature(formula).items():
+        if name not in s.predicates:
+            raise ValueError(f"structure does not interpret predicate {name!r}")
+        if s.predicates[name][0] != arity:
+            raise ValueError(
+                f"predicate {name!r}: formula uses arity {arity}, "
+                f"structure has {s.predicates[name][0]}"
+            )
+
+    def go(f, env):
+        if isinstance(f, RAtom):
+            return s.holds(f.predicate, tuple(env[ix] for ix in f.indices))
+        if isinstance(f, Neg):
+            return not go(f.inner, env)
+        if isinstance(f, Claw):
+            return (not go(f.antecedent, env)) or go(f.consequent, env)
+        if isinstance(f, Prod):
+            return go(f.left, env) and go(f.right, env)
+        if isinstance(f, Sum):
+            return go(f.left, env) or go(f.right, env)
+        if isinstance(f, Quant):
+            values = (go(f.body, {**env, f.var: d}) for d in range(s.domain_size))
+            return all(values) if f.kind == PI else any(values)
+        raise TypeError(f"not a relational formula: {f!r}")
+
+    return go(formula, {})
 
 
 def all_envs(names):
@@ -188,7 +238,8 @@ def interpretation_cells(formula, n):
 
 def ref_sat_search(formula, n):
     """The exhaustive first-model search: build every structure in order
-    (absent before present, first cell slowest) and check each with eval_in."""
+    (absent before present, first cell slowest) and check each with
+    ref_eval_in."""
     arities = predicate_signature(formula)
     cells = interpretation_cells(formula, n)
     for bits in itertools.product((False, True), repeat=len(cells)):
@@ -199,7 +250,7 @@ def ref_sat_search(formula, n):
         candidate = Structure(
             n, {name: (arities[name], frozenset(rows)) for name, rows in tables.items()}
         )
-        if eval_in(formula, candidate):
+        if ref_eval_in(formula, candidate):
             return candidate
     return None
 

@@ -43,7 +43,6 @@ from illation.truth import (
     anf,
     connective_index,
     connective_vector,
-    eval2,
     find_counterexample,
     indirect_falsify,
     is_tautology,
@@ -51,7 +50,7 @@ from illation.truth import (
     xframe,
 )
 
-from helpers import formulas_up_to_depth
+from helpers import formulas_up_to_depth, ref_eval
 
 
 def _report(number, label, ok):
@@ -200,7 +199,7 @@ def test_criterion_06_expansion_matches_direct_evaluation():
             for s in _all_structures(n, signature):
                 env = assignment_from_structure(s, names)
                 checks += 1
-                if eval2(exp, env) != eval_in(f, s):
+                if ref_eval(exp, env) != eval_in(f, s):
                     mismatches += 1
     ok = mismatches == 0 and len(corpus) > 100 and checks > 5000
     _report(6, f"expansion agrees with direct evaluation on {checks} checks", ok)
@@ -300,7 +299,7 @@ def test_criterion_11_oracle_equivalence():
         indirect = indirect_falsify(f)
         if isinstance(indirect, Tautology) != table_taut:
             verdict_disagreements += 1
-        if isinstance(indirect, Falsified) and eval2(f, indirect.counterexample):
+        if isinstance(indirect, Falsified) and ref_eval(f, indirect.counterexample):
             verdict_disagreements += 1
         poly = anf(f)
         names = free_vars(f)
@@ -309,7 +308,7 @@ def test_criterion_11_oracle_equivalence():
             value = False
             for monomial in poly.monomials:
                 value ^= all(env[name] for name in monomial)
-            if value != eval2(f, env):
+            if value != ref_eval(f, env):
                 anf_disagreements += 1
     ok = verdict_disagreements == 0 and anf_disagreements == 0 and len(corpus) > 9000
     _report(11, f"indirect and algebraic forms agree with tables on {len(corpus)} formulas", ok)

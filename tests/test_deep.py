@@ -1,24 +1,28 @@
-"""Deep inputs through the CLI: flat chains of 10^4 and 10^5 terms.
+"""Deep inputs through the CLI and the evaluators: flat chains of 10^4 and
+10^5 terms.
 
 Peirce's sums and products fold left, so a chain of n terms is a tree n
 levels deep.  Every command here walks such trees without recursing, so
 each must answer as it does on a short input.  The expected text is built
 directly from the chain's leaves, not by the printers under test.  The
-parsers take brackets and negations nested 10^4 and 10^5 deep; nesting that
-the witness check of `sat` and `scan` cannot take ends in exit 3 with one
-line on stderr.
+parsers take brackets and negations nested 10^4 and 10^5 deep, and so do
+`eval2`, `eval_in` and the witness checks of `sat` and `scan`.
 """
 
 import io
-import subprocess
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 
 import pytest
 
 from illation import cli
+from illation.formulas import PI, SIGMA, Neg, Prod, Quant, RAtom, Sum, Var
 from illation.frege import render_frege
 from illation.notations import Notation, parse
+from illation.quantifiers import Structure, eval_in
+from illation.truth import eval2
 
 NAMES = "abcdefghijklmnop"
 TERMS = 10_000
@@ -150,14 +154,66 @@ def test_ten_thousand_brackets_in_the_relational_grammar():
     assert (code, out, err) == (0, "N" * DEPTH + "p_0\n", "")
 
 
-# `sat` and `scan` check their witness with the recursive Tarskian evaluator,
-# the one place where depth is bounded; past it the CLI exits 3.
-@pytest.mark.parametrize("argv, stdin", [
-    (["sat", "--domain", "1", "-"], "Pi i . " + "~(" * 1_500 + "p(i)" + ")" * 1_500),
-    (["scan", "--max-size", "1", "-"], "Pi i . " + " & ".join(["p(i)"] * 1_500)),
-], ids=["sat-1500-negated-brackets", "scan-1500-term-chain"])
-def test_nesting_too_deep_for_the_witness_check_exits_3(argv, stdin):
-    done = subprocess.run([sys.executable, "-m", "illation.cli"] + argv, input=stdin,
-                          capture_output=True, text=True)
-    assert (done.returncode, done.stdout) == (3, "")
-    assert done.stderr == "limit exceeded: formula nested too deeply\n"
+def negated(f, times):
+    return reduce(lambda acc, _: Neg(acc), range(times), f)
+
+
+def unary_model(n, true):
+    """The JSON `sat` and `scan` print for a structure on n elements whose
+    unary predicates hold of the elements listed in `true`."""
+    return json.dumps({"domain": n, "predicates": {
+        name: {"arity": 1, "true": [[e] for e in elements]}
+        for name, elements in sorted(true.items())
+    }})
+
+
+@pytest.mark.parametrize("negations", [DEPTH, DEPTH + 1], ids=["even", "odd"])
+def test_sat_at_ten_thousand_negated_brackets(negations):
+    text = "Pi i . " + "~(" * negations + "p(i)" + ")" * negations
+    code, out, err = run("sat", "--domain", "1", "-", stdin=text)
+    # an even number of negations leaves p(i), which the first model makes true
+    holds = [0] if negations % 2 == 0 else []
+    assert (code, out, err) == (0, unary_model(1, {"p": holds}) + "\n", "")
+
+
+def test_scan_at_ten_thousand_terms():
+    text = "Pi i . " + " & ".join(f"{p}(i)" for p in "pq" * (TERMS // 2))
+    code, out, err = run("scan", "--max-size", "2", "-", stdin=text)
+    # the one model of each size has p and q true of every element
+    everywhere = [unary_model(n, {"p": range(n), "q": range(n)}) for n in range(4)]
+    assert (code, err) == (0, "")
+    assert out == "".join(f"size {n}: satisfiable {everywhere[n]}\n"
+                          f"extend {n} -> {n + 1}: {everywhere[n + 1]}\n" for n in (1, 2))
+
+
+def test_herbrand_scan_at_ten_thousand_terms():
+    terms = ["p(i)", "~p(i)"] * (TERMS // 2)
+    code, out, err = run("scan", "--herbrand", "--max-size", "2", "-",
+                         stdin="Pi i . " + " | ".join(terms))
+    # valid at size 1, where the expansion is the chain at i = 0, in Peirce's notation
+    expansion = " + ".join(t.replace("~", "-").replace("(i)", "_0") for t in terms)
+    assert (code, out, err) == (0, f"least valid size: 1\nexpansion: {expansion}\n", "")
+
+
+def test_eval2_at_ten_thousand_terms_and_negations():
+    variables = [Var(name) for name in leaves(TERMS)]
+    product, total = reduce(Prod, variables), reduce(Sum, variables)
+    for env in (dict.fromkeys(NAMES, True), {**dict.fromkeys(NAMES, True), "p": False},
+                dict.fromkeys(NAMES, False)):
+        assert eval2(product, env) is all(env.values())
+        assert eval2(total, env) is any(env.values())
+    for times in (DEPTH, DEPTH + 1):
+        assert eval2(negated(Var("a"), times), {"a": True}) is (times % 2 == 0)
+
+
+def test_eval_in_at_ten_thousand_terms_and_negations():
+    atoms = [RAtom(p, ("i",)) for p in "pq" * (TERMS // 2)]
+    every, some = Quant(PI, "i", reduce(Prod, atoms)), Quant(SIGMA, "i", reduce(Sum, atoms))
+    for p_true, q_true in (((0, 1), (0, 1)), ((0, 1), (1,)), ((), ())):
+        s = Structure(2, {"p": (1, frozenset((e,) for e in p_true)),
+                          "q": (1, frozenset((e,) for e in q_true))})
+        assert eval_in(every, s) is (len(p_true) == len(q_true) == 2)
+        assert eval_in(some, s) is bool(p_true or q_true)
+    s = Structure(1, {"p": (1, frozenset({(0,)}))})
+    for times in (DEPTH, DEPTH + 1):
+        assert eval_in(Quant(PI, "i", negated(RAtom("p", ("i",)), times)), s) is (times % 2 == 0)

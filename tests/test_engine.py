@@ -1,7 +1,7 @@
 """Differential and work-count tests of the bit-parallel truth-table engine.
 
-Every fast path is checked row by row against eval2, tests/helpers.ref_eval
-or tri_eval.  The wide cases have 11-13 variables, so they cross the
+Every fast path is checked row by row against tests/helpers.ref_eval or
+ref_tri_eval.  The wide cases have 11-13 variables, so they cross the
 2^BLOCK_BITS-row blocks the counterexample search scans in.
 """
 
@@ -15,17 +15,16 @@ from illation.errors import LimitExceededError, MissingVariableError
 from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var, free_vars
 from illation.quantifiers import herbrand_scan
 from illation.relsyntax import parse_relational
-from illation.trivalent import L, F, V, tri_eval, tri_table
+from illation.trivalent import L, F, V, tri_table
 from illation.truth import (
     BLOCK_BITS,
     anf,
-    eval2,
     find_counterexample,
     semantic_difference,
     table_over,
 )
 
-from helpers import all_envs, random_formula, ref_eval
+from helpers import all_envs, random_formula, ref_eval, ref_tri_eval
 
 NAMES = "abcdefghijklm"
 # Conn16 columns that depend on both sides (not constant, not a projection)
@@ -78,7 +77,7 @@ def test_table_over_matches_eval2_on_every_row():
     for f in cases(1881):
         names = free_vars(f) + ["z"]  # a superset of the free variables
         table = table_over(f, names)
-        assert table.values() == tuple(eval2(f, env) for env in all_envs(names))
+        assert table.values() == tuple(ref_eval(f, env) for env in all_envs(names))
         assert len(table.rows) == 2 ** len(names)
 
 
@@ -115,7 +114,7 @@ def test_anf_evaluates_like_eval2_on_every_row():
     for f in formulas:
         poly = anf(f)
         for env in all_envs(free_vars(f)):
-            assert poly.evaluate(env) == eval2(f, env)
+            assert poly.evaluate(env) == ref_eval(f, env)
 
 
 def test_tri_table_matches_tri_eval_on_every_row():
@@ -128,7 +127,7 @@ def test_tri_table_matches_tri_eval_on_every_row():
             table = tri_table(f)
             order = table.variables
             cells = itertools.product((V, L, F), repeat=len(order))
-            assert table.values() == tuple(tri_eval(f, dict(zip(order, c))) for c in cells)
+            assert table.values() == tuple(ref_tri_eval(f, dict(zip(order, c))) for c in cells)
 
 
 def _strip_to_tri(f):
@@ -150,8 +149,8 @@ def test_missing_variable_raises_exactly_when_some_row_does():
         raised = False
         for env in all_envs("ab"):
             try:
-                eval2(f, env)
-            except MissingVariableError:
+                ref_eval(f, env)
+            except KeyError:
                 raised = True
         if raised:
             with pytest.raises(MissingVariableError):

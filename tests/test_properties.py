@@ -9,6 +9,7 @@ reference evaluators run outside that limit.
 """
 
 import itertools
+import random
 import sys
 from contextlib import contextmanager
 from functools import reduce
@@ -21,9 +22,9 @@ from illation.formulas import PI, SIGMA, Claw, Conn16, Const, Neg, Prod, Quant, 
 from illation.formulas import free_vars, substitute
 from illation.notations import Notation, parse, print_formula
 from illation.quantifiers import Structure, assignment_from_structure, eval_in, expand
-from illation.truth import table_over
+from illation.truth import eval2, table_over
 
-from helpers import all_envs, ref_eval, ref_frege_lines
+from helpers import all_envs, random_closed_formula, ref_eval, ref_eval_in, ref_frege_lines
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 NAMES = "abcd"
@@ -113,7 +114,8 @@ def test_table_over_agrees_with_the_reference_evaluator(f):
     with shallow_stack():
         names = free_vars(f)
         values = table_over(f, names).values()
-    assert values == tuple(ref_eval(f, env) for env in all_envs(names))
+        rows = tuple(eval2(f, env) for env in all_envs(names))
+    assert values == rows == tuple(ref_eval(f, env) for env in all_envs(names))
 
 
 @PROPERTIES
@@ -153,4 +155,23 @@ def test_expand_agrees_with_eval_in_on_every_structure(f, n):
     for p, q in itertools.product(subsets, repeat=2):
         s = Structure(n, {"p": (1, p), "q": (1, q)})
         env = assignment_from_structure(s, names)
-        assert ref_eval(expansion, env) == eval_in(f, s)
+        with shallow_stack():
+            value = eval_in(f, s)
+        assert ref_eval(expansion, env) == value
+
+
+@PROPERTIES
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_eval_in_agrees_with_the_recursive_reference(seed, n):
+    rng = random.Random(seed)
+    signature = {"p": 1, "l": 2}
+    f = random_closed_formula(rng, 6, signature)
+    for _ in range(4):
+        s = Structure(n, {
+            name: (arity, frozenset(row for row in itertools.product(range(n), repeat=arity)
+                                    if rng.random() < 0.5))
+            for name, arity in signature.items()
+        })
+        with shallow_stack():
+            value = eval_in(f, s)
+        assert value == ref_eval_in(f, s), (f, s)

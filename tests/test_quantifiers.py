@@ -43,7 +43,8 @@ from illation.quantifiers import (
     structure_to_json,
 )
 from illation.relsyntax import parse_relational
-from illation.truth import eval2
+
+from helpers import ref_eval
 
 LOVES = parse_relational("Pi i . Sum j . l(i,j)")
 SOME_LOVES = parse_relational("Sum i . Sum j . l(i,j)")
@@ -171,7 +172,7 @@ def test_expansion_agrees_with_eval_in():
             exp = expand(f, n)
             for s in _all_structures(n):
                 env = assignment_from_structure(s, free_vars(exp))
-                assert eval2(exp, env) == eval_in(f, s), (f, n, s)
+                assert ref_eval(exp, env) == eval_in(f, s), (f, n, s)
 
 
 def _all_structures(n):
