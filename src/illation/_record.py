@@ -19,38 +19,36 @@ instance `__dict__` directly.
 
 No source is compiled per class.  `dataclasses` builds every class by
 `exec` of generated code (~0.8 ms a class) and imports `inspect` (~10 ms),
-a large share of a one-shot command.  Here `__init__`, `__eq__` and
-`__hash__` come from a fixed template for the class's field count, written
-for fields named a..f; `code.replace` renames those to the real fields, so
-the methods run the same bytecode as hand-written ones.  `__repr__`, which
-only error messages use, is a closure.
+a large share of a one-shot command.  Only `__init__`, which every parse and
+every engine step runs, comes from a template: one per field count, written
+for fields named a..f, which `code.replace` renames to the real fields so it
+runs the same bytecode as a hand-written one.  `__eq__`, `__hash__` and
+`__repr__` are one function each, shared by every record.  Formulas are
+records nested one level per connective, thousands of levels deep in a
+folded chain, so each walks the nested records with an explicit stack
+instead of recursing through the fields' own methods.  A frozen record keeps
+its hash in its `__dict__`, so hashing a tree is bottom-up and each node is
+hashed once.
 """
 
 from __future__ import annotations
 
 _set = object.__setattr__
+_HASH = "__record_hash__"  # the instance `__dict__` key of a frozen record's hash
 
 
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
 
 
-# Method templates, one per field count, for fields named a..f.
+# `__init__` templates, one per field count, for fields named a..f.
 def _fields1(post):
     def __init__(self, a):
         _set(self, "a", a)
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a,) == (other.a,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a,))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 def _fields2(post):
@@ -60,15 +58,7 @@ def _fields2(post):
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b) == (other.a, other.b)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 def _fields3(post):
@@ -79,15 +69,7 @@ def _fields3(post):
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) == (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 def _fields6(post):
@@ -101,23 +83,14 @@ def _fields6(post):
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            mine = (self.a, self.b, self.c, self.d, self.e, self.f)
-            return mine == (other.a, other.b, other.c, other.d, other.e, other.f)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d, self.e, self.f))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 _TEMPLATES = {1: _fields1, 2: _fields2, 3: _fields3, 6: _fields6}
 
 
-def _methods(cls: type, names: tuple[str, ...]):
-    """`__init__`, `__eq__` and `__hash__` for the fields `names` of `cls`."""
+def _init(cls: type, names: tuple[str, ...]):
+    """`__init__` for the fields `names` of `cls`."""
     template = _TEMPLATES.get(len(names))
     if template is None:
         raise TypeError(f"{cls.__name__}: no record template for {len(names)} fields")
@@ -126,20 +99,77 @@ def _methods(cls: type, names: tuple[str, ...]):
     def swap(items: tuple) -> tuple:
         return tuple(rename.get(x, x) if isinstance(x, str) else x for x in items)
 
-    methods = template(hasattr(cls, "__post_init__"))
-    for method in methods:
-        code = method.__code__
-        method.__code__ = code.replace(
-            co_varnames=swap(code.co_varnames),
-            co_names=swap(code.co_names),
-            co_consts=swap(code.co_consts),
-        )
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+    method = template(hasattr(cls, "__post_init__"))
+    code = method.__code__
+    method.__code__ = code.replace(
+        co_varnames=swap(code.co_varnames),
+        co_names=swap(code.co_names),
+        co_consts=swap(code.co_consts),
+    )
+    method.__qualname__ = f"{cls.__qualname__}.__init__"
     defaults = [cls.__dict__[n] for n in names if n in cls.__dict__]
     if any(n not in cls.__dict__ for n in names[len(names) - len(defaults):]):
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
-    methods[0].__defaults__ = tuple(defaults) or None
-    return methods
+    method.__defaults__ = tuple(defaults) or None
+    return method
+
+
+def _fields(item) -> list:
+    return [getattr(item, n) for n in item.__record_fields__]
+
+
+def _eq(self, other):
+    """Field tuples compared in order; a pair of records of one class is
+    compared by the same loop, not by a nested call."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x.__class__ is y.__class__ and x.__class__.__eq__ is _eq:
+            stack.extend([(getattr(x, n), getattr(y, n)) for n in reversed(x.__record_fields__)])
+        elif not x == y:
+            return False
+    return True
+
+
+def _hash(self):
+    """`hash` of the field tuple, each nested record hashed (and its hash
+    kept) before the record holding it."""
+    stack = [self]
+    while stack:
+        item = stack[-1]
+        if _HASH in item.__dict__:
+            stack.pop()
+            continue
+        fields = _fields(item)
+        unhashed = [x for x in fields
+                    if x.__class__.__hash__ is _hash and _HASH not in x.__dict__]
+        if unhashed:
+            stack.extend(unhashed)
+        else:
+            _set(item, _HASH, hash(tuple(fields)))
+            stack.pop()
+    return self.__dict__[_HASH]
+
+
+def _repr(self):
+    """The dataclass text; a nested record's text is written in place."""
+    out, stack = [], [self]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        parts = [f"{item.__class__.__qualname__}("]
+        for i, (name, value) in enumerate(zip(item.__record_fields__, _fields(item))):
+            parts.append(f"{', ' if i else ''}{name}=")
+            parts.append(value if value.__class__.__repr__ is _repr else repr(value))
+        parts.append(")")
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def record(frozen: bool = False):
@@ -147,15 +177,10 @@ def record(frozen: bool = False):
 
     def build(cls: type) -> type:
         names = tuple(cls.__dict__.get("__annotations__", {}))
-        __init__, __eq__, __hash__ = _methods(cls, names)
-
-        def __repr__(self):
-            inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
-            return f"{type(self).__qualname__}({inner})"
-
-        cls.__init__ = __init__
-        cls.__repr__ = __repr__
-        cls.__eq__ = __eq__
+        cls.__init__ = _init(cls, names)
+        cls.__record_fields__ = names
+        cls.__repr__ = _repr
+        cls.__eq__ = _eq
         if not frozen:
             cls.__hash__ = None
             return cls
@@ -166,7 +191,7 @@ def record(frozen: bool = False):
         def __delattr__(self, name):
             raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-        cls.__hash__ = __hash__
+        cls.__hash__ = _hash
         cls.__setattr__ = __setattr__
         cls.__delattr__ = __delattr__
         return cls

@@ -39,78 +39,68 @@ def _assignment_line(assignment: dict[str, bool], order: list[str]) -> str:
     return " ".join(f"{name}={truth.spell(assignment[name])}" for name in order)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMULA = ("formula", {})
+_NOTATION = ("--notation", dict(choices=_NOTATION_NAMES, default="peano-russell"))
+_DOMAIN = ("--domain", dict(type=int, required=True))
+
+# Each subcommand's help line and `add_argument` specs, in help order.  The
+# handler of a command `x-y` is `_cmd_x_y`, looked up when `main` runs.
+_COMMANDS = {
+    "translate": ("reprint a formula in another notation", [
+        ("--from", dict(dest="src", required=True, choices=_NOTATION_NAMES)),
+        ("--to", dict(dest="dst", required=True, choices=_NOTATION_NAMES + ["frege"])),
+        ("--format", dict(choices=["ascii", "svg"], default=None,
+                          help="rendering format (frege target only)")),
+        _FORMULA]),
+    "table": ("print a truth table as TSV", [
+        _NOTATION, ("--values", dict(type=int, choices=[2, 3], default=2)), _FORMULA]),
+    "taut": ("decide tautology status", [
+        _NOTATION, ("--method", dict(choices=["full", "indirect"], default="full")), _FORMULA]),
+    "connectives": ("the sixteen binary connectives and their icons", []),
+    "anf": ("algebraic normal form (XOR of products)", [_NOTATION, _FORMULA]),
+    "expand": ("expand quantifiers over a finite domain", [
+        _DOMAIN, ("--to", dict(dest="dst", choices=_NOTATION_NAMES, default="peirce")),
+        _FORMULA]),
+    "sat": ("search for a satisfying structure", [_DOMAIN, _FORMULA]),
+    "scan": ("satisfiability scan across domain sizes", [
+        ("--max-size", dict(type=int, default=3)),
+        ("--herbrand", dict(action="store_true",
+                            help="scan for the least size whose expansion is a tautology")),
+        _FORMULA]),
+    "axioms": ("check the 1881 number axioms on a structure", [
+        ("structure", dict(help="path to a structure JSON file, or - for stdin")),
+        ("--json", dict(action="store_true", dest="as_json"))]),
+    "pair-check": ("Wiener pair injectivity sweep", [("--atoms", dict(type=int, default=3))]),
+}
+
+
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The argument parser for `argv`.  When `argv[0]` names a command, only
+    that command's subparser is built, and the usage line lists every
+    command as before.  Otherwise (`-h`, no command, an unknown one) the
+    whole tree is built, so argparse's own messages name `command`."""
     parser = argparse.ArgumentParser(
         prog="illation",
         description="Peirce's logic workbench: notations, truth tables, "
         "quantifier expansion, and the 1881 number axioms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("translate", help="reprint a formula in another notation")
-    p.add_argument("--from", dest="src", required=True, choices=_NOTATION_NAMES)
-    p.add_argument("--to", dest="dst", required=True,
-                   choices=_NOTATION_NAMES + ["frege"])
-    p.add_argument("--format", choices=["ascii", "svg"], default=None,
-                   help="rendering format (frege target only)")
-    p.add_argument("formula")
-
-    p = sub.add_parser("table", help="print a truth table as TSV")
-    p.add_argument("--notation", choices=_NOTATION_NAMES, default="peano-russell")
-    p.add_argument("--values", type=int, choices=[2, 3], default=2)
-    p.add_argument("formula")
-
-    p = sub.add_parser("taut", help="decide tautology status")
-    p.add_argument("--notation", choices=_NOTATION_NAMES, default="peano-russell")
-    p.add_argument("--method", choices=["full", "indirect"], default="full")
-    p.add_argument("formula")
-
-    sub.add_parser("connectives", help="the sixteen binary connectives and their icons")
-
-    p = sub.add_parser("anf", help="algebraic normal form (XOR of products)")
-    p.add_argument("--notation", choices=_NOTATION_NAMES, default="peano-russell")
-    p.add_argument("formula")
-
-    p = sub.add_parser("expand", help="expand quantifiers over a finite domain")
-    p.add_argument("--domain", type=int, required=True)
-    p.add_argument("--to", dest="dst", choices=_NOTATION_NAMES, default="peirce")
-    p.add_argument("formula")
-
-    p = sub.add_parser("sat", help="search for a satisfying structure")
-    p.add_argument("--domain", type=int, required=True)
-    p.add_argument("formula")
-
-    p = sub.add_parser("scan", help="satisfiability scan across domain sizes")
-    p.add_argument("--max-size", type=int, default=3)
-    p.add_argument("--herbrand", action="store_true",
-                   help="scan for the least size whose expansion is a tautology")
-    p.add_argument("formula")
-
-    p = sub.add_parser("axioms", help="check the 1881 number axioms on a structure")
-    p.add_argument("structure", help="path to a structure JSON file, or - for stdin")
-    p.add_argument("--json", action="store_true", dest="as_json")
-
-    p = sub.add_parser("pair-check", help="Wiener pair injectivity sweep")
-    p.add_argument("--atoms", type=int, default=3)
-
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS:
+        sub.metavar = "{" + ",".join(names) + "}"
+        names = argv[:1]
+    for name in names:
+        help_line, specs = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in specs:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "translate": _cmd_translate,
-        "table": _cmd_table,
-        "taut": _cmd_taut,
-        "connectives": _cmd_connectives,
-        "anf": _cmd_anf,
-        "expand": _cmd_expand,
-        "sat": _cmd_sat,
-        "scan": _cmd_scan,
-        "axioms": _cmd_axioms,
-        "pair-check": _cmd_pair_check,
-    }[args.command]
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
     except (ParseError, PrintError) as err:
@@ -131,8 +121,7 @@ def _cmd_translate(args) -> int:
             _outline(line)
         return 0
     if args.format is not None:
-        print("error: --format applies only to the frege target", file=sys.stderr)
-        return 2
+        raise ValueError("--format applies only to the frege target")
     _outline(print_formula(formula, Notation.from_name(args.dst)))
     return 0
 
@@ -207,8 +196,7 @@ def _cmd_scan(args) -> int:
     import json
 
     if args.max_size < 1:
-        print("error: --max-size must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--max-size must be at least 1")
     formula = relsyntax.parse_relational(_read_source(args.formula))
     if args.herbrand:
         found = quantifiers.herbrand_scan(formula, args.max_size)
@@ -242,7 +230,10 @@ def _cmd_axioms(args) -> int:
     else:
         with open(args.structure, encoding="utf-8") as handle:
             raw = handle.read()
-    data = json.loads(raw)
+    try:
+        data = json.loads(raw)
+    except RecursionError:  # the stdlib decoder recurses once per bracket
+        raise ValueError("structure JSON is nested too deeply") from None
     report = arithmetic.check_axioms(arithmetic.number_structure_from_json(data))
     if args.as_json:
         _outline(json.dumps(arithmetic.report_json(report)))
@@ -253,8 +244,7 @@ def _cmd_axioms(args) -> int:
 
 def _cmd_pair_check(args) -> int:
     if args.atoms < 1 or args.atoms > 4:
-        print("error: --atoms must be between 1 and 4", file=sys.stderr)
-        return 2
+        raise ValueError("--atoms must be between 1 and 4")
     failures, atom_comparisons, nested_comparisons = arithmetic.pair_injectivity(args.atoms)
     if failures:
         _outline(f"pair injectivity: FAILED ({failures} violations)")

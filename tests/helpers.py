@@ -6,7 +6,9 @@ these helpers are genuine cross-checks rather than mirrors.
 """
 
 import itertools
+import sys
 from collections import deque, namedtuple
+from contextlib import contextmanager
 
 from illation.arithmetic import AxiomVerdict, HFAtom, _succ
 from illation.errors import LimitExceededError, MissingVariableError
@@ -68,6 +70,20 @@ EXPECTED_VECTORS = {
     15: (True, True, True, False),
     16: (True, True, True, True),
 }
+
+
+@contextmanager
+def shallow_stack(room=40):
+    """Only `room` more frames of stack while the block runs."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + room)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def ref_eval(f, env):

@@ -1,9 +1,14 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+
+from illation import cli
 
 CMD = [sys.executable, "-m", "illation.cli"]
 
@@ -381,3 +386,54 @@ def test_table_values_3_names_an_unsupported_connective_before_the_limit():
     r = run("table", "--values", "3", formula)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == "error: no trivalent matrix exists for Claw nodes\n"
+
+
+def in_process(call, argv):
+    """(exit code, stdout, stderr) of `call(argv)` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_tree(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+# Every argument list argparse itself answers (help, or a usage error), from
+# the top-level parser and from each command's.
+ARGPARSE_ANSWERS = [
+    [], ["-h"], ["frobnicate", "a"], ["--"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["taut", "--method", "bogus", "a"], ["taut"], ["sat", "--domain", "x", "a"],
+    ["taut", "--bogus", "a"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ANSWERS, ids=" ".join)
+def test_one_subparser_answers_as_the_full_tree(argv):
+    code, out, err = in_process(cli.main, argv)
+    assert (code, out, err) == in_process(full_tree, argv)
+    assert code in (0, 2) and (out if code == 0 else err).startswith("usage: illation")
+
+
+def test_only_the_named_subparser_is_built():
+    built = [a for a in cli.build_parser(["taut", "a"])._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert [list(a.choices) for a in built] == [["taut"]]
+    full = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [list(a.choices) for a in full] == [list(cli._COMMANDS)]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["translate", "--from", "peirce", "--to", "polish", "--format", "svg", "a"],
+     "error: --format applies only to the frege target\n"),
+    (["scan", "--max-size", "0", "Pi i . p(i)"], "error: --max-size must be at least 1\n"),
+    (["pair-check", "--atoms", "0"], "error: --atoms must be between 1 and 4\n"),
+    (["pair-check", "--atoms", "5"], "error: --atoms must be between 1 and 4\n"),
+])
+def test_option_checks_exit_2_with_one_line(argv, line):
+    assert in_process(cli.main, argv) == (2, "", line)

@@ -6,7 +6,8 @@ levels deep.  Every command here walks such trees without recursing, so
 each must answer as it does on a short input.  The expected text is built
 directly from the chain's leaves, not by the printers under test.  The
 parsers take brackets and negations nested 10^4 and 10^5 deep, and so do
-`eval2`, `eval_in` and the witness checks of `sat` and `scan`.
+`eval2`, `eval_in` and the witness checks of `sat` and `scan`.  Structure
+JSON nested deeper than the standard decoder can read is a usage error.
 """
 
 import io
@@ -217,3 +218,8 @@ def test_eval_in_at_ten_thousand_terms_and_negations():
     s = Structure(1, {"p": (1, frozenset({(0,)}))})
     for times in (DEPTH, DEPTH + 1):
         assert eval_in(Quant(PI, "i", negated(RAtom("p", ("i",)), times)), s) is (times % 2 == 0)
+
+
+def test_axioms_on_json_nested_too_deeply_for_the_decoder():
+    code, out, err = run("axioms", "-", stdin="[" * 100_000 + "]" * 100_000)
+    assert (code, out, err) == (2, "", "error: structure JSON is nested too deeply\n")

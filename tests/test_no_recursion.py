@@ -8,12 +8,24 @@ or, in a method, `self.<name>`, `cls.<name>` or `<Class>.<name>`.  Nested
 closures count as functions of their own, named after the functions around
 them, and a call to a function's name from a closure inside it counts for
 that function too.
+
+The syntactic check cannot see recursion through another object's methods,
+such as `==` recursing into the fields' own `==`, so the record methods are
+also run on deep formulas with only a few dozen frames of stack to spare.
 """
 
 import ast
+from functools import reduce
 from pathlib import Path
 
+import pytest
+
 import illation
+from illation.formulas import PI, Neg, Quant, RAtom
+from illation.notations import Notation, parse
+from illation.truth import truth_table
+
+from helpers import shallow_stack
 
 # The functions allowed to call themselves, each with its reason.
 ALLOWED: dict[str, str] = {}
@@ -85,3 +97,29 @@ def not_recursive(items):
         "m.direct", "m.outer.inner", "m.caller_of_a_nested_self_call", "m.Parser.unary",
         "m.Parser.other",
     ]
+
+
+DEPTH = 10_000
+
+
+def test_equality_hash_and_repr_of_deep_formulas():
+    text = "|".join("abcdefghijklmnop"[i % 16] for i in range(DEPTH))
+    first, second = (parse(text, Notation.PEANO_RUSSELL) for _ in range(2))
+    other = parse(text + "|a", Notation.PEANO_RUSSELL)
+    with shallow_stack():
+        assert first == second and first != other and not first == other.left.left
+        assert hash(first) == hash(second) == hash((first.left, first.right))
+        assert len({first, second, other}) == 2
+        shown = repr(first)
+    assert shown == "Sum(left=" * (DEPTH - 1) + "Var(name='a')" + "".join(
+        f", right=Var(name='{text[i]}'))" for i in range(2, 2 * DEPTH, 2))
+
+
+def test_truth_table_names_a_deep_relational_formula():
+    atom = RAtom("p", ("i",))
+    formula = Quant(PI, "i", reduce(lambda f, _: Neg(f), range(DEPTH), atom))
+    with shallow_stack(), pytest.raises(TypeError) as caught:
+        truth_table(formula)
+    assert str(caught.value) == (
+        "not a propositional formula: Quant(kind='Pi', var='i', body="
+        + "Neg(inner=" * DEPTH + "RAtom(predicate='p', indices=('i',))" + ")" * DEPTH + ")")

@@ -10,8 +10,6 @@ reference evaluators run outside that limit.
 
 import itertools
 import random
-import sys
-from contextlib import contextmanager
 from functools import reduce
 
 from hypothesis import given, settings
@@ -24,7 +22,9 @@ from illation.notations import Notation, parse, print_formula
 from illation.quantifiers import Structure, assignment_from_structure, eval_in, expand
 from illation.truth import eval2, table_over
 
-from helpers import all_envs, random_closed_formula, ref_eval, ref_eval_in, ref_frege_lines
+from helpers import (
+    all_envs, random_closed_formula, ref_eval, ref_eval_in, ref_frege_lines, shallow_stack,
+)
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 NAMES = "abcd"
@@ -60,20 +60,6 @@ def trees(constants=True, conn16=False):
     chains = st.builds(_fold, st.lists(small, min_size=2, max_size=5).map(lambda p: p * 20),
                        st.sampled_from(BINARY), st.booleans())
     return small | chains | st.builds(_negated, small, st.integers(0, 300))
-
-
-@contextmanager
-def shallow_stack(room=40):
-    """Only `room` more frames of stack while the block runs."""
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + room)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(saved)
 
 
 @PROPERTIES
