@@ -3,11 +3,12 @@
 Sigma and Pi are sums and products in earnest: over a domain of size n,
 Sigma_i b(i) expands to b(0) + ... + b(n-1) and Pi_i b(i) to the product,
 folded left in index order.  Expansion atoms become propositional variables
-named predicate_e1_..._ek (so l(1,0) at domain elements 1,0 is l_1_0), which
-keeps the relational and propositional truth paths mutually checkable.
+named predicate_e1_..._ek (so l(1,0) at domain elements 1,0 is l_1_0).  The
+row engine (truth._eval_masks) folds the quantifiers the same way without
+expanding, for Tarskian evaluation in a finite structure (its one-row case)
+and the first-witness satisfiability search (a block of structures a pass).
 
-Also here: Tarskian evaluation in a finite structure, exhaustive first-witness
-satisfiability search, the duplicate-an-element model extension (the finite
+Also here: the duplicate-an-element model extension (the finite
 Loewenheim-Skolem-Tarski step upward), a Herbrand-flavored validity scan,
 Mitchell's All/Some forms, the A/E/I/O syllogistic encodings, and Leibniz
 indiscernibility of two elements.
@@ -16,6 +17,7 @@ indiscernibility of two elements.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from itertools import product
 from typing import Optional
 
@@ -43,8 +45,8 @@ from .formulas import (
 DEFAULT_MAX_ATOMS = 16
 MAX_ATOMS_ENV = "ILLATION_MAX_ATOMS"
 
-# The most atom occurrences an expansion may have: 2^16 take ~0.6 s and
-# ~37 MB, and each further quantifier multiplies them by the domain size.
+# The most atom occurrences an expansion or a search's evaluation may have:
+# 2^16 take ~0.6 s and ~37 MB to expand, and each quantifier multiplies them by n.
 MAX_EXPANSION_LEAVES = 1 << 16
 
 
@@ -143,16 +145,9 @@ def decode_atom(name: str) -> tuple[str, tuple[int, ...]]:
     return head, tuple(int(piece) for piece in tail)
 
 
-def expand(
-    formula: RelFormula, n: int, max_atoms: Optional[int] = None
-) -> PropFormula:
-    """Eliminate quantifiers over a domain of size n by sum/product folding."""
-    if n < 1:
-        raise ValueError("domain must have at least one element")
-    ensure_closed(formula)
-    limit = max_atoms_limit(max_atoms)
-    if n > limit:  # each atom's index is bound, so it expands to n or more atoms
-        raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
+def _check_leaves(formula: RelFormula, n: int) -> None:
+    """Refuse an expansion over n elements of more than MAX_EXPANSION_LEAVES
+    atom occurrences; the row engine reads as many, so it bounds it too."""
     # Each atom occurs n^k times in the expansion, k the quantifiers above it.
     leaves, todo = 0, [(formula, 1)]
     while todo:
@@ -167,6 +162,17 @@ def expand(
             raise LimitExceededError(
                 f"expansion needs more than {MAX_EXPANSION_LEAVES:,} atom occurrences"
             )
+
+
+def expand(formula: RelFormula, n: int, max_atoms: Optional[int] = None) -> PropFormula:
+    """Eliminate quantifiers over a domain of size n by sum/product folding."""
+    if n < 1:
+        raise ValueError("domain must have at least one element")
+    ensure_closed(formula)
+    limit = max_atoms_limit(max_atoms)
+    if n > limit:  # each atom's index is bound, so it expands to n or more atoms
+        raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
+    _check_leaves(formula, n)
     seen: dict[str, Var] = {}  # one Var per atom name
     # The expansion in prefix order: each atom as its variable, each
     # quantifier as the n - 1 sums or products of its left fold followed by
@@ -210,11 +216,10 @@ def assignment_from_structure(s: Structure, variables: list[str]) -> dict[str, b
 def eval_in(formula: RelFormula, s: Structure) -> bool:
     """Tarskian truth of a closed formula in a finite structure.
 
-    One explicit-stack pass, left to right with short-circuit: a side whose
-    value alone decides its node (truth._DECIDING; Pi folds like a product
-    over the domain, Sigma like a sum) skips the sides after it, and
-    otherwise the last side's value is the node's.  It shares no evaluation
-    code with the row engine, so it checks the model search independently.
+    The one-row case of the row engine: the cell of each true tuple is the
+    one-row mask 1 and every other cell 0, and Pi and Sigma fold their body
+    over the domain as a product and a sum, with the short-circuit of each.
+    The work is the true tuples plus the atoms read, not the cells.
     """
     ensure_closed(formula)
     for name, arity in predicate_signature(formula).items():
@@ -225,39 +230,9 @@ def eval_in(formula: RelFormula, s: Structure) -> bool:
                 f"predicate {name!r}: formula uses arity {arity}, "
                 f"structure has {s.predicates[name][0]}"
             )
-
-    values: list[bool] = []
-    todo: list = [(formula, {}, 0)]  # (node, env, how many sides are done)
-    while todo:
-        f, env, done = todo.pop()
-        cls = type(f)
-        if cls is RAtom:
-            values.append(s.holds(f.predicate, tuple(map(env.__getitem__, f.indices))))
-            continue
-        if cls is Neg:
-            if done:
-                values[-1] = not values[-1]
-            else:
-                todo += ((f, env, 1), (f.inner, env, 0))
-            continue
-        if cls is Quant:
-            sides, deciding = s.domain_size, truth._DECIDING[Prod if f.kind == PI else Sum]
-        elif cls in truth._DECIDING:
-            sides, deciding = 2, truth._DECIDING[cls]
-        else:
-            raise TypeError(f"not a relational formula: {f!r}")
-        if done:
-            if values[-1] == deciding[0]:  # the side decides the node
-                values[-1] = deciding[1]
-                continue
-            values.pop()
-        if done < sides - 1:  # else the last side's value is the node's
-            todo.append((f, env, done + 1))
-        if cls is Quant:
-            todo.append((f.body, {**env, f.var: done}, 0))
-        else:
-            todo.append((SUBFORMULAS[cls](f)[done], env, 0))
-    return values[0]
+    true = defaultdict(int, {(name, row): 1 for name, (_, rows) in s.predicates.items()
+                             for row in rows})
+    return bool(truth._eval_masks(formula, true, 1, s.domain_size))
 
 
 def sat_search(
@@ -266,8 +241,10 @@ def sat_search(
     """First satisfying structure in enumeration order, or None.
 
     Order: predicates in first-use order, tuples lexicographic, absent before
-    present, first cell slowest.  That is the truth-table row order of the
-    expansion with each atom bound to the complement of its row mask.
+    present, first cell slowest: the truth-table row order of the cells, each
+    bound to the complement of its row mask, which the row engine evaluates
+    the formula on, a block at a time.  The model is checked with eval_in on
+    the same engine, so the check catches a wrong decoding of the row.
     """
     if n < 1:
         raise ValueError("domain must have at least one element")
@@ -277,19 +254,16 @@ def sat_search(
     count = sum(n**arity for arity in signature.values())
     if count > limit:
         raise LimitExceededError(f"{count} interpretation cells exceed the limit of {limit}")
-    expansion = expand(formula, n, limit)
-    cells = {name: list(product(range(n), repeat=a)) for name, a in signature.items()}
-    found = truth._first_row(
-        tuple(atom_name(name, row) for name, rows in cells.items() for row in rows),
-        lambda env, full: truth._eval_masks(
-            expansion, {atom: full ^ mask for atom, mask in env.items()}, full
-        ),
-    )
+    _check_leaves(formula, n)
+    cells = tuple((name, row) for name, arity in signature.items()
+                  for row in product(range(n), repeat=arity))
+    found = truth._first_row(cells, lambda env, full: truth._eval_masks(
+        formula, {cell: full ^ mask for cell, mask in env.items()}, full, n))
     if found is None:
         return None
     witness = Structure(n, {
-        name: (signature[name], frozenset(r for r in rows if not found[atom_name(name, r)]))
-        for name, rows in cells.items()
+        name: (arity, frozenset(row for (p, row), v in found.items() if p == name and not v))
+        for name, arity in signature.items()
     })
     if not eval_in(formula, witness):
         raise RuntimeError("search postcondition failed: first model does not satisfy")
@@ -302,19 +276,20 @@ def extend_model(formula: RelFormula, s: Structure) -> Structure:
     Every true tuple is mirrored with the new element substituted for 0 in
     each combination of positions, so the newcomer is indiscernible from 0
     and satisfaction is preserved (checked; failure is an internal error).
+    The check at n + 1 elements is bounded as a search there would be.
     """
+    try:
+        _check_leaves(formula, s.domain_size + 1)
+    except LimitExceededError as err:
+        raise LimitExceededError(f"extension to size {s.domain_size + 1}: {err}") from None
     if not eval_in(formula, s):
         raise ValueError("extend_model needs a structure that satisfies the formula")
     fresh = s.domain_size
-    predicates = {}
-    for name, (arity, rows) in s.predicates.items():
-        grown = frozenset(
-            row
-            for row in product(range(fresh + 1), repeat=arity)
-            if tuple(0 if x == fresh else x for x in row) in rows
-        )
-        predicates[name] = (arity, grown)
-    bigger = Structure(fresh + 1, predicates)
+    bigger = Structure(fresh + 1, {
+        name: (arity, frozenset(row for row in product(range(fresh + 1), repeat=arity)
+                                if tuple(0 if x == fresh else x for x in row) in rows))
+        for name, (arity, rows) in s.predicates.items()
+    })
     if not eval_in(formula, bigger):
         raise RuntimeError("extension postcondition failed: enlarged model does not satisfy")
     return bigger

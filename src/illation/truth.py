@@ -17,7 +17,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from ._record import record
 from .errors import LimitExceededError, MissingVariableError
 from .formulas import (
+    PI,
     PROPOSITIONAL,
+    RELATIONAL,
     SUBFORMULAS,
     Claw,
     Conn16,
@@ -25,6 +27,8 @@ from .formulas import (
     Neg,
     Prod,
     PropFormula,
+    Quant,
+    RAtom,
     Sum,
     Var,
     free_vars,
@@ -114,17 +118,23 @@ def row_masks(count: int) -> list[int]:
     return masks
 
 
-def _eval_masks(formula: PropFormula, env: Mapping[str, int], full: int) -> int:
+def _eval_masks(formula, env: Mapping, full: int, domain: Optional[int] = None) -> int:
     """The formula on every row at once: `env` maps each variable to its row
     mask and `full` is the mask of all rows.
+
+    Given a `domain` size the formula is relational and closed: `env` maps
+    each cell (predicate, elements) to its row mask, and Pi and Sigma fold
+    their body over the elements as Prod and Sum fold two sides.  No index is
+    bound twice on a path, so one dict of bindings serves every atom.
 
     `care` is the mask of the rows on which a left-to-right, short-circuit
     evaluation of one row reaches a node.  A side that it skips on every
     such row is not visited, so a missing variable or a non-formula raises
-    exactly when it would on some row.  So the second side of a node is
-    pushed only once the first side's value, and with it the second side's
-    `care`, is known.
+    exactly when it would on some row.  So a side after the first is pushed
+    only once the sides before it, and with them its `care`, are known.
     """
+    kinds = PROPOSITIONAL if domain is None else RELATIONAL
+    binds: dict[str, int] = {}  # each index to its quantifier's current element
     values: list[int] = []
     todo = [(formula, full, 0)]  # (node, care, how many sides are done)
     while todo:
@@ -136,8 +146,21 @@ def _eval_masks(formula: PropFormula, env: Mapping[str, int], full: int) -> int:
             values.append(env[f.name])
         elif cls is Const:
             values.append(full if f.value else 0)
-        elif cls not in PROPOSITIONAL:
-            raise TypeError(f"not a propositional formula: {f!r}")
+        elif cls not in kinds:
+            raise TypeError(f"not a {'relational' if domain else 'propositional'} formula: {f!r}")
+        elif cls is RAtom:
+            values.append(env[f.predicate, tuple(map(binds.__getitem__, f.indices))])
+        elif cls is Quant:  # a left fold over the elements: Pi of products, Sigma of sums
+            pi = f.kind == PI
+            if done > 1:
+                side = values.pop()
+                values[-1] = values[-1] & side if pi else values[-1] | side
+            if done:  # the next side counts only where the fold so far does not decide
+                care &= values[-1] if pi else full ^ values[-1]
+            if done == domain or not care:  # all folded, or decided on every row it reaches
+                continue
+            binds[f.var] = done
+            todo += ((f, care, done + 1), (f.body, care, 0))
         elif done == 0:
             todo += ((f, care, 1), (SUBFORMULAS[cls](f)[0], care, 0))
         elif cls is Neg:
@@ -174,10 +197,9 @@ def _row_assignment(names: tuple[str, ...], row: int) -> dict[str, bool]:
     return {name: not row >> (last - i) & 1 for i, name in enumerate(names)}
 
 
-def _first_row(
-    names: tuple[str, ...], hits: Callable[[dict[str, int], int], int]
-) -> Optional[dict[str, bool]]:
-    """Assignment of the first row (canonical order) set in `hits(env, full)`.
+def _first_row(names: tuple, hits: Callable[[dict, int], int]) -> Optional[dict]:
+    """Assignment of the first row (canonical order) set in `hits(env, full)`
+    over `names`, variables or the cells of a model search.
 
     Rows go in blocks of 2^BLOCK_BITS: the fastest-varying variables are row
     masks within a block and the others are constant across it, so the scan

@@ -187,6 +187,15 @@ def test_scan_at_ten_thousand_terms():
                           f"extend {n} -> {n + 1}: {everywhere[n + 1]}\n" for n in (1, 2))
 
 
+def test_scan_bounds_the_extension_before_it_is_built():
+    """The one model of size 1 would be checked at size 2 on 2^40 atom
+    occurrences; the scan exits 3 at once instead."""
+    text = "".join(f"Pi x{i} . " for i in range(40)) + "p(x0)"
+    assert run("scan", "--max-size", "1", text) == (
+        3, "", "limit exceeded: extension to size 2: expansion needs more than 65,536 "
+        "atom occurrences\n")
+
+
 def test_herbrand_scan_at_ten_thousand_terms():
     terms = ["p(i)", "~p(i)"] * (TERMS // 2)
     code, out, err = run("scan", "--herbrand", "--max-size", "2", "-",

@@ -2,7 +2,8 @@
 
 Every fast path is checked row by row against tests/helpers.ref_eval or
 ref_tri_eval.  The wide cases have 11-13 variables, so they cross the
-2^BLOCK_BITS-row blocks the counterexample search scans in.
+2^BLOCK_BITS-row blocks the counterexample search scans in.  On relational
+formulas the engine is checked against itself on the formula's expansion.
 """
 
 import itertools
@@ -13,18 +14,21 @@ import pytest
 from illation import truth
 from illation.errors import LimitExceededError, MissingVariableError
 from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var, free_vars
-from illation.quantifiers import herbrand_scan
+from illation.quantifiers import atom_name, expand, herbrand_scan
 from illation.relsyntax import parse_relational
 from illation.trivalent import L, F, V, tri_table
 from illation.truth import (
     BLOCK_BITS,
     anf,
     find_counterexample,
+    row_masks,
     semantic_difference,
     table_over,
 )
 
-from helpers import all_envs, random_formula, ref_eval, ref_tri_eval
+from helpers import (
+    all_envs, interpretation_cells, random_closed_formula, random_formula, ref_eval, ref_tri_eval,
+)
 
 NAMES = "abcdefghijklm"
 # Conn16 columns that depend on both sides (not constant, not a projection)
@@ -182,9 +186,9 @@ def _count_block_evaluations(monkeypatch):
     calls = []
     evaluate = truth._eval_masks
 
-    def counted(formula, env, full):
+    def counted(formula, env, full, domain=None):
         calls.append(full.bit_length())
-        return evaluate(formula, env, full)
+        return evaluate(formula, env, full, domain)
 
     monkeypatch.setattr(truth, "_eval_masks", counted)
     return calls
@@ -215,3 +219,26 @@ def test_herbrand_scan_follows_the_atom_budget_past_sixteen():
     assert herbrand_scan(some_p, 18, max_atoms=18) is None
     with pytest.raises(LimitExceededError):
         herbrand_scan(some_p, 18, max_atoms=16)
+
+
+def test_relational_masks_match_the_expansion_on_every_block():
+    """Pi and Sigma folded by the engine against the expansion they fold to,
+    on each block of rows the model search would scan (up to 12 cells at
+    n = 3, so up to 4 blocks)."""
+    rng = random.Random(1883)
+    for n, count in ((1, 40), (2, 40), (3, 12)):
+        for _ in range(count):
+            f = random_closed_formula(rng, 5, {"p": 1, "l": 2})
+            expansion = expand(f, n)
+            cells = interpretation_cells(f, n)
+            low = min(len(cells), BLOCK_BITS)
+            high = len(cells) - low
+            full = (1 << (1 << low)) - 1
+            env = dict(zip(cells[high:], row_masks(low)))
+            for block in range(1 << high):
+                for i, cell in enumerate(cells[:high]):
+                    env[cell] = full if block >> i & 1 else 0
+                atoms = {atom_name(*cell): mask for cell, mask in env.items()}
+                assert truth._eval_masks(f, env, full, n) == truth._eval_masks(
+                    expansion, atoms, full
+                ), (f, n, block)

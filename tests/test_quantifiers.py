@@ -213,6 +213,21 @@ def test_extend_model_chain_up():
         assert eval_in(LOVES, w) is True
 
 
+def test_extension_is_bounded_before_it_is_built(monkeypatch):
+    deep = parse_relational("".join(f"Pi x{i} . " for i in range(40)) + "p(x0)")
+    message = r"^extension to size 2: expansion needs more than 65,536 atom occurrences$"
+    with pytest.raises(LimitExceededError, match=message):
+        sat_scan(deep, 1)
+    with pytest.raises(LimitExceededError, match=message):
+        extend_model(deep, Structure(1, {"p": (1, frozenset({(0,)}))}))
+    # the bound is the expansion's at n + 1: 2^3 = 8 occurrences pass, 3^3 do not
+    monkeypatch.setattr(quantifiers, "MAX_EXPANSION_LEAVES", 8)
+    three = parse_relational("Pi i . Pi j . Pi k . p(i)")
+    assert extend_model(three, sat_search(three, 1)).domain_size == 2
+    with pytest.raises(LimitExceededError, match="^extension to size 3: .* more than 8 atom"):
+        sat_scan(three, 2)
+
+
 def test_extend_model_rejects_non_witness():
     with pytest.raises(ValueError):
         extend_model(SELF_LOVE, _structure(1, []))

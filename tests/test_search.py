@@ -77,14 +77,14 @@ def test_model_at_the_all_absent_structure_costs_one_block(monkeypatch):
     assert sat_search(parse_relational("Pi i . Pi j . l(i,j) > l(i,j)"), 4) == Structure(
         4, {"l": (2, frozenset())}
     )
-    assert calls == [2**BLOCK_BITS]
+    assert calls == [2**BLOCK_BITS, 1]  # the block, then eval_in's check of the model
 
 
 def test_last_structure_and_no_model_scan_every_block(monkeypatch):
     calls = _count_block_evaluations(monkeypatch)
     every = sat_search(parse_relational("Pi i . Pi j . l(i,j)"), 4)
     assert every.predicates["l"][1] == frozenset((i, j) for i in range(4) for j in range(4))
-    assert calls == [2**BLOCK_BITS] * 2 ** (16 - BLOCK_BITS)
+    assert calls == [2**BLOCK_BITS] * 2 ** (16 - BLOCK_BITS) + [1]
     calls.clear()
     assert sat_search(parse_relational("Sum i . Sum j . l(i,j) & ~l(i,j)"), 4) is None
     assert calls == [2**BLOCK_BITS] * 2 ** (16 - BLOCK_BITS)
