@@ -152,15 +152,22 @@ class Quant(RelFormula):
             raise ValueError(f"quantifier kind must be {PI!r} or {SIGMA!r}")
 
 
+_UNBIND = object()  # on `ensure_closed`'s stack above an index whose scope ends
+
+
 def ensure_closed(formula: RelFormula) -> None:
     """Reject free or shadowed index variables.
 
     Every atom index must be bound by exactly one enclosing quantifier;
     the public relational operations only accept closed formulas.
     """
-    todo = [(formula, frozenset())]
+    bound: set[str] = set()  # the indices of the quantifiers above the node
+    todo: list = [formula]
     while todo:
-        f, bound = todo.pop()
+        f = todo.pop()
+        if f is _UNBIND:
+            bound.remove(todo.pop())
+            continue
         cls = type(f)
         if cls is RAtom:
             for ix in f.indices:
@@ -172,8 +179,9 @@ def ensure_closed(formula: RelFormula) -> None:
         if cls is Quant:
             if f.var in bound:
                 raise ValueError(f"index variable shadowed: {f.var!r}")
-            bound = bound | {f.var}
-        todo += [(g, bound) for g in SUBFORMULAS[cls](f)[::-1]]
+            bound.add(f.var)
+            todo += (f.var, _UNBIND)
+        todo += SUBFORMULAS[cls](f)[::-1]
 
 
 def predicate_signature(formula: RelFormula) -> dict[str, int]:

@@ -18,14 +18,14 @@ notation itself would have it.
 
 ASCII layout: the stroke is drawn with `-`, a branch point with `+`, the
 descending stroke with `|`, and the negation nub as a `|` run inline into
-the horizontal stroke.  The SVG rendering is derived cell-by-cell from the
-same grid (12px columns, 18px rows, stroke at mid-row) and uses only line,
-text, and g elements.
+the horizontal stroke.  The SVG rendering draws the same grid (12px
+columns, 18px rows, stroke at mid-row), one or two line elements per stroke
+cell, each cut from text built once per column, and uses only line, text,
+and g elements.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterator
 
 from .formulas import SUBFORMULAS, Claw, Const, Neg, Prod, PropFormula, Sum, Var, free_vars
@@ -35,7 +35,6 @@ _CELL_W = 12
 _CELL_H = 18
 _NUB_DEPTH = 7  # px the negation nub descends below the stroke
 _STROKE = 1.5
-_RUN = re.compile(r"[^ ]+")  # the SVG is drawn from the non-blank runs of the grid
 
 
 def _escape(text: str) -> str:
@@ -117,7 +116,15 @@ def spine_branch_count(f: PropFormula) -> int:
 
 
 def _svg_rows(f: PropFormula) -> Iterator[str]:
-    """The SVG document, one grid row's elements at a time."""
+    """The SVG document, one grid row's elements at a time.
+
+    A cell's elements are cut from text built once per column, in which
+    `\\1`-`\\4` stand for the row's top, stroke, bottom and nub-end y.  No
+    blank cell is visited: the descending strokes are a stack, as the
+    indent of `_lines` is; a branch line draws the open ones, and a label
+    line below the top one ends the innermost at the `+` before its first
+    `-`, past which no cell continues a stroke and each `+` opens one.
+    """
     grid = list(_lines(f))
     width = max(len(line) for line in grid) * _CELL_W + _CELL_W
     height = len(grid) * _CELL_H
@@ -127,34 +134,38 @@ def _svg_rows(f: PropFormula) -> Iterator[str]:
         f'<g stroke="currentColor" stroke-width="{_STROKE}" '
         'font-family="monospace" font-size="12">'
     )
-    above = ""
+    across, down, corner, branch, nub = [], [], [], [], []
+    for x in range(0, width, _CELL_W):
+        cx = x + _CELL_W // 2
+        stroke = f'<line x1="{x}" y1="\2" x2="{x + _CELL_W}" y2="\2"/>'
+        across.append(stroke)
+        down.append(f'<line x1="{cx}" y1="\1" x2="{cx}" y2="\3"/>')
+        corner.append(f'{stroke}\n<line x1="{cx}" y1="\1" x2="{cx}" y2="\2"/>')
+        branch.append(f'{stroke}\n<line x1="{cx}" y1="\2" x2="{cx}" y2="\3"/>')
+        nub.append(f'{stroke}\n<line x1="{cx}" y1="\2" x2="{cx}" y2="\4"/>')
+    fresh = {"-": across, "+": branch, "|": nub}  # cells with no stroke from above
+    descending: list[str] = []  # the open descending strokes, left to right
     for r, line in enumerate(grid):
-        top, mid, bottom = r * _CELL_H, r * _CELL_H + _CELL_H // 2, (r + 1) * _CELL_H
-        strokes, label = [], []
-        for run in _RUN.finditer(line):
-            for c, ch in enumerate(run.group(), run.start()):
-                x0, x1 = c * _CELL_W, (c + 1) * _CELL_W
-                cx = x0 + _CELL_W // 2
-                if ch not in "-+|":  # an atom label, which ends its line
-                    label.append(
-                        f'<text x="{x0}" y="{mid + 4}" stroke="none" '
-                        f'fill="currentColor">{_escape(line[c : run.end()])}</text>'
-                    )
-                    break
-                from_above = c < len(above) and above[c] in "+|"
-                if ch != "|" or not from_above:  # the horizontal stroke
-                    strokes.append((x0, mid, x1, mid))
+        top, mid = r * _CELL_H, r * _CELL_H + _CELL_H // 2
+        start = line.find("-")
+        if start < 0:  # a branch line
+            parts, label = descending, ""
+        else:
+            cells, _, label = line.rpartition(" ")
+            parts = descending.copy()
+            if start:  # the corner where the innermost stroke ends
+                descending.pop()
+                parts[-1] = corner[start - 1]
+            for c, ch in enumerate(cells[start:], start):
+                parts.append(fresh[ch][c])
                 if ch == "+":
-                    # a branch-end corner, where the descending stroke arrives
-                    # from above, or a spine branch point, where it leaves
-                    strokes.append((cx, top, cx, mid) if from_above else (cx, mid, cx, bottom))
-                elif ch == "|":
-                    # the descending stroke, or a negation nub inline in the stroke
-                    strokes.append((cx, top, cx, bottom) if from_above
-                                   else (cx, mid, cx, mid + _NUB_DEPTH))
-        above = line
-        yield "\n".join([f'<line x1="{x}" y1="{y}" x2="{u}" y2="{v}"/>'
-                          for x, y, u, v in strokes] + label)
+                    descending.append(down[c])
+        row = ("\n".join(parts).replace("\1", str(top)).replace("\2", str(mid))
+               .replace("\3", str(top + _CELL_H)).replace("\4", str(mid + _NUB_DEPTH)))
+        if label:
+            row += (f'\n<text x="{(len(line) - len(label)) * _CELL_W}" y="{mid + 4}" '
+                    f'stroke="none" fill="currentColor">{_escape(label)}</text>')
+        yield row
     yield "</g>\n</svg>"
 
 

@@ -173,31 +173,38 @@ def expand(formula: RelFormula, n: int, max_atoms: Optional[int] = None) -> Prop
     if n > limit:  # each atom's index is bound, so it expands to n or more atoms
         raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
     _check_leaves(formula, n)
-    seen: dict[str, Var] = {}  # one Var per atom name
+    seen: dict[tuple, Var] = {}  # one Var per cell (predicate, elements)
+    # A closed formula binds no index twice on a path, so one dict serves:
+    # a `(var, element)` pair above each body copy on the stack binds it.
+    binds: dict[str, int] = {}
     # The expansion in prefix order: each atom as its variable, each
     # quantifier as the n - 1 sums or products of its left fold followed by
     # its body once per element, in index order.
     tokens: list = []
-    todo: list = [(formula, {})]
+    todo: list = [formula]
     while todo:
-        f, env = todo.pop()
+        f = todo.pop()
         cls = type(f)
         if cls is RAtom:
-            name = atom_name(f.predicate, tuple(env[ix] for ix in f.indices))
-            if name not in seen:
-                seen[name] = Var(name)
+            cell = (f.predicate, tuple(map(binds.__getitem__, f.indices)))
+            atom = seen.get(cell)
+            if atom is None:
+                atom = seen[cell] = Var(atom_name(*cell))
                 if len(seen) > limit:
                     raise LimitExceededError(
                         f"expansion needs more than {limit} distinct atoms"
                     )
-            tokens.append(seen[name])
+            tokens.append(atom)
+        elif cls is tuple:
+            binds[f[0]] = f[1]
         elif cls is Quant:
             (body,) = SUBFORMULAS[cls](f)
             tokens += [Prod if f.kind == PI else Sum] * (n - 1)
-            todo += [(body, {**env, f.var: d}) for d in reversed(range(n))]
+            for d in reversed(range(n)):
+                todo += (body, (f.var, d))
         else:
             tokens.append(cls)
-            todo += [(g, env) for g in SUBFORMULAS[cls](f)[::-1]]
+            todo += SUBFORMULAS[cls](f)[::-1]
     return from_prefix(tokens)
 
 

@@ -6,9 +6,11 @@ these helpers are genuine cross-checks rather than mirrors.
 """
 
 import itertools
+import re
 import sys
 from collections import deque, namedtuple
 from contextlib import contextmanager
+from xml.sax.saxutils import escape
 
 from illation.arithmetic import AxiomVerdict, HFAtom, _succ
 from illation.errors import LimitExceededError, MissingVariableError
@@ -25,6 +27,7 @@ from illation.formulas import (
     Quant,
     RAtom,
     RClaw,
+    RELATIONAL,
     RNeg,
     RProd,
     RSum,
@@ -34,10 +37,12 @@ from illation.formulas import (
     Var,
     ensure_closed,
     free_vars,
+    from_prefix,
     predicate_signature,
 )
+from illation.frege import _CELL_H, _CELL_W, _NUB_DEPTH, _STROKE
 from illation.notations import Notation, ParseError
-from illation.quantifiers import Structure
+from illation.quantifiers import Structure, _check_leaves, atom_name, max_atoms_limit
 from illation.trivalent import UnsupportedConnectiveError, tri_and, tri_neg, tri_or
 from illation.truth import (
     _DECIDING,
@@ -155,6 +160,66 @@ def ref_eval_in(formula, s):
         raise TypeError(f"not a relational formula: {f!r}")
 
     return go(formula, {})
+
+
+def ref_ensure_closed(formula):
+    """Reject free or shadowed index variables, each node carrying its own
+    set of the indices bound above it: the check before one shared set."""
+    todo = [(formula, frozenset())]
+    while todo:
+        f, bound = todo.pop()
+        cls = type(f)
+        if cls is RAtom:
+            for ix in f.indices:
+                if ix not in bound:
+                    raise ValueError(f"free index variable: {ix!r}")
+            continue
+        if cls not in RELATIONAL:
+            raise TypeError(f"not a relational formula: {f!r}")
+        if cls is Quant:
+            if f.var in bound:
+                raise ValueError(f"index variable shadowed: {f.var!r}")
+            bound = bound | {f.var}
+        todo += [(g, bound) for g in SUBFORMULAS[cls](f)[::-1]]
+
+
+def ref_expand(formula, n, max_atoms=None):
+    """Quantifiers eliminated over a domain of size n, each body copy with
+    its own dict of index bindings and each atom named per occurrence: the
+    expansion before one shared dict."""
+    if n < 1:
+        raise ValueError("domain must have at least one element")
+    ref_ensure_closed(formula)
+    limit = max_atoms_limit(max_atoms)
+    if n > limit:  # each atom's index is bound, so it expands to n or more atoms
+        raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
+    _check_leaves(formula, n)
+    seen = {}  # one Var per atom name
+    # The expansion in prefix order: each atom as its variable, each
+    # quantifier as the n - 1 sums or products of its left fold followed by
+    # its body once per element, in index order.
+    tokens = []
+    todo = [(formula, {})]
+    while todo:
+        f, env = todo.pop()
+        cls = type(f)
+        if cls is RAtom:
+            name = atom_name(f.predicate, tuple(env[ix] for ix in f.indices))
+            if name not in seen:
+                seen[name] = Var(name)
+                if len(seen) > limit:
+                    raise LimitExceededError(
+                        f"expansion needs more than {limit} distinct atoms"
+                    )
+            tokens.append(seen[name])
+        elif cls is Quant:
+            (body,) = SUBFORMULAS[cls](f)
+            tokens += [Prod if f.kind == PI else Sum] * (n - 1)
+            todo += [(body, {**env, f.var: d}) for d in reversed(range(n))]
+        else:
+            tokens.append(cls)
+            todo += [(g, env) for g in SUBFORMULAS[cls](f)[::-1]]
+    return from_prefix(tokens)
 
 
 def all_envs(names):
@@ -712,3 +777,51 @@ def ref_frege_lines(f):
         head.append("-+")
         indent.append(" |")
         todo += (_DEDENT, antecedent, _BRANCH, consequent)
+
+
+_RUN = re.compile(r"[^ ]+")  # the SVG is drawn from the non-blank runs of the grid
+
+
+def ref_svg_rows(lines):
+    """The SVG document of a Frege drawing, one grid row's elements at a
+    time, each cell's elements formatted from its coordinates and from the
+    cell above it: the renderer before rows were cut from per-column
+    fragments."""
+    grid = list(lines)
+    width = max(len(line) for line in grid) * _CELL_W + _CELL_W
+    height = len(grid) * _CELL_H
+    yield (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<g stroke="currentColor" stroke-width="{_STROKE}" '
+        'font-family="monospace" font-size="12">'
+    )
+    above = ""
+    for r, line in enumerate(grid):
+        top, mid, bottom = r * _CELL_H, r * _CELL_H + _CELL_H // 2, (r + 1) * _CELL_H
+        strokes, label = [], []
+        for run in _RUN.finditer(line):
+            for c, ch in enumerate(run.group(), run.start()):
+                x0, x1 = c * _CELL_W, (c + 1) * _CELL_W
+                cx = x0 + _CELL_W // 2
+                if ch not in "-+|":  # an atom label, which ends its line
+                    label.append(
+                        f'<text x="{x0}" y="{mid + 4}" stroke="none" '
+                        f'fill="currentColor">{escape(line[c : run.end()])}</text>'
+                    )
+                    break
+                from_above = c < len(above) and above[c] in "+|"
+                if ch != "|" or not from_above:  # the horizontal stroke
+                    strokes.append((x0, mid, x1, mid))
+                if ch == "+":
+                    # a branch-end corner, where the descending stroke arrives
+                    # from above, or a spine branch point, where it leaves
+                    strokes.append((cx, top, cx, mid) if from_above else (cx, mid, cx, bottom))
+                elif ch == "|":
+                    # the descending stroke, or a negation nub inline in the stroke
+                    strokes.append((cx, top, cx, bottom) if from_above
+                                   else (cx, mid, cx, mid + _NUB_DEPTH))
+        above = line
+        yield "\n".join([f'<line x1="{x}" y1="{y}" x2="{u}" y2="{v}"/>'
+                          for x, y, u, v in strokes] + label)
+    yield "</g>\n</svg>"

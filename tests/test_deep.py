@@ -177,6 +177,14 @@ def test_sat_at_ten_thousand_negated_brackets(negations):
     assert (code, out, err) == (0, unary_model(1, {"p": holds}) + "\n", "")
 
 
+def test_sat_under_twenty_thousand_nested_quantifiers():
+    """The closedness check keeps one set of bound indices, not a copy per
+    quantifier, so it takes linear time at this depth."""
+    text = "".join(f"Pi x{i} . " for i in range(2 * DEPTH)) + "p(x0)"
+    code, out, err = run("sat", "--domain", "1", "-", stdin=text)
+    assert (code, out, err) == (0, unary_model(1, {"p": [0]}) + "\n", "")
+
+
 def test_scan_at_ten_thousand_terms():
     text = "Pi i . " + " & ".join(f"{p}(i)" for p in "pq" * (TERMS // 2))
     code, out, err = run("scan", "--max-size", "2", "-", stdin=text)

@@ -16,14 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from illation import frege
+from illation.errors import LimitExceededError
 from illation.formulas import PI, SIGMA, Claw, Conn16, Const, Neg, Prod, Quant, RAtom, Sum, Var
-from illation.formulas import free_vars, substitute
+from illation.formulas import ensure_closed, free_vars, substitute
 from illation.notations import Notation, parse, print_formula
 from illation.quantifiers import Structure, assignment_from_structure, eval_in, expand
 from illation.truth import eval2, table_over
 
 from helpers import (
-    all_envs, random_closed_formula, ref_eval, ref_eval_in, ref_frege_lines, shallow_stack,
+    all_envs, random_closed_formula, ref_ensure_closed, ref_eval, ref_eval_in, ref_expand,
+    ref_frege_lines, ref_svg_rows, shallow_stack,
 )
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -86,12 +88,9 @@ def test_print_parse_round_trip_with_constants(f):
 def test_the_frege_drawing_matches_the_joined_prefixes(f):
     with shallow_stack():
         ascii_lines, svg = list(frege._lines(f)), frege.render_svg(f)
-    assert ascii_lines == list(ref_frege_lines(f))
-    saved, frege._lines = frege._lines, ref_frege_lines
-    try:
-        assert svg == frege.render_svg(f)
-    finally:
-        frege._lines = saved
+    ref_lines = list(ref_frege_lines(f))
+    assert ascii_lines == ref_lines
+    assert svg == "\n".join(ref_svg_rows(ref_lines))
 
 
 @PROPERTIES
@@ -129,6 +128,56 @@ def relational():
         _closed, st.lists(atom, min_size=n, max_size=n),
         st.lists(st.sampled_from(BINARY), min_size=n, max_size=n),
         st.lists(st.booleans(), min_size=n, max_size=n), st.booleans()))
+
+
+def _bound(f, names):
+    return reduce(lambda body, name: Quant(PI, name, body), names, f)
+
+
+def indexed():
+    """Relational trees whose atoms and quantifiers each take any of three
+    indices, and chains of up to 100 of them, under up to three more
+    quantifiers: free, shadowed and reused indices all occur."""
+    index = st.sampled_from("ijk")
+    atom = st.builds(lambda p, ixs: RAtom(p, tuple(ixs)), st.sampled_from("pq"),
+                     st.lists(index, min_size=1, max_size=2))
+
+    def extend(kids):
+        return (kids.map(Neg) | st.builds(Quant, st.sampled_from((PI, SIGMA)), index, kids)
+                | st.builds(lambda cls, left, right: cls(left, right),
+                            st.sampled_from(BINARY), kids, kids))
+
+    small = st.recursive(atom, extend, max_leaves=10)
+    chains = st.builds(_fold, st.lists(small, min_size=2, max_size=5).map(lambda p: p * 20),
+                       st.sampled_from(BINARY), st.booleans())
+    return st.builds(_bound, small | chains, st.lists(index, max_size=3))
+
+
+def _outcome(check, *args):
+    """What `check` returned, or the type and text of what it raised."""
+    try:
+        return check(*args)
+    except (TypeError, ValueError, LimitExceededError) as err:
+        return type(err), str(err)
+
+
+@PROPERTIES
+@given(indexed())
+def test_ensure_closed_raises_what_the_copying_check_raised(f):
+    with shallow_stack():
+        got = _outcome(ensure_closed, f)
+    assert got == _outcome(ref_ensure_closed, f)
+
+
+@PROPERTIES
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 30))
+def test_expand_matches_the_expansion_with_bindings_per_copy(seed, n, max_atoms):
+    """Random closed formulas, where sibling quantifiers often reuse an
+    index; a small atom limit makes some expansions fail part way."""
+    f = random_closed_formula(random.Random(seed), 6, {"p": 1, "l": 2})
+    with shallow_stack():
+        got = _outcome(expand, f, n, max_atoms)
+    assert got == _outcome(ref_expand, f, n, max_atoms)
 
 
 @PROPERTIES

@@ -44,7 +44,7 @@ from illation.quantifiers import (
 )
 from illation.relsyntax import parse_relational
 
-from helpers import ref_eval
+from helpers import ref_eval, ref_expand
 
 LOVES = parse_relational("Pi i . Sum j . l(i,j)")
 SOME_LOVES = parse_relational("Sum i . Sum j . l(i,j)")
@@ -137,6 +137,13 @@ def test_expand_makes_one_var_per_atom_name():
     atoms = [f for f in walk(expand(parse_relational("Pi i . p(i) & (Sum j . p(j))"), 3))
              if type(f) is Var]
     assert len(atoms) == 3 + 3 * 3 and len({id(f) for f in atoms}) == 3
+
+
+def test_expand_rebinds_an_index_that_sibling_quantifiers_share():
+    f = parse_relational("(Pi i . p(i)) & (Pi i . q(i)) & (Sum j . Pi i . l(i,j))")
+    assert expand(f, 2) == ref_expand(f, 2)
+    assert expand(parse_relational("(Pi i . p(i)) & (Pi i . q(i))"), 2) == Prod(
+        Prod(Var("p_0"), Var("p_1")), Prod(Var("q_0"), Var("q_1")))
 
 
 def test_eval_in_examples():
