@@ -138,13 +138,6 @@ def atom_name(predicate: str, elements: tuple[int, ...]) -> str:
     return predicate + "".join(f"_{e}" for e in elements)
 
 
-def decode_atom(name: str) -> tuple[str, tuple[int, ...]]:
-    head, *tail = name.split("_")
-    if not tail:
-        raise ValueError(f"{name!r} is not an expansion atom")
-    return head, tuple(int(piece) for piece in tail)
-
-
 def _check_leaves(formula: RelFormula, n: int) -> None:
     """Refuse an expansion over n elements of more than MAX_EXPANSION_LEAVES
     atom occurrences; the row engine reads as many, so it bounds it too."""
@@ -164,15 +157,22 @@ def _check_leaves(formula: RelFormula, n: int) -> None:
             )
 
 
-def expand(formula: RelFormula, n: int, max_atoms: Optional[int] = None) -> PropFormula:
-    """Eliminate quantifiers over a domain of size n by sum/product folding."""
+def _expansion(formula: RelFormula, n: int, max_atoms: Optional[int]) -> tuple[list, tuple]:
+    """The expansion over a domain of size n in prefix order, and the cells
+    (predicate, elements) it reads, in the order it first reads them.
+
+    The one walk over an expansion's cells, and the one check of the atom
+    budget: at most `max_atoms` distinct cells, each one atom of `expand`
+    and one cell that `sat_search` enumerates.
+    """
     if n < 1:
         raise ValueError("domain must have at least one element")
     ensure_closed(formula)
     limit = max_atoms_limit(max_atoms)
-    if n > limit:  # each atom's index is bound, so it expands to n or more atoms
-        raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
-    _check_leaves(formula, n)
+    todo: list = []
+    if n <= limit:  # each atom's index is bound, so it expands to n or more atoms
+        _check_leaves(formula, n)
+        todo.append(formula)
     seen: dict[tuple, Var] = {}  # one Var per cell (predicate, elements)
     # A closed formula binds no index twice on a path, so one dict serves:
     # a `(var, element)` pair above each body copy on the stack binds it.
@@ -181,7 +181,6 @@ def expand(formula: RelFormula, n: int, max_atoms: Optional[int] = None) -> Prop
     # quantifier as the n - 1 sums or products of its left fold followed by
     # its body once per element, in index order.
     tokens: list = []
-    todo: list = [formula]
     while todo:
         f = todo.pop()
         cls = type(f)
@@ -191,9 +190,7 @@ def expand(formula: RelFormula, n: int, max_atoms: Optional[int] = None) -> Prop
             if atom is None:
                 atom = seen[cell] = Var(atom_name(*cell))
                 if len(seen) > limit:
-                    raise LimitExceededError(
-                        f"expansion needs more than {limit} distinct atoms"
-                    )
+                    break
             tokens.append(atom)
         elif cls is tuple:
             binds[f[0]] = f[1]
@@ -205,16 +202,14 @@ def expand(formula: RelFormula, n: int, max_atoms: Optional[int] = None) -> Prop
         else:
             tokens.append(cls)
             todo += SUBFORMULAS[cls](f)[::-1]
-    return from_prefix(tokens)
+    if n > limit or len(seen) > limit:
+        raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
+    return tokens, tuple(seen)
 
 
-def assignment_from_structure(s: Structure, variables: list[str]) -> dict[str, bool]:
-    """Read expansion atoms' truth values off a structure."""
-    out = {}
-    for name in variables:
-        predicate, elements = decode_atom(name)
-        out[name] = s.holds(predicate, elements)
-    return out
+def expand(formula: RelFormula, n: int, max_atoms: Optional[int] = None) -> PropFormula:
+    """Eliminate quantifiers over a domain of size n by sum/product folding."""
+    return from_prefix(_expansion(formula, n, max_atoms)[0])
 
 
 # --- evaluation and search ---------------------------------------------------
@@ -250,20 +245,15 @@ def sat_search(
     Order: predicates in first-use order, tuples lexicographic, absent before
     present, first cell slowest: the truth-table row order of the cells, each
     bound to the complement of its row mask, which the row engine evaluates
-    the formula on, a block at a time.  The model is checked with eval_in on
-    the same engine, so the check catches a wrong decoding of the row.
+    the formula on, a block at a time.  Only the cells the expansion reads
+    are enumerated: the others never change the formula's value, so they are
+    absent in the first model of the full order too.  The model is checked
+    with eval_in on the same engine, so the check catches a wrong decoding
+    of the row.
     """
-    if n < 1:
-        raise ValueError("domain must have at least one element")
-    ensure_closed(formula)
-    limit = max_atoms_limit(max_atoms)
     signature = predicate_signature(formula)
-    count = sum(n**arity for arity in signature.values())
-    if count > limit:
-        raise LimitExceededError(f"{count} interpretation cells exceed the limit of {limit}")
-    _check_leaves(formula, n)
-    cells = tuple((name, row) for name, arity in signature.items()
-                  for row in product(range(n), repeat=arity))
+    rank = {name: i for i, name in enumerate(signature)}
+    cells = sorted(_expansion(formula, n, max_atoms)[1], key=lambda c: (rank[c[0]], c[1]))
     found = truth._first_row(cells, lambda env, full: truth._eval_masks(
         formula, {cell: full ^ mask for cell, mask in env.items()}, full, n))
     if found is None:
@@ -329,14 +319,15 @@ def sat_scan(
 def herbrand_scan(
     formula: RelFormula, max_size: int, max_atoms: Optional[int] = None
 ) -> Optional[tuple[int, PropFormula]]:
-    """Least domain size whose expansion is a propositional tautology."""
+    """Least domain size whose expansion is a propositional tautology: the
+    first at which the negation has no model, found over the cells it reads."""
     for size in range(1, max_size + 1):
         try:
-            expansion = expand(formula, size, max_atoms)
+            refuted = sat_search(Neg(formula), size, max_atoms) is None
         except LimitExceededError as err:
             raise LimitExceededError(f"size {size}: {err}") from None
-        if truth.find_counterexample(expansion) is None:
-            return size, expansion
+        if refuted:
+            return size, expand(formula, size, max_atoms)
     return None
 
 

@@ -371,6 +371,9 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
     ]
     best, best_trace = (float("inf"), 0), ()  # (len(trace), branchings) of best_trace
     least, least_assignment = None, {}  # the key and assignment of the least completion
+    # A completion's key has bit rank[name] set where it assigns f, the first
+    # variable highest, so keys order completions as their rows do.
+    rank = {name: i for i, name in enumerate(reversed(order))}
     states = 0
 
     while stack:
@@ -412,7 +415,7 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
             else:
                 raise TypeError(f"not a propositional formula: {node!r}")
         else:  # an open branch: its completion sets the unforced variables v
-            key = tuple(not assignment.get(name, True) for name in order)
+            key = sum(1 << rank[name] for name, value in assignment.items() if not value)
             if least is None or key < least:
                 least, least_assignment = key, assignment
             continue

@@ -222,6 +222,29 @@ def ref_expand(formula, n, max_atoms=None):
     return from_prefix(tokens)
 
 
+def ref_herbrand_scan(formula, max_size, max_atoms=None):
+    """Least domain size whose expansion is a tautology, each size expanded
+    and every row of its expansion evaluated: the scan before it searched
+    the negation's models over the cells it reads."""
+    for size in range(1, max_size + 1):
+        try:
+            expansion = ref_expand(formula, size, max_atoms)
+        except LimitExceededError as err:
+            raise LimitExceededError(f"size {size}: {err}") from None
+        if all(ref_eval(expansion, env) for env in all_envs(free_vars(expansion))):
+            return size, expansion
+    return None
+
+
+def expansion_env(s, names):
+    """The truth in structure s of each expansion atom in `names`, every
+    cell of s named by `atom_name`."""
+    values = {atom_name(name, row): row in rows
+              for name, (arity, rows) in s.predicates.items()
+              for row in itertools.product(range(s.domain_size), repeat=arity)}
+    return {name: values[name] for name in names}
+
+
 def all_envs(names):
     for bits in itertools.product((True, False), repeat=len(names)):
         yield dict(zip(names, bits))

@@ -28,7 +28,6 @@ from illation.formulas import (
 from illation.notations import Notation, parse
 from illation.quantifiers import (
     aeio,
-    assignment_from_structure,
     eval_in,
     expand,
     extend_model,
@@ -50,7 +49,7 @@ from illation.truth import (
     xframe,
 )
 
-from helpers import formulas_up_to_depth, ref_eval
+from helpers import expansion_env, formulas_up_to_depth, ref_eval
 
 
 def _report(number, label, ok):
@@ -197,7 +196,7 @@ def test_criterion_06_expansion_matches_direct_evaluation():
             exp = expand(f, n)
             names = free_vars(exp)
             for s in _all_structures(n, signature):
-                env = assignment_from_structure(s, names)
+                env = expansion_env(s, names)
                 checks += 1
                 if ref_eval(exp, env) != eval_in(f, s):
                     mismatches += 1

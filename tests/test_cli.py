@@ -347,7 +347,8 @@ def test_sat_cell_limit_exits_3_before_building_cells():
         capture_output=True, text=True, timeout=10,
     )
     assert (r.returncode, r.stdout) == (3, "")
-    assert r.stderr == "limit exceeded: 27000000000 interpretation cells exceed the limit of 16\n"
+    # a domain over the atom limit is refused before the formula is walked
+    assert r.stderr == "limit exceeded: expansion needs more than 16 distinct atoms\n"
 
 
 def test_axioms_rejects_a_string_carrier():

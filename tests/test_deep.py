@@ -93,6 +93,15 @@ def test_tautology_methods_at_ten_thousand_terms():
     assert out == "counterexample: " + " ".join(f"{n}=f" for n in NAMES) + "\n"
 
 
+def test_indirect_method_at_ten_thousand_variables():
+    """Above 16 variables the indirect method searches its branches, each
+    open one keyed in the time of its own assignment."""
+    names = [f"x_{i}" for i in range(TERMS)]
+    code, out, err = run("taut", "--method", "indirect", "-", stdin=" & ".join(names))
+    assert (code, err) == (1, "")
+    assert out == "counterexample: " + " ".join(f"{n}=v" for n in names[:-1]) + f" {names[-1]}=f\n"
+
+
 def test_anf_at_ten_thousand_terms():
     code, out, _ = run("anf", "-", stdin=chain("and", "peano-russell", leaves(TERMS)))
     assert (code, out) == (0, NAMES + "\n")

@@ -1,0 +1,54 @@
+"""The examples of the limits paragraph of docs/grammars.md, run in process.
+
+Each example's exit code is checked, and so is its one line of output,
+which must also appear word for word in the paragraph, so the contract and
+its description cannot drift apart.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from test_deep import run
+
+GRAMMARS = Path(__file__).resolve().parent.parent / "docs" / "grammars.md"
+FORTY = "".join(f"Pi x{i} . " for i in range(40)) + "p(x0)"
+
+# (argv, the command as the paragraph spells it, exit code, output line)
+EXAMPLES = {
+    "sat-reads-5-of-25-cells": (
+        ["sat", "--domain", "5", "Sum i . l(i,i)"], "sat --domain 5 'Sum i . l(i,i)'", 0,
+        '{"domain": 5, "predicates": {"l": {"arity": 2, "true": [[4, 4]]}}}'),
+    "domain-over-the-atom-limit": (
+        ["sat", "--domain", "17", "Sum i . l(i,i)"], "a domain larger than the limit", 3,
+        "limit exceeded: expansion needs more than 16 distinct atoms"),
+    "herbrand-arity-clash": (
+        ["scan", "--herbrand", "--max-size", "2", "Sum i . l(i) | ~l(i,i)"],
+        "scan --herbrand --max-size 2 'Sum i . l(i) | ~l(i,i)'", 2,
+        "error: predicate 'l' used with arities 1 and 2"),
+    "expand-6-quantifiers": (
+        ["expand", "--domain", "16", "Pi i . Pi j . Pi k . Pi l . Pi m . Pi o . p(i)"],
+        "expand --domain 16 'Pi i . Pi j . Pi k . Pi l . Pi m . Pi o . p(i)'", 3,
+        "limit exceeded: expansion needs more than 65,536 atom occurrences"),
+    "scan-40-quantifiers": (
+        ["scan", "--max-size", "1", FORTY],
+        "`scan --max-size 1` on `Pi x0 . Pi x1 . ... Pi x39 . p(x0)`", 3,
+        "limit exceeded: extension to size 2: expansion needs more than 65,536 atom "
+        "occurrences"),
+}
+
+
+def limits_paragraph():
+    text = GRAMMARS.read_text()
+    start = text.index("Limits:")
+    return " ".join(text[start:text.index("\n\n", start)].split())
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_limits_paragraph_examples_run_as_documented(name, monkeypatch):
+    monkeypatch.delenv("ILLATION_MAX_ATOMS", raising=False)
+    argv, spelled, code, line = EXAMPLES[name]
+    paragraph = limits_paragraph()
+    assert spelled in paragraph and line in paragraph
+    out, err = ("", line + "\n") if code else (line + "\n", "")
+    assert run(*argv) == (code, out, err)

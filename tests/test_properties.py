@@ -20,11 +20,12 @@ from illation.errors import LimitExceededError
 from illation.formulas import PI, SIGMA, Claw, Conn16, Const, Neg, Prod, Quant, RAtom, Sum, Var
 from illation.formulas import ensure_closed, free_vars, substitute
 from illation.notations import Notation, parse, print_formula
-from illation.quantifiers import Structure, assignment_from_structure, eval_in, expand
+from illation.quantifiers import Structure, eval_in, expand
 from illation.truth import eval2, table_over
 
 from helpers import (
-    all_envs, random_closed_formula, ref_ensure_closed, ref_eval, ref_eval_in, ref_expand,
+    all_envs, expansion_env, random_closed_formula, ref_ensure_closed, ref_eval, ref_eval_in,
+    ref_expand,
     ref_frege_lines, ref_svg_rows, shallow_stack,
 )
 
@@ -189,7 +190,7 @@ def test_expand_agrees_with_eval_in_on_every_structure(f, n):
     subsets = [frozenset((e,) for e in range(n) if bits >> e & 1) for bits in range(1 << n)]
     for p, q in itertools.product(subsets, repeat=2):
         s = Structure(n, {"p": (1, p), "q": (1, q)})
-        env = assignment_from_structure(s, names)
+        env = expansion_env(s, names)
         with shallow_stack():
             value = eval_in(f, s)
         assert ref_eval(expansion, env) == value

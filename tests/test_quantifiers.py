@@ -27,9 +27,7 @@ from illation.quantifiers import (
     DEFAULT_MAX_ATOMS,
     Structure,
     aeio,
-    assignment_from_structure,
     atom_name,
-    decode_atom,
     eval_in,
     expand,
     extend_model,
@@ -44,7 +42,7 @@ from illation.quantifiers import (
 )
 from illation.relsyntax import parse_relational
 
-from helpers import ref_eval, ref_expand
+from helpers import expansion_env, ref_eval, ref_expand
 
 LOVES = parse_relational("Pi i . Sum j . l(i,j)")
 SOME_LOVES = parse_relational("Sum i . Sum j . l(i,j)")
@@ -84,8 +82,6 @@ def test_parse_relational_errors():
 def test_atom_naming():
     assert atom_name("l", (0, 1)) == "l_0_1"
     assert atom_name("p", (3,)) == "p_3"
-    assert decode_atom("l_0_1") == ("l", (0, 1))
-    assert decode_atom("p_3") == ("p", (3,))
 
 
 def test_expand_examples():
@@ -178,7 +174,7 @@ def test_expansion_agrees_with_eval_in():
         for n in (1, 2):
             exp = expand(f, n)
             for s in _all_structures(n):
-                env = assignment_from_structure(s, free_vars(exp))
+                env = expansion_env(s, free_vars(exp))
                 assert ref_eval(exp, env) == eval_in(f, s), (f, n, s)
 
 

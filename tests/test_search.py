@@ -3,19 +3,28 @@
 sat_search and sat_scan are checked against the exhaustive search they
 replace (tests/helpers.ref_sat_search: every structure built in order and
 checked with eval_in), for block counts (early exit), and for the order
-and text of their errors.
+and text of their errors.  herbrand_scan, which searches the negation's
+models, is checked against the scan that expanded every size and evaluated
+every row of it (tests/helpers.ref_herbrand_scan).
 """
 
 import random
 
 import pytest
 
+from illation import quantifiers
 from illation.errors import LimitExceededError
-from illation.quantifiers import Structure, extend_model, sat_scan, sat_search
+from illation.formulas import free_vars
+from illation.quantifiers import (
+    Structure, expand, extend_model, herbrand_scan, sat_scan, sat_search,
+)
 from illation.relsyntax import parse_relational
 from illation.truth import BLOCK_BITS
 
-from helpers import interpretation_cells, random_closed_formula, ref_sat_search
+from helpers import (
+    RClaw, RNeg, RProd, RSum, interpretation_cells, random_closed_formula,
+    ref_herbrand_scan, ref_sat_search,
+)
 from test_engine import _count_block_evaluations
 
 # More than ten cells, each first model past the first 2^BLOCK_BITS structures.
@@ -46,6 +55,55 @@ def test_sat_search_matches_exhaustive_search_on_random_formulas():
             found += want is not None
             total += 1
     assert 0 < found < total  # both verdicts occur
+
+
+def test_sat_search_over_the_cells_read_matches_the_search_over_every_cell():
+    """Repeated indices (l(i,i)) and quantifiers that do not reach every
+    position leave cells unread; the search skips them and still finds the
+    model of the search over every cell, whose unread cells are absent."""
+    rng = random.Random(1879)
+    verdicts = set()
+    for n, count, signature in ((1, 20, {"p": 1, "l": 2, "r": 3}), (2, 20, {"p": 1, "r": 3}),
+                                (2, 10, {"l": 2, "r": 3}), (3, 15, {"l": 2})):
+        for _ in range(count):
+            f = RProd(random_closed_formula(rng, 4, signature),
+                      random_closed_formula(rng, 4, signature))
+            want = ref_sat_search(f, n)
+            assert sat_search(f, n) == want, (f, n)
+            if len(free_vars(expand(f, n, 64))) < len(interpretation_cells(f, n)):
+                verdicts.add(want is None or any(rows for _, rows in want.predicates.values()))
+    assert verdicts == {False, True}  # with cells unread: no model, or one with a present cell
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except LimitExceededError as err:
+        return str(err)
+
+
+def test_herbrand_scan_matches_the_scan_over_every_row():
+    rng = random.Random(1885)
+    outcomes = set()
+    for _ in range(100):
+        f = random_closed_formula(rng, 4, {"p": 1, "l": 2})
+        if rng.random() < 0.5:  # valid at every size
+            g = random_closed_formula(rng, 3, {"p": 1, "l": 2})
+            f = rng.choice((RSum(f, RNeg(f)), RClaw(f, RSum(g, f))))
+        limit = rng.randint(2, 9)  # some scans pass the atom limit part way
+        got = _outcome(herbrand_scan, f, 3, limit)
+        assert got == _outcome(ref_herbrand_scan, f, 3, limit), (f, limit)
+        outcomes.add(type(got))
+    assert outcomes == {tuple, type(None), str}
+
+
+def test_herbrand_scan_expands_only_the_size_it_returns(monkeypatch):
+    sizes = []
+    real = quantifiers.expand
+    monkeypatch.setattr(quantifiers, "expand", lambda f, n, m: sizes.append(n) or real(f, n, m))
+    assert herbrand_scan(parse_relational("(Pi i . p(i)) > Sum j . p(j)"), 3)[0] == 1
+    assert herbrand_scan(parse_relational("Sum i . p(i)"), 3) is None
+    assert sizes == [1]
 
 
 def test_sat_search_matches_exhaustive_search_past_the_first_block():
@@ -91,14 +149,16 @@ def test_last_structure_and_no_model_scan_every_block(monkeypatch):
 
 
 def test_cell_limit_message_is_unchanged(monkeypatch):
-    with pytest.raises(LimitExceededError, match=r"^25 interpretation cells exceed the limit of 16$"):
+    """The search reads as many cells as `expand` has atoms, and says so
+    in `expand`'s words."""
+    with pytest.raises(LimitExceededError, match=r"^expansion needs more than 16 distinct atoms$"):
         sat_search(LOVES, 5)
-    with pytest.raises(LimitExceededError, match=r"^25 interpretation cells exceed the limit of 24$"):
+    with pytest.raises(LimitExceededError, match=r"^expansion needs more than 24 distinct atoms$"):
         sat_search(LOVES, 5, max_atoms=24)
-    with pytest.raises(LimitExceededError, match=r"^size 5: 25 interpretation cells exceed"):
+    with pytest.raises(LimitExceededError, match=r"^size 5: expansion needs more than 16 distinct"):
         sat_scan(LOVES, 5)
     monkeypatch.setenv("ILLATION_MAX_ATOMS", "3")
-    with pytest.raises(LimitExceededError, match=r"^4 interpretation cells exceed the limit of 3$"):
+    with pytest.raises(LimitExceededError, match=r"^expansion needs more than 3 distinct atoms$"):
         sat_search(LOVES, 2)
 
 

@@ -273,6 +273,23 @@ def test_indirect_above_the_table_limit_matches_the_oracle():
     assert isinstance(indirect_falsify(falsifiable), Falsified)
 
 
+def test_indirect_picks_the_least_open_branch_above_the_table_limit():
+    """Over 18 variables the search keys each open branch by the variables
+    it assigns f; the least key is the oracle's least completion."""
+    rng = random.Random(1885)
+    names = "abcdefghijklmnopqr"
+    falsified = 0
+    for _ in range(40):
+        order = list(names)
+        rng.shuffle(order)
+        f = Sum(conjunction(clauses(order)), random_formula(rng, 5, names))
+        assert len(free_vars(f)) == 18
+        result = indirect_falsify(f)
+        assert result == ref_indirect(f), f
+        falsified += isinstance(result, Falsified)
+    assert falsified > 20
+
+
 def test_connective_vectors_match_frozen_table():
     assert CONNECTIVE_VECTORS == EXPECTED_VECTORS
     assert CLAW_INDEX == 13
