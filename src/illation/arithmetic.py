@@ -59,14 +59,6 @@ class NumberStructure:
         return (x, y) in self.relation
 
 
-def number_structure_to_json(s: NumberStructure) -> dict:
-    return {
-        "carrier": list(s.carrier),
-        "one": s.one,
-        "R": [list(pair) for pair in sorted(s.relation)],
-    }
-
-
 def _json_pair(pair: object) -> tuple:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ValueError(
@@ -85,7 +77,7 @@ def number_structure_from_json(data: dict) -> NumberStructure:
     if not isinstance(carrier, list):
         raise ValueError(f"number structure JSON: carrier must be a list, got {carrier!r}")
     for field, value in [("one", one)] + [("carrier element", x) for x in carrier]:
-        if isinstance(value, (list, dict)):
+        if value is None or isinstance(value, (bool, list, dict)):
             raise ValueError(
                 f"number structure JSON: {field} must be a string or number, got {value!r}"
             )
@@ -224,7 +216,7 @@ def _check_induction(s: NumberStructure) -> AxiomVerdict:
         x = _succ(s, x)
     if len(orbit) == len(s.carrier):
         return AxiomVerdict(True)
-    inside = ",".join(x for x in s.carrier if x in orbit)
+    inside = ",".join(str(x) for x in s.carrier if x in orbit)
     return AxiomVerdict(False, f"closed proper subset {{{inside}}}")
 
 

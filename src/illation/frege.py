@@ -106,15 +106,6 @@ def _lines(f: PropFormula) -> Iterator[str]:
         todo += (_DEDENT, antecedent, _BRANCH, consequent)
 
 
-def render_ascii(f: PropFormula) -> str:
-    return "\n".join(_lines(f))
-
-
-def spine_branch_count(f: PropFormula) -> int:
-    """Branch points on the main stroke (one per claw antecedent there)."""
-    return next(_lines(f)).count("+")
-
-
 def _svg_rows(f: PropFormula) -> Iterator[str]:
     """The SVG document, one grid row's elements at a time.
 
@@ -167,10 +158,6 @@ def _svg_rows(f: PropFormula) -> Iterator[str]:
                     f'stroke="none" fill="currentColor">{_escape(label)}</text>')
         yield row
     yield "</g>\n</svg>"
-
-
-def render_svg(f: PropFormula) -> str:
-    return "\n".join(_svg_rows(f))
 
 
 def render_lines(f: PropFormula, format: str = "ascii") -> Iterator[str]:

@@ -101,36 +101,6 @@ def structure_to_json(s: Structure) -> dict:
     }
 
 
-def _json_int(value: object, field: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"structure JSON: {field} must be an integer, got {value!r}")
-    return value
-
-
-def _json_typed(value: object, kind: type, field: str):
-    if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "a list"
-        raise ValueError(f"structure JSON: {field} must be {noun}, got {value!r}")
-    return value
-
-
-def structure_from_json(data: dict) -> Structure:
-    if not isinstance(data, dict) or "domain" not in data:
-        raise ValueError("structure JSON needs a 'domain' field")
-    predicates = {}
-    for name, body in _json_typed(data.get("predicates", {}), dict, "predicates").items():
-        _json_typed(body, dict, f"predicate {name}")
-        if "arity" not in body:
-            raise ValueError(f"structure JSON: predicate {name} needs an 'arity' field")
-        cell = f"{name} tuple element"
-        rows = frozenset(
-            tuple(_json_int(x, cell) for x in _json_typed(row, list, f"{name} tuple"))
-            for row in _json_typed(body.get("true", []), list, f"{name} true")
-        )
-        predicates[name] = (_json_int(body["arity"], f"{name} arity"), rows)
-    return Structure(_json_int(data["domain"], "domain"), predicates)
-
-
 # --- expansion --------------------------------------------------------------
 
 

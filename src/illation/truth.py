@@ -365,10 +365,13 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
         if counterexample is not None:
             return Falsified(counterexample)
         known_tautology = True
-    # each state: goals as (node, want, rest) cells, assignment, trace, branchings
-    stack: list[tuple[Optional[tuple], dict, tuple, int]] = [
-        ((formula, False, None), {}, (), 0)
-    ]
+    # One assignment, and the trail of the names it set, in order.  A state
+    # holds its goals as (node, want, rest) cells, the trail length it resumes
+    # at, and its branchings.  Marks only grow up the stack, so undoing down to
+    # a state's mark restores its assignment, and a pruned state needs no undo.
+    assignment: dict[str, bool] = {}
+    trail: list[str] = []
+    stack: list[tuple[Optional[tuple], int, int]] = [((formula, False, None), 0, 0)]
     best, best_trace = (float("inf"), 0), ()  # (len(trace), branchings) of best_trace
     least, least_assignment = None, {}  # the key and assignment of the least completion
     # A completion's key has bit rank[name] set where it assigns f, the first
@@ -377,15 +380,18 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
     states = 0
 
     while stack:
-        goals, assignment, trace, level = stack.pop()
-        if known_tautology and (len(trace), level) >= best:
+        goals, mark, level = stack.pop()
+        if known_tautology and (mark, level) >= best:
             continue  # every trace below here is longer, or as long and deeper
         states += 1
         if states > _INDIRECT_STATE_CAP:
             raise LimitExceededError(
                 f"indirect search exceeded its state cap of {_INDIRECT_STATE_CAP:,} states"
             )
+        while len(trail) > mark:
+            del assignment[trail.pop()]
         alternatives: list = []
+        clash = None
         while goals is not None:
             node, want, goals = goals
             cls = type(node)
@@ -393,10 +399,10 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
                 name = node.name if cls is Var else "#t" if node.value else "#f"
                 prior = assignment.get(name) if cls is Var else node.value
                 if prior is None:
-                    assignment = {**assignment, name: want}
-                    trace += ((name, want),)
+                    assignment[name] = want
+                    trail.append(name)
                 elif prior != want:
-                    trace += ((name, want),)
+                    clash = (name, want)
                     break
             elif cls is Neg:
                 goals = (node.inner, not want, goals)
@@ -410,24 +416,25 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
                 alternatives = [tuple(zip(SUBFORMULAS[cls](node), row))
                                 for row in _rows(node.index, want)]
                 if not alternatives:  # a constant connective asked for the other value
-                    trace += (("#f", True) if want else ("#t", False),)
+                    clash = ("#f", True) if want else ("#t", False)
                 break
             else:
                 raise TypeError(f"not a propositional formula: {node!r}")
         else:  # an open branch: its completion sets the unforced variables v
             key = sum(1 << rank[name] for name, value in assignment.items() if not value)
             if least is None or key < least:
-                least, least_assignment = key, assignment
+                least, least_assignment = key, dict(assignment)
             continue
         if not alternatives:  # the branch closed in a contradiction
-            if (len(trace), level) < best:
-                best, best_trace = (len(trace), level), trace
+            if (len(trail) + 1, level) < best:
+                best = (len(trail) + 1, level)
+                best_trace = tuple((name, assignment[name]) for name in trail) + (clash,)
             continue
         for alt in reversed(alternatives):  # so that they pop in order
             cell = goals
             for node, want in reversed(alt):
                 cell = (node, want, cell)
-            stack.append((cell, assignment, trace, level + 1))
+            stack.append((cell, len(trail), level + 1))
 
     if least is not None:
         complete = {name: least_assignment.get(name, True) for name in order}

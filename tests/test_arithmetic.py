@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,6 @@ from illation.arithmetic import (
     check_axioms,
     hf_equal,
     number_structure_from_json,
-    number_structure_to_json,
     pair_injectivity,
     report_json,
     report_text,
@@ -102,12 +102,11 @@ def test_report_json_shape():
 
 
 def test_number_structure_json_round_trip():
-    s = chain(3)
-    blob = number_structure_to_json(s)
-    assert blob["carrier"] == ["1", "2", "3"]
-    assert blob["one"] == "1"
-    assert ["1", "2"] in blob["R"]
-    assert number_structure_from_json(blob) == s
+    blob = json.loads(
+        '{"carrier": ["1", "2", "3"], "one": "1",'
+        ' "R": [["1", "1"], ["1", "2"], ["1", "3"], ["2", "2"], ["2", "3"], ["3", "3"]]}'
+    )
+    assert number_structure_from_json(blob) == chain(3)
 
 
 def test_number_structure_validation():
@@ -245,14 +244,28 @@ def test_wiener_pair_identical_components():
     assert not hf_equal(p, wiener_pair(a, HFAtom("b")))
 
 
-@pytest.mark.parametrize("pair", [["1", "1", "2"], ["1"], [], "12", {"1": "2"}, 12])
+@pytest.mark.parametrize("pair", [["1", "1", "2"], ["1"], [], "12", {"1": "2"}, 12, None, True])
 def test_number_structure_from_json_needs_two_element_r_pairs(pair):
     blob = {"carrier": ["1", "2"], "one": "1", "R": [["1", "1"], pair]}
     with pytest.raises(ValueError, match="R pair must be a list of two elements"):
         number_structure_from_json(blob)
 
 
-@pytest.mark.parametrize("carrier", ["12", {"1": 0}, 12])
+@pytest.mark.parametrize("carrier", ["12", {"1": 0}, 12, None, True])
 def test_number_structure_from_json_needs_a_carrier_list(carrier):
     with pytest.raises(ValueError, match="carrier must be a list"):
         number_structure_from_json({"carrier": carrier, "one": "1", "R": [["1", "1"]]})
+
+
+@pytest.mark.parametrize("value", [None, True, False, [1], {"1": 1}])
+@pytest.mark.parametrize("field", ["one", "carrier element"])
+def test_number_structure_from_json_needs_string_or_number_elements(field, value):
+    """`None` would read as "no element" to the successor walk of axiom 5."""
+    blob = {"carrier": ["1"], "one": "1", "R": [["1", "1"]]}
+    if field == "one":
+        blob["one"] = value
+    else:
+        blob["carrier"].append(value)
+    message = f"{field} must be a string or number, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        number_structure_from_json(blob)

@@ -259,6 +259,21 @@ def test_axioms_stdin():
     assert "axiom 1" in r.stdout
 
 
+@pytest.mark.parametrize("blob, code, stdout_line, stderr", [
+    ({"carrier": [1, 2], "one": 1, "R": [[1, 1], [2, 2]]}, 1,
+     "axiom 5 (induction): fail  witness: closed proper subset {1}", ""),
+    ({"carrier": [None, "2"], "one": None, "R": [[None, None], ["2", "2"], [None, "2"]]}, 2,
+     None, "error: number structure JSON: one must be a string or number, got None\n"),
+], ids=["numbers", "null"])
+def test_axioms_reads_numbers_and_rejects_null(blob, code, stdout_line, stderr):
+    r = run("axioms", "-", stdin=json.dumps(blob))
+    assert (r.returncode, r.stderr) == (code, stderr)
+    if stdout_line is None:
+        assert r.stdout == ""
+    else:
+        assert stdout_line in r.stdout.splitlines()
+
+
 def test_axioms_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

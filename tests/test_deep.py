@@ -102,6 +102,15 @@ def test_indirect_method_at_ten_thousand_variables():
     assert out == "counterexample: " + " ".join(f"{n}=v" for n in names[:-1]) + f" {names[-1]}=f\n"
 
 
+def test_indirect_method_on_twenty_thousand_variables_forced_on_one_branch():
+    """A false sum forces both sides, so one branch sets every variable f;
+    each forced variable costs the same, not the length of the branch."""
+    names = [f"x_{i}" for i in range(2 * TERMS)]
+    code, out, err = run("taut", "--method", "indirect", "-", stdin="|".join(names))
+    assert (code, err) == (1, "")
+    assert out == "counterexample: " + " ".join(f"{n}=f" for n in names) + "\n"
+
+
 def test_anf_at_ten_thousand_terms():
     code, out, _ = run("anf", "-", stdin=chain("and", "peano-russell", leaves(TERMS)))
     assert (code, out) == (0, NAMES + "\n")

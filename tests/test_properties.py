@@ -88,7 +88,7 @@ def test_print_parse_round_trip_with_constants(f):
 @given(trees(conn16=True))
 def test_the_frege_drawing_matches_the_joined_prefixes(f):
     with shallow_stack():
-        ascii_lines, svg = list(frege._lines(f)), frege.render_svg(f)
+        ascii_lines, svg = list(frege._lines(f)), frege.render_frege(f, "svg")
     ref_lines = list(ref_frege_lines(f))
     assert ascii_lines == ref_lines
     assert svg == "\n".join(ref_svg_rows(ref_lines))
