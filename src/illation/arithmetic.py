@@ -248,19 +248,17 @@ def report_json(report: AxiomReport) -> dict:
 class HFSet:
     """Hereditarily finite sets over named atoms, with extensional equality."""
 
-    __hash__ = None
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HFSet) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
 
 class HFAtom(HFSet):
     def __init__(self, name: str):
         self.name = name
         self._key = ("atom", name)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HFSet) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def __repr__(self) -> str:
         return self.name
@@ -275,12 +273,6 @@ class HFNode(HFSet):
             unique.setdefault(element._key, element)
         self.elements = tuple(unique.values())
         self._key = ("set", tuple(sorted(e._key for e in self.elements)))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HFSet) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def __len__(self) -> int:
         return len(self.elements)

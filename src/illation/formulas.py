@@ -155,13 +155,15 @@ class Quant(RelFormula):
 _UNBIND = object()  # on `ensure_closed`'s stack above an index whose scope ends
 
 
-def ensure_closed(formula: RelFormula) -> None:
-    """Reject free or shadowed index variables.
+def ensure_closed(formula: RelFormula) -> dict[int, int]:
+    """Reject free or shadowed index variables; return, for each k, how many
+    atoms stand under k quantifiers.
 
     Every atom index must be bound by exactly one enclosing quantifier;
     the public relational operations only accept closed formulas.
     """
     bound: set[str] = set()  # the indices of the quantifiers above the node
+    depths: dict[int, int] = {}
     todo: list = [formula]
     while todo:
         f = todo.pop()
@@ -173,6 +175,8 @@ def ensure_closed(formula: RelFormula) -> None:
             for ix in f.indices:
                 if ix not in bound:
                     raise ValueError(f"free index variable: {ix!r}")
+            k = len(bound)
+            depths[k] = depths.get(k, 0) + 1
             continue
         if cls not in RELATIONAL:
             raise TypeError(f"not a relational formula: {f!r}")
@@ -182,6 +186,7 @@ def ensure_closed(formula: RelFormula) -> None:
             bound.add(f.var)
             todo += (f.var, _UNBIND)
         todo += SUBFORMULAS[cls](f)[::-1]
+    return depths
 
 
 def predicate_signature(formula: RelFormula) -> dict[str, int]:
@@ -221,17 +226,17 @@ RELATIONAL = frozenset({RAtom, Neg, Claw, Prod, Sum, Quant})
 _KIND_NAMES = {PROPOSITIONAL: "propositional", RELATIONAL: "relational"}
 
 
-def walk(formula, kinds: frozenset | None = None) -> Iterator:
+def walk(formula, kinds: frozenset) -> Iterator:
     """Every node in preorder: each before its subformulas, left to right.
 
     A node whose class is not in `kinds` raises TypeError when the walk
-    reaches it; without `kinds`, a non-formula is yielded as a leaf."""
+    reaches it."""
     todo = [formula]
     pop = todo.pop
     while todo:
         f = pop()
         cls = type(f)
-        if kinds is not None and cls not in kinds:
+        if cls not in kinds:
             raise TypeError(f"not a {_KIND_NAMES[kinds]} formula: {f!r}")
         yield f
         children = SUBFORMULAS.get(cls)

@@ -50,9 +50,7 @@ MAX_ATOMS_ENV = "ILLATION_MAX_ATOMS"
 MAX_EXPANSION_LEAVES = 1 << 16
 
 
-def max_atoms_limit(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
+def max_atoms_limit() -> int:
     raw = os.environ.get(MAX_ATOMS_ENV)
     if raw is None:
         return DEFAULT_MAX_ATOMS
@@ -108,40 +106,38 @@ def atom_name(predicate: str, elements: tuple[int, ...]) -> str:
     return predicate + "".join(f"_{e}" for e in elements)
 
 
-def _check_leaves(formula: RelFormula, n: int) -> None:
+def _check_leaves(depths: dict[int, int], n: int) -> None:
     """Refuse an expansion over n elements of more than MAX_EXPANSION_LEAVES
-    atom occurrences; the row engine reads as many, so it bounds it too."""
-    # Each atom occurs n^k times in the expansion, k the quantifiers above it.
-    leaves, todo = 0, [(formula, 1)]
-    while todo:
-        f, copies = todo.pop()
-        cls = type(f)
-        if cls is RAtom:
-            leaves += copies
-        else:  # every subformula holds an atom, so `copies` bounds the leaves too
-            copies *= n if cls is Quant else 1
-            todo += [(g, copies) for g in SUBFORMULAS[cls](f)]
-        if max(leaves, copies) > MAX_EXPANSION_LEAVES:
+    atom occurrences; the row engine reads as many, so it bounds it too.
+
+    `depths` is `ensure_closed`'s count of the atoms under k quantifiers,
+    each of which occurs n^k times.  Summed in ascending k, the sum stops at
+    the first k that passes the bound: no deeper atom is raised to its power.
+    """
+    leaves = 0
+    for k in sorted(depths):
+        leaves += depths[k] * n**k
+        if leaves > MAX_EXPANSION_LEAVES:
             raise LimitExceededError(
                 f"expansion needs more than {MAX_EXPANSION_LEAVES:,} atom occurrences"
             )
 
 
-def _expansion(formula: RelFormula, n: int, max_atoms: Optional[int]) -> tuple[list, tuple]:
+def _expansion(formula: RelFormula, n: int) -> tuple[list, tuple]:
     """The expansion over a domain of size n in prefix order, and the cells
     (predicate, elements) it reads, in the order it first reads them.
 
     The one walk over an expansion's cells, and the one check of the atom
-    budget: at most `max_atoms` distinct cells, each one atom of `expand`
-    and one cell that `sat_search` enumerates.
+    budget: at most `max_atoms_limit()` distinct cells, each one atom of
+    `expand` and one cell that `sat_search` enumerates.
     """
     if n < 1:
         raise ValueError("domain must have at least one element")
-    ensure_closed(formula)
-    limit = max_atoms_limit(max_atoms)
+    depths = ensure_closed(formula)
+    limit = max_atoms_limit()
     todo: list = []
     if n <= limit:  # each atom's index is bound, so it expands to n or more atoms
-        _check_leaves(formula, n)
+        _check_leaves(depths, n)
         todo.append(formula)
     seen: dict[tuple, Var] = {}  # one Var per cell (predicate, elements)
     # A closed formula binds no index twice on a path, so one dict serves:
@@ -177,9 +173,9 @@ def _expansion(formula: RelFormula, n: int, max_atoms: Optional[int]) -> tuple[l
     return tokens, tuple(seen)
 
 
-def expand(formula: RelFormula, n: int, max_atoms: Optional[int] = None) -> PropFormula:
+def expand(formula: RelFormula, n: int) -> PropFormula:
     """Eliminate quantifiers over a domain of size n by sum/product folding."""
-    return from_prefix(_expansion(formula, n, max_atoms)[0])
+    return from_prefix(_expansion(formula, n)[0])
 
 
 # --- evaluation and search ---------------------------------------------------
@@ -207,9 +203,7 @@ def eval_in(formula: RelFormula, s: Structure) -> bool:
     return bool(truth._eval_masks(formula, true, 1, s.domain_size))
 
 
-def sat_search(
-    formula: RelFormula, n: int, max_atoms: Optional[int] = None
-) -> Optional[Structure]:
+def sat_search(formula: RelFormula, n: int) -> Optional[Structure]:
     """First satisfying structure in enumeration order, or None.
 
     Order: predicates in first-use order, tuples lexicographic, absent before
@@ -223,7 +217,7 @@ def sat_search(
     """
     signature = predicate_signature(formula)
     rank = {name: i for i, name in enumerate(signature)}
-    cells = sorted(_expansion(formula, n, max_atoms)[1], key=lambda c: (rank[c[0]], c[1]))
+    cells = sorted(_expansion(formula, n)[1], key=lambda c: (rank[c[0]], c[1]))
     found = truth._first_row(cells, lambda env, full: truth._eval_masks(
         formula, {cell: full ^ mask for cell, mask in env.items()}, full, n))
     if found is None:
@@ -246,7 +240,7 @@ def extend_model(formula: RelFormula, s: Structure) -> Structure:
     The check at n + 1 elements is bounded as a search there would be.
     """
     try:
-        _check_leaves(formula, s.domain_size + 1)
+        _check_leaves(ensure_closed(formula), s.domain_size + 1)
     except LimitExceededError as err:
         raise LimitExceededError(f"extension to size {s.domain_size + 1}: {err}") from None
     if not eval_in(formula, s):
@@ -270,14 +264,12 @@ class SatScanReport:
     extensions: tuple[tuple[int, Structure], ...]
 
 
-def sat_scan(
-    formula: RelFormula, max_size: int, max_atoms: Optional[int] = None
-) -> SatScanReport:
+def sat_scan(formula: RelFormula, max_size: int) -> SatScanReport:
     verdicts = []
     extensions = []
     for size in range(1, max_size + 1):
         try:
-            witness = sat_search(formula, size, max_atoms)
+            witness = sat_search(formula, size)
         except LimitExceededError as err:
             raise LimitExceededError(f"size {size}: {err}") from None
         verdicts.append((size, witness))
@@ -286,18 +278,16 @@ def sat_scan(
     return SatScanReport(tuple(verdicts), tuple(extensions))
 
 
-def herbrand_scan(
-    formula: RelFormula, max_size: int, max_atoms: Optional[int] = None
-) -> Optional[tuple[int, PropFormula]]:
+def herbrand_scan(formula: RelFormula, max_size: int) -> Optional[tuple[int, PropFormula]]:
     """Least domain size whose expansion is a propositional tautology: the
     first at which the negation has no model, found over the cells it reads."""
     for size in range(1, max_size + 1):
         try:
-            refuted = sat_search(Neg(formula), size, max_atoms) is None
+            refuted = sat_search(Neg(formula), size) is None
         except LimitExceededError as err:
             raise LimitExceededError(f"size {size}: {err}") from None
         if refuted:
-            return size, expand(formula, size, max_atoms)
+            return size, expand(formula, size)
     return None
 
 

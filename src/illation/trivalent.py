@@ -16,7 +16,7 @@ from typing import Iterator
 
 from ._record import record
 from .errors import LimitExceededError
-from .formulas import Neg, Prod, PropFormula, Sum, Var, free_vars, walk
+from .formulas import PROPOSITIONAL, Neg, Prod, PropFormula, Sum, Var, free_vars, walk
 from .truth import render_tsv, row_bits
 
 MAX_TRI_VARS = 10  # 3^10 rows is the ceiling for a printable table
@@ -117,7 +117,7 @@ class TriTable:
 
 
 def tri_table(formula: PropFormula) -> TriTable:
-    nodes = list(walk(formula))
+    nodes = list(walk(formula, PROPOSITIONAL))
     for f in nodes:  # unsupported nodes before the limit, the first in preorder
         if type(f) not in (Var, Neg, Sum, Prod):
             raise UnsupportedConnectiveError(f)

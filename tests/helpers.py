@@ -42,7 +42,8 @@ from illation.formulas import (
 )
 from illation.frege import _CELL_H, _CELL_W, _NUB_DEPTH, _STROKE
 from illation.notations import Notation, ParseError
-from illation.quantifiers import Structure, _check_leaves, atom_name, max_atoms_limit
+from illation import quantifiers
+from illation.quantifiers import Structure, atom_name, max_atoms_limit
 from illation.trivalent import UnsupportedConnectiveError, tri_and, tri_neg, tri_or
 from illation.truth import (
     _DECIDING,
@@ -164,7 +165,9 @@ def ref_eval_in(formula, s):
 
 def ref_ensure_closed(formula):
     """Reject free or shadowed index variables, each node carrying its own
-    set of the indices bound above it: the check before one shared set."""
+    set of the indices bound above it: the check before one shared set.
+    Returns {k: the number of atoms under k quantifiers}."""
+    depths = {}
     todo = [(formula, frozenset())]
     while todo:
         f, bound = todo.pop()
@@ -173,6 +176,7 @@ def ref_ensure_closed(formula):
             for ix in f.indices:
                 if ix not in bound:
                     raise ValueError(f"free index variable: {ix!r}")
+            depths[len(bound)] = depths.get(len(bound), 0) + 1
             continue
         if cls not in RELATIONAL:
             raise TypeError(f"not a relational formula: {f!r}")
@@ -181,19 +185,24 @@ def ref_ensure_closed(formula):
                 raise ValueError(f"index variable shadowed: {f.var!r}")
             bound = bound | {f.var}
         todo += [(g, bound) for g in SUBFORMULAS[cls](f)[::-1]]
+    return depths
 
 
 def ref_expand(formula, n, max_atoms=None):
     """Quantifiers eliminated over a domain of size n, each body copy with
     its own dict of index bindings and each atom named per occurrence: the
-    expansion before one shared dict."""
+    expansion before one shared dict.  The atom budget is `max_atoms`, or
+    the library's when it is None."""
     if n < 1:
         raise ValueError("domain must have at least one element")
-    ref_ensure_closed(formula)
-    limit = max_atoms_limit(max_atoms)
+    depths = ref_ensure_closed(formula)
+    limit = max_atoms_limit() if max_atoms is None else max_atoms
     if n > limit:  # each atom's index is bound, so it expands to n or more atoms
         raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
-    _check_leaves(formula, n)
+    # an atom under k quantifiers occurs n^k times
+    bound = quantifiers.MAX_EXPANSION_LEAVES
+    if sum(count * n**k for k, count in depths.items()) > bound:
+        raise LimitExceededError(f"expansion needs more than {bound:,} atom occurrences")
     seen = {}  # one Var per atom name
     # The expansion in prefix order: each atom as its variable, each
     # quantifier as the n - 1 sums or products of its left fold followed by
@@ -222,13 +231,13 @@ def ref_expand(formula, n, max_atoms=None):
     return from_prefix(tokens)
 
 
-def ref_herbrand_scan(formula, max_size, max_atoms=None):
+def ref_herbrand_scan(formula, max_size):
     """Least domain size whose expansion is a tautology, each size expanded
     and every row of its expansion evaluated: the scan before it searched
     the negation's models over the cells it reads."""
     for size in range(1, max_size + 1):
         try:
-            expansion = ref_expand(formula, size, max_atoms)
+            expansion = ref_expand(formula, size)
         except LimitExceededError as err:
             raise LimitExceededError(f"size {size}: {err}") from None
         if all(ref_eval(expansion, env) for env in all_envs(free_vars(expansion))):

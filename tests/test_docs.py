@@ -13,6 +13,7 @@ from test_deep import run
 
 GRAMMARS = Path(__file__).resolve().parent.parent / "docs" / "grammars.md"
 FORTY = "".join(f"Pi x{i} . " for i in range(40)) + "p(x0)"
+REFLEXIVE = "Pi i . Sum j . l(i,j) > l(i,j)"
 
 # (argv, the command as the paragraph spells it, exit code, output line)
 EXAMPLES = {
@@ -22,6 +23,12 @@ EXAMPLES = {
     "domain-over-the-atom-limit": (
         ["sat", "--domain", "17", "Sum i . l(i,i)"], "a domain larger than the limit", 3,
         "limit exceeded: expansion needs more than 16 distinct atoms"),
+    "sat-25-cells-over-the-limit": (
+        ["sat", "--domain", "5", REFLEXIVE], f"sat --domain 5 '{REFLEXIVE}'", 3,
+        "limit exceeded: expansion needs more than 16 distinct atoms"),
+    "sat-25-cells-with-the-variable": (
+        ["sat", "--domain", "5", REFLEXIVE], "With `ILLATION_MAX_ATOMS=25` it prints", 0,
+        '{"domain": 5, "predicates": {"l": {"arity": 2, "true": []}}}'),
     "herbrand-arity-clash": (
         ["scan", "--herbrand", "--max-size", "2", "Sum i . l(i) | ~l(i,i)"],
         "scan --herbrand --max-size 2 'Sum i . l(i) | ~l(i,i)'", 2,
@@ -36,6 +43,8 @@ EXAMPLES = {
         "limit exceeded: extension to size 2: expansion needs more than 65,536 atom "
         "occurrences"),
 }
+# The atom budget an example runs under, where it is not the default.
+MAX_ATOMS = {"sat-25-cells-with-the-variable": "25"}
 
 
 def limits_paragraph():
@@ -46,7 +55,10 @@ def limits_paragraph():
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_limits_paragraph_examples_run_as_documented(name, monkeypatch):
-    monkeypatch.delenv("ILLATION_MAX_ATOMS", raising=False)
+    if name in MAX_ATOMS:
+        monkeypatch.setenv("ILLATION_MAX_ATOMS", MAX_ATOMS[name])
+    else:
+        monkeypatch.delenv("ILLATION_MAX_ATOMS", raising=False)
     argv, spelled, code, line = EXAMPLES[name]
     paragraph = limits_paragraph()
     assert spelled in paragraph and line in paragraph

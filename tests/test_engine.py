@@ -214,11 +214,13 @@ def test_no_variable_cap_on_counterexample_search():
         table_over(conjunction, EIGHTEEN)
 
 
-def test_herbrand_scan_follows_the_atom_budget_past_sixteen():
+def test_herbrand_scan_follows_the_atom_budget_past_sixteen(monkeypatch):
     some_p = parse_relational("Sum i . p(i)")
-    assert herbrand_scan(some_p, 18, max_atoms=18) is None
+    monkeypatch.setenv("ILLATION_MAX_ATOMS", "18")
+    assert herbrand_scan(some_p, 18) is None
+    monkeypatch.setenv("ILLATION_MAX_ATOMS", "16")
     with pytest.raises(LimitExceededError):
-        herbrand_scan(some_p, 18, max_atoms=16)
+        herbrand_scan(some_p, 18)
 
 
 def test_relational_masks_match_the_expansion_on_every_block():

@@ -12,6 +12,7 @@ import itertools
 import random
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,6 +166,7 @@ def _outcome(check, *args):
 @PROPERTIES
 @given(indexed())
 def test_ensure_closed_raises_what_the_copying_check_raised(f):
+    """The same error, or the same count of the atoms under k quantifiers."""
     with shallow_stack():
         got = _outcome(ensure_closed, f)
     assert got == _outcome(ref_ensure_closed, f)
@@ -176,9 +178,11 @@ def test_expand_matches_the_expansion_with_bindings_per_copy(seed, n, max_atoms)
     """Random closed formulas, where sibling quantifiers often reuse an
     index; a small atom limit makes some expansions fail part way."""
     f = random_closed_formula(random.Random(seed), 6, {"p": 1, "l": 2})
-    with shallow_stack():
-        got = _outcome(expand, f, n, max_atoms)
-    assert got == _outcome(ref_expand, f, n, max_atoms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ILLATION_MAX_ATOMS", str(max_atoms))
+        with shallow_stack():
+            got = _outcome(expand, f, n)
+        assert got == _outcome(ref_expand, f, n)
 
 
 @PROPERTIES

@@ -7,6 +7,7 @@ from illation import quantifiers
 from illation.errors import LimitExceededError
 from illation.formulas import (
     PI,
+    PROPOSITIONAL,
     SIGMA,
     Claw,
     Neg,
@@ -129,8 +130,8 @@ def test_expand_bounds_its_atom_occurrences_before_the_walk(monkeypatch):
 
 
 def test_expand_makes_one_var_per_atom_name():
-    atoms = [f for f in walk(expand(parse_relational("Pi i . p(i) & (Sum j . p(j))"), 3))
-             if type(f) is Var]
+    expansion = expand(parse_relational("Pi i . p(i) & (Sum j . p(j))"), 3)
+    atoms = [f for f in walk(expansion, PROPOSITIONAL) if type(f) is Var]
     assert len(atoms) == 3 + 3 * 3 and len({id(f) for f in atoms}) == 3
 
 
@@ -233,6 +234,15 @@ def test_extension_is_bounded_before_it_is_built(monkeypatch):
 def test_extend_model_rejects_non_witness():
     with pytest.raises(ValueError):
         extend_model(SELF_LOVE, _structure(1, []))
+
+
+def test_a_propositional_leaf_is_a_type_error_at_every_entry_point():
+    f = Quant(PI, "i", Prod(RAtom("p", ("i",)), Var("a")))
+    one = Structure(1, {"p": (1, frozenset({(0,)}))})
+    for call in (lambda: extend_model(f, one), lambda: eval_in(f, one),
+                 lambda: expand(f, 1), lambda: sat_search(f, 1)):
+        with pytest.raises(TypeError, match=r"^not a relational formula: Var\(name='a'\)$"):
+            call()
 
 
 def test_sat_scan_report():

@@ -16,14 +16,14 @@ from illation import quantifiers
 from illation.errors import LimitExceededError
 from illation.formulas import free_vars
 from illation.quantifiers import (
-    Structure, expand, extend_model, herbrand_scan, sat_scan, sat_search,
+    Structure, extend_model, herbrand_scan, sat_scan, sat_search,
 )
 from illation.relsyntax import parse_relational
 from illation.truth import BLOCK_BITS
 
 from helpers import (
     RClaw, RNeg, RProd, RSum, interpretation_cells, random_closed_formula,
-    ref_herbrand_scan, ref_sat_search,
+    ref_expand, ref_herbrand_scan, ref_sat_search,
 )
 from test_engine import _count_block_evaluations
 
@@ -70,7 +70,7 @@ def test_sat_search_over_the_cells_read_matches_the_search_over_every_cell():
                       random_closed_formula(rng, 4, signature))
             want = ref_sat_search(f, n)
             assert sat_search(f, n) == want, (f, n)
-            if len(free_vars(expand(f, n, 64))) < len(interpretation_cells(f, n)):
+            if len(free_vars(ref_expand(f, n, 64))) < len(interpretation_cells(f, n)):
                 verdicts.add(want is None or any(rows for _, rows in want.predicates.values()))
     assert verdicts == {False, True}  # with cells unread: no model, or one with a present cell
 
@@ -82,7 +82,7 @@ def _outcome(scan, *args):
         return str(err)
 
 
-def test_herbrand_scan_matches_the_scan_over_every_row():
+def test_herbrand_scan_matches_the_scan_over_every_row(monkeypatch):
     rng = random.Random(1885)
     outcomes = set()
     for _ in range(100):
@@ -91,8 +91,9 @@ def test_herbrand_scan_matches_the_scan_over_every_row():
             g = random_closed_formula(rng, 3, {"p": 1, "l": 2})
             f = rng.choice((RSum(f, RNeg(f)), RClaw(f, RSum(g, f))))
         limit = rng.randint(2, 9)  # some scans pass the atom limit part way
-        got = _outcome(herbrand_scan, f, 3, limit)
-        assert got == _outcome(ref_herbrand_scan, f, 3, limit), (f, limit)
+        monkeypatch.setenv("ILLATION_MAX_ATOMS", str(limit))
+        got = _outcome(herbrand_scan, f, 3)
+        assert got == _outcome(ref_herbrand_scan, f, 3), (f, limit)
         outcomes.add(type(got))
     assert outcomes == {tuple, type(None), str}
 
@@ -100,7 +101,7 @@ def test_herbrand_scan_matches_the_scan_over_every_row():
 def test_herbrand_scan_expands_only_the_size_it_returns(monkeypatch):
     sizes = []
     real = quantifiers.expand
-    monkeypatch.setattr(quantifiers, "expand", lambda f, n, m: sizes.append(n) or real(f, n, m))
+    monkeypatch.setattr(quantifiers, "expand", lambda f, n: sizes.append(n) or real(f, n))
     assert herbrand_scan(parse_relational("(Pi i . p(i)) > Sum j . p(j)"), 3)[0] == 1
     assert herbrand_scan(parse_relational("Sum i . p(i)"), 3) is None
     assert sizes == [1]
@@ -153,18 +154,20 @@ def test_cell_limit_message_is_unchanged(monkeypatch):
     in `expand`'s words."""
     with pytest.raises(LimitExceededError, match=r"^expansion needs more than 16 distinct atoms$"):
         sat_search(LOVES, 5)
-    with pytest.raises(LimitExceededError, match=r"^expansion needs more than 24 distinct atoms$"):
-        sat_search(LOVES, 5, max_atoms=24)
     with pytest.raises(LimitExceededError, match=r"^size 5: expansion needs more than 16 distinct"):
         sat_scan(LOVES, 5)
+    monkeypatch.setenv("ILLATION_MAX_ATOMS", "24")
+    with pytest.raises(LimitExceededError, match=r"^expansion needs more than 24 distinct atoms$"):
+        sat_search(LOVES, 5)
     monkeypatch.setenv("ILLATION_MAX_ATOMS", "3")
     with pytest.raises(LimitExceededError, match=r"^expansion needs more than 3 distinct atoms$"):
         sat_search(LOVES, 2)
 
 
-def test_cell_limit_can_be_raised_by_the_override():
+def test_cell_limit_can_be_raised_by_the_override(monkeypatch):
     reflexive = parse_relational("Pi i . Sum j . l(i,j) > l(i,j)")
-    assert sat_search(reflexive, 5, max_atoms=25) == Structure(5, {"l": (2, frozenset())})
+    monkeypatch.setenv("ILLATION_MAX_ATOMS", "25")
+    assert sat_search(reflexive, 5) == Structure(5, {"l": (2, frozenset())})
 
 
 def test_formula_errors_come_before_the_cell_limit(monkeypatch):

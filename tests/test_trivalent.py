@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from illation.errors import LimitExceededError
-from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var
+from illation.formulas import Claw, Conn16, Const, Neg, Prod, RAtom, Sum, Var
 from illation.trivalent import (
     F,
     L,
@@ -16,6 +16,7 @@ from illation.trivalent import (
     tri_or,
     tri_table,
 )
+from illation.truth import truth_table
 
 from helpers import ref_tri_eval
 
@@ -134,6 +135,13 @@ def test_unsupported_connectives_rejected():
     # nested occurrences are found too
     with pytest.raises(UnsupportedConnectiveError):
         tri_table(Sum(A, Claw(A, B)))
+
+
+def test_a_non_propositional_node_is_a_type_error_as_in_truth_table():
+    for bad in (Sum(A, RAtom("p", ("i",))), Prod(Claw(A, B), "a")):
+        for table in (truth_table, tri_table):
+            with pytest.raises(TypeError, match="^not a propositional formula: "):
+                table(bad)
 
 
 def test_unsupported_is_a_value_error():
