@@ -2,20 +2,20 @@
 
 `record` turns a class whose annotations name its fields into a record:
 
-- `__init__` takes the fields positionally or by keyword, in annotation
-  order; a class attribute of the same name is the field's default.  Python
-  binds the arguments itself, so missing or unexpected ones raise the usual
-  `TypeError`.  `__post_init__`, when the class defines one, runs last.
+- `__init__` takes every field, positionally or by keyword, in annotation
+  order.  Python binds the arguments itself, so missing or unexpected ones
+  raise the usual `TypeError`.  `__post_init__`, when the class defines one,
+  runs last.
 - `__repr__` is the dataclass text, e.g. `Var(name='a')`.
 - `__eq__` compares the field tuples of two instances of the same class and
   returns `NotImplemented` for anything else, so `Prod(a, b) != Sum(a, b)`.
-- `record(frozen=True)` adds `__hash__` (the hash of the field tuple) and
-  makes assignment and deletion raise `FrozenInstanceError`.  A mutable
-  record is unhashable.
+- `__hash__` is the hash of the field tuple (a dict field makes it raise
+  `TypeError`, as in a frozen dataclass), and every record is frozen:
+  assignment and deletion raise `FrozenInstanceError`.
 
 Only the class's own annotations are fields; records do not inherit fields.
-`functools.cached_property` works on frozen records, as it writes the
-instance `__dict__` directly.
+`functools.cached_property` works on records, as it writes the instance
+`__dict__` directly.
 
 No source is compiled per class.  `dataclasses` builds every class by
 `exec` of generated code (~0.8 ms a class) and imports `inspect` (~10 ms),
@@ -26,19 +26,19 @@ runs the same bytecode as a hand-written one.  `__eq__`, `__hash__` and
 `__repr__` are one function each, shared by every record.  Formulas are
 records nested one level per connective, thousands of levels deep in a
 folded chain, so each walks the nested records with an explicit stack
-instead of recursing through the fields' own methods.  A frozen record keeps
-its hash in its `__dict__`, so hashing a tree is bottom-up and each node is
+instead of recursing through the fields' own methods.  A record keeps its
+hash in its `__dict__`, so hashing a tree is bottom-up and each node is
 hashed once.
 """
 
 from __future__ import annotations
 
 _set = object.__setattr__
-_HASH = "__record_hash__"  # the instance `__dict__` key of a frozen record's hash
+_HASH = "__record_hash__"  # the instance `__dict__` key of a record's hash
 
 
 class FrozenInstanceError(AttributeError):
-    """Assignment to, or deletion of, an attribute of a frozen record."""
+    """Assignment to, or deletion of, an attribute of a record."""
 
 
 # `__init__` templates, one per field count, for fields named a..f.
@@ -107,10 +107,6 @@ def _init(cls: type, names: tuple[str, ...]):
         co_consts=swap(code.co_consts),
     )
     method.__qualname__ = f"{cls.__qualname__}.__init__"
-    defaults = [cls.__dict__[n] for n in names if n in cls.__dict__]
-    if any(n not in cls.__dict__ for n in names[len(names) - len(defaults):]):
-        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
-    method.__defaults__ = tuple(defaults) or None
     return method
 
 
@@ -172,28 +168,22 @@ def _repr(self):
     return "".join(out)
 
 
-def record(frozen: bool = False):
+def _setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls: type) -> type:
     """Class decorator; see the module docstring."""
-
-    def build(cls: type) -> type:
-        names = tuple(cls.__dict__.get("__annotations__", {}))
-        cls.__init__ = _init(cls, names)
-        cls.__record_fields__ = names
-        cls.__repr__ = _repr
-        cls.__eq__ = _eq
-        if not frozen:
-            cls.__hash__ = None
-            return cls
-
-        def __setattr__(self, name, value):
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-        def __delattr__(self, name):
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-        cls.__hash__ = _hash
-        cls.__setattr__ = __setattr__
-        cls.__delattr__ = __delattr__
-        return cls
-
-    return build
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    cls.__init__ = _init(cls, names)
+    cls.__record_fields__ = names
+    cls.__repr__ = _repr
+    cls.__eq__ = _eq
+    cls.__hash__ = _hash
+    cls.__setattr__ = _setattr
+    cls.__delattr__ = _delattr
+    return cls

@@ -33,7 +33,7 @@ from .errors import LimitExceededError
 MAX_CARRIER = 12  # part of the CLI's exit-3 contract; induction no longer needs it
 
 
-@record(frozen=True)
+@record
 class NumberStructure:
     carrier: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
@@ -95,16 +95,16 @@ def chain(n: int) -> NumberStructure:
     return NumberStructure(names, relation, "1")
 
 
-@record(frozen=True)
+@record
 class AxiomVerdict:
     holds: bool
-    witness: Optional[str] = None  # human-readable counterexample
+    witness: Optional[str]  # human-readable counterexample, None when the axiom holds
 
 
-@record(frozen=True)
+@record
 class AxiomReport:
     reading: str
-    verdicts: dict[str, AxiomVerdict]  # keys "1","2","3","4a","4b","5"
+    verdicts: dict[str, AxiomVerdict]  # the keys of _AXIOMS, in its order
 
     def all_hold(self) -> bool:
         return all(v.holds for v in self.verdicts.values())
@@ -115,97 +115,67 @@ _READING = (
     "pred(x)/succ(x) are the R-greatest/R-least strict neighbors"
 )
 
-_LABELS = {
-    "1": "partial order",
-    "2": "connected",
-    "3": "closed under predecessors",
-    "4a": "1 is the minimum",
-    "4b": "no maximum",
-    "5": "induction",
-}
 
-
-def _minima(s: NumberStructure) -> set[str]:
-    return {m for m in s.carrier if all(s.related(m, x) for x in s.carrier)}
-
-
-def _pred(s: NumberStructure, x: str) -> Optional[str]:
-    candidates = [y for y in s.carrier if y != x and s.related(y, x)]
+def _neighbour(s: NumberStructure, x: str, below: bool) -> Optional[str]:
+    """pred(x) when `below`, else succ(x): of the y != x on that side of x,
+    the one nearest x, or None."""
+    towards = (lambda a, b: s.related(b, a)) if below else s.related
+    candidates = [y for y in s.carrier if y != x and towards(x, y)]
     for y in candidates:
-        if all(s.related(z, y) for z in candidates):
+        if all(towards(y, z) for z in candidates):
             return y
     return None
 
 
-def _succ(s: NumberStructure, x: str) -> Optional[str]:
-    candidates = [y for y in s.carrier if y != x and s.related(x, y)]
-    for y in candidates:
-        if all(s.related(y, z) for z in candidates):
-            return y
-    return None
+# Each check returns its counterexample's text, or None when the axiom holds.
 
 
-def check_axioms(s: NumberStructure) -> AxiomReport:
-    verdicts: dict[str, AxiomVerdict] = {}
-
-    verdicts["1"] = _check_partial_order(s)
-    verdicts["2"] = _check_connected(s)
-    verdicts["3"] = _check_predecessors(s)
-    verdicts["4a"] = _check_minimum(s)
-    verdicts["4b"] = _check_no_maximum(s)
-    verdicts["5"] = _check_induction(s)
-    return AxiomReport(_READING, verdicts)
-
-
-def _check_partial_order(s: NumberStructure) -> AxiomVerdict:
+def _check_partial_order(s: NumberStructure) -> Optional[str]:
     for x in s.carrier:
         if not s.related(x, x):
-            return AxiomVerdict(False, f"not reflexive at {x}")
+            return f"not reflexive at {x}"
     for x, y in combinations(s.carrier, 2):
         if s.related(x, y) and s.related(y, x):
-            return AxiomVerdict(False, f"not antisymmetric on {x},{y}")
+            return f"not antisymmetric on {x},{y}"
     for x in s.carrier:
         for y in s.carrier:
             if not s.related(x, y):
                 continue
             for z in s.carrier:
                 if s.related(y, z) and not s.related(x, z):
-                    return AxiomVerdict(False, f"not transitive on {x},{y},{z}")
-    return AxiomVerdict(True)
+                    return f"not transitive on {x},{y},{z}"
+    return None
 
 
-def _check_connected(s: NumberStructure) -> AxiomVerdict:
+def _check_connected(s: NumberStructure) -> Optional[str]:
     for x, y in combinations(s.carrier, 2):
         if not (s.related(x, y) or s.related(y, x)):
-            return AxiomVerdict(False, f"incomparable pair {x},{y}")
-    return AxiomVerdict(True)
+            return f"incomparable pair {x},{y}"
+    return None
 
 
-def _check_predecessors(s: NumberStructure) -> AxiomVerdict:
-    minima = _minima(s)
-    for x in s.carrier:
-        if x in minima:
-            continue
-        if _pred(s, x) is None:
-            return AxiomVerdict(False, f"{x} has no immediate predecessor")
-    return AxiomVerdict(True)
+def _check_predecessors(s: NumberStructure) -> Optional[str]:
+    for x in s.carrier:  # a minimum has no predecessor and needs none
+        if not all(s.related(x, y) for y in s.carrier) and _neighbour(s, x, True) is None:
+            return f"{x} has no immediate predecessor"
+    return None
 
 
-def _check_minimum(s: NumberStructure) -> AxiomVerdict:
+def _check_minimum(s: NumberStructure) -> Optional[str]:
     for x in s.carrier:
         if not s.related(s.one, x):
-            return AxiomVerdict(False, f"{s.one} does not precede {x}")
-    return AxiomVerdict(True)
+            return f"{s.one} does not precede {x}"
+    return None
 
 
-def _check_no_maximum(s: NumberStructure) -> AxiomVerdict:
+def _check_no_maximum(s: NumberStructure) -> Optional[str]:
     for m in s.carrier:
         if all(s.related(x, m) for x in s.carrier):
-            return AxiomVerdict(False, f"maximum element {m}")
-    return AxiomVerdict(True)
+            return f"maximum element {m}"
+    return None
 
 
-def _check_induction(s: NumberStructure) -> AxiomVerdict:
+def _check_induction(s: NumberStructure) -> Optional[str]:
     """Each succ-closed subset with 1 in it contains the orbit 1, succ(1),
     ..., which is one, so induction holds iff the orbit is all of N; if not,
     the orbit is the least such subset by its bits over the carrier."""
@@ -213,18 +183,37 @@ def _check_induction(s: NumberStructure) -> AxiomVerdict:
     x = s.one
     while x is not None and x not in orbit:
         orbit.add(x)
-        x = _succ(s, x)
+        x = _neighbour(s, x, False)
     if len(orbit) == len(s.carrier):
-        return AxiomVerdict(True)
+        return None
     inside = ",".join(str(x) for x in s.carrier if x in orbit)
-    return AxiomVerdict(False, f"closed proper subset {{{inside}}}")
+    return f"closed proper subset {{{inside}}}"
+
+
+# key -> (label, check), in report order
+_AXIOMS = {
+    "1": ("partial order", _check_partial_order),
+    "2": ("connected", _check_connected),
+    "3": ("closed under predecessors", _check_predecessors),
+    "4a": ("1 is the minimum", _check_minimum),
+    "4b": ("no maximum", _check_no_maximum),
+    "5": ("induction", _check_induction),
+}
+
+
+def check_axioms(s: NumberStructure) -> AxiomReport:
+    verdicts = {}
+    for key, (_, check) in _AXIOMS.items():
+        witness = check(s)
+        verdicts[key] = AxiomVerdict(witness is None, witness)
+    return AxiomReport(_READING, verdicts)
 
 
 def report_text(report: AxiomReport) -> str:
     lines = [f"reading: {report.reading}"]
-    for key in ("1", "2", "3", "4a", "4b", "5"):
+    for key, (label, _) in _AXIOMS.items():
         verdict = report.verdicts[key]
-        line = f"axiom {key} ({_LABELS[key]}): {'pass' if verdict.holds else 'fail'}"
+        line = f"axiom {key} ({label}): {'pass' if verdict.holds else 'fail'}"
         if not verdict.holds and verdict.witness:
             line += f"  witness: {verdict.witness}"
         lines.append(line)

@@ -16,7 +16,7 @@ from typing import Optional
 from . import arithmetic, frege, quantifiers, relsyntax, trivalent, truth
 from .errors import LimitExceededError
 from .formulas import free_vars
-from .notations import Notation, ParseError, PrintError, parse, print_formula
+from .notations import Notation, ParseError, parse, print_formula
 
 _NOTATION_NAMES = [n.value for n in Notation]
 
@@ -103,31 +103,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (ParseError, PrintError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except LimitExceededError as err:
         print(f"limit exceeded: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as err:  # json.JSONDecodeError is a ValueError
+    except (ParseError, ValueError, OSError) as err:  # PrintError and JSONDecodeError too
         print(f"error: {err}", file=sys.stderr)
         return 2
 
 
 def _cmd_translate(args) -> int:
-    formula = parse(_read_source(args.formula), Notation.from_name(args.src))
+    formula = parse(_read_source(args.formula), Notation(args.src))
     if args.dst == "frege":
         for line in frege.render_lines(formula, args.format or "ascii"):
             _outline(line)
         return 0
     if args.format is not None:
         raise ValueError("--format applies only to the frege target")
-    _outline(print_formula(formula, Notation.from_name(args.dst)))
+    _outline(print_formula(formula, Notation(args.dst)))
     return 0
 
 
 def _cmd_table(args) -> int:
-    formula = parse(_read_source(args.formula), Notation.from_name(args.notation))
+    formula = parse(_read_source(args.formula), Notation(args.notation))
     table = truth.truth_table(formula) if args.values == 2 else trivalent.tri_table(formula)
     for block in table.tsv_blocks():
         _out(block)
@@ -135,7 +132,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_taut(args) -> int:
-    formula = parse(_read_source(args.formula), Notation.from_name(args.notation))
+    formula = parse(_read_source(args.formula), Notation(args.notation))
     order = free_vars(formula)
     if args.method == "full":
         counterexample = truth.find_counterexample(formula)
@@ -168,7 +165,7 @@ def _cmd_connectives(args) -> int:
 
 
 def _cmd_anf(args) -> int:
-    formula = parse(_read_source(args.formula), Notation.from_name(args.notation))
+    formula = parse(_read_source(args.formula), Notation(args.notation))
     _outline(str(truth.anf(formula)))
     return 0
 
@@ -176,7 +173,7 @@ def _cmd_anf(args) -> int:
 def _cmd_expand(args) -> int:
     formula = relsyntax.parse_relational(_read_source(args.formula))
     expansion = quantifiers.expand(formula, args.domain)
-    _outline(print_formula(expansion, Notation.from_name(args.dst)))
+    _outline(print_formula(expansion, Notation(args.dst)))
     return 0
 
 

@@ -34,7 +34,7 @@ class PropFormula:
     __hash__ = None  # each concrete node class is a frozen record with its own
 
 
-@record(frozen=True)
+@record
 class Var(PropFormula):
     name: str
 
@@ -43,18 +43,18 @@ class Var(PropFormula):
             raise ValueError(f"bad variable name: {self.name!r}")
 
 
-@record(frozen=True)
+@record
 class Const(PropFormula):
     # True is verum (v), False is falsum (f); constants are never variables.
     value: bool
 
 
-@record(frozen=True)
+@record
 class Neg(PropFormula):
     inner: PropFormula
 
 
-@record(frozen=True)
+@record
 class Claw(PropFormula):
     """Illation a -< b: false exactly when the antecedent holds and the
     consequent fails."""
@@ -63,19 +63,19 @@ class Claw(PropFormula):
     consequent: PropFormula
 
 
-@record(frozen=True)
+@record
 class Prod(PropFormula):
     left: PropFormula
     right: PropFormula
 
 
-@record(frozen=True)
+@record
 class Sum(PropFormula):
     left: PropFormula
     right: PropFormula
 
 
-@record(frozen=True)
+@record
 class Conn16(PropFormula):
     """Binary connective number `index` (1..16) from the MS 431 table."""
 
@@ -120,7 +120,7 @@ class RelFormula:
     __hash__ = None
 
 
-@record(frozen=True)
+@record
 class RAtom(RelFormula):
     predicate: str
     indices: tuple[str, ...]
@@ -138,7 +138,7 @@ class RAtom(RelFormula):
 RNeg, RClaw, RProd, RSum = Neg, Claw, Prod, Sum
 
 
-@record(frozen=True)
+@record
 class Quant(RelFormula):
     """Peirce quantifier: Pi is the product (every element), Sigma the sum
     (some element)."""

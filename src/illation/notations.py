@@ -50,16 +50,9 @@ class Notation(enum.Enum):
     SCHROEDER = "schroeder"
     POLISH = "polish"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Notation":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown notation: {name!r}")
-
 
 class ParseError(Exception):
-    """Syntax error with a byte offset and the token set expected there."""
+    """Syntax error with a character offset and the token set expected there."""
 
     def __init__(self, message: str, offset: int, expected: tuple[str, ...] = (),
                  found: str = ""):
@@ -82,7 +75,7 @@ class PrintError(ValueError):
     """The formula is not expressible in the requested notation."""
 
 
-@record(frozen=True)
+@record
 class _Style:
     claw: str
     prod: str

@@ -63,7 +63,7 @@ def max_atoms_limit() -> int:
     return value
 
 
-@record()
+@record
 class Structure:
     """Finite relational structure: domain {0..n-1} plus predicate tables."""
 
@@ -256,7 +256,7 @@ def extend_model(formula: RelFormula, s: Structure) -> Structure:
     return bigger
 
 
-@record(frozen=True)
+@record
 class SatScanReport:
     """Per-size satisfiability verdicts plus verified extension witnesses."""
 

@@ -80,7 +80,7 @@ def _tile(unit: int, period: int, total: int) -> int:
 _LETTERS = {("1", "1"): "V", ("1", "0"): "L", ("0", "0"): "F"}
 
 
-@record(frozen=True)
+@record
 class TriTable:
     """Rows in canonical order: V before L before F, first variable slowest.
 

@@ -255,7 +255,7 @@ def render_tsv(
 _SPELL_BITS = str.maketrans("10", "vf")
 
 
-@record(frozen=True)
+@record
 class TruthTable:
     """Rows run in canonical order: first variable slowest, v before f.
 
@@ -296,9 +296,13 @@ def truth_table(formula: PropFormula) -> TruthTable:
 
 def table_over(formula: PropFormula, variables: Iterable[str]) -> TruthTable:
     """Truth table over an explicit variable list (a superset of the free
-    variables is allowed; used to compare formulas over merged variables)."""
+    variables is allowed; used to compare formulas over merged variables).
+    A name listed twice is a ValueError."""
     names = tuple(variables)
     _check_table_limit(len(names))
+    for i, name in enumerate(names):
+        if name in names[i + 1:]:
+            raise ValueError(f"variable {name!r} is listed twice")
     full = (1 << (1 << len(names))) - 1
     env = dict(zip(names, row_masks(len(names))))
     return TruthTable(names, _eval_masks(formula, env, full))
@@ -319,7 +323,7 @@ def is_tautology(formula: PropFormula) -> bool:
 # --- indirect method ------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class Tautology:
     """No falsifying assignment exists; trace is the forced-assignment run
     that ends in a contradiction (last step re-forces an earlier variable)."""
@@ -327,7 +331,7 @@ class Tautology:
     trace: tuple[tuple[str, bool], ...]
 
 
-@record(frozen=True)
+@record
 class Falsified:
     counterexample: dict[str, bool]
 
@@ -504,7 +508,7 @@ def expanded(f: PropFormula) -> PropFormula:
 # --- algebraic normal form -------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class AnfPoly:
     """XOR of AND-monomials over GF(2); the empty monomial is the constant 1.
 
@@ -553,7 +557,7 @@ def anf(formula: PropFormula) -> AnfPoly:
 # --- Boole's congruence rule ----------------------------------------------
 
 
-@record(frozen=True)
+@record
 class CongruenceReport:
     """Evidence that semantically equal terms stay equal inside a context."""
 

@@ -12,7 +12,7 @@ from collections import deque, namedtuple
 from contextlib import contextmanager
 from xml.sax.saxutils import escape
 
-from illation.arithmetic import AxiomVerdict, HFAtom, _succ
+from illation.arithmetic import HFAtom
 from illation.errors import LimitExceededError, MissingVariableError
 from illation.formulas import (
     _VAR_NAME,
@@ -693,8 +693,13 @@ def ref_parse_relational(text):
 def ref_check_induction(s):
     """`arithmetic._check_induction` by enumerating every subset of the
     carrier: the first (by bit mask over the carrier) that contains 1, is
-    closed under succ and is proper is the witness."""
-    successor = {x: _succ(s, x) for x in s.carrier}
+    closed under succ and is proper gives the witness; None if there is none.
+    succ(x) is the first y != x above x that lies below every other one."""
+    successor = {}
+    for x in s.carrier:
+        above = [y for y in s.carrier if y != x and (x, y) in s.relation]
+        least = [y for y in above if all((y, z) in s.relation for z in above)]
+        successor[x] = least[0] if least else None
     n = len(s.carrier)
     for mask in range(1 << n):
         subset = {s.carrier[i] for i in range(n) if mask >> i & 1}
@@ -705,8 +710,8 @@ def ref_check_induction(s):
         )
         if closed and len(subset) != n:
             inside = ",".join(x for x in s.carrier if x in subset)
-            return AxiomVerdict(False, f"closed proper subset {{{inside}}}")
-    return AxiomVerdict(True)
+            return f"closed proper subset {{{inside}}}"
+    return None
 
 
 def _extension(x):

@@ -18,11 +18,11 @@ TABLE4_FORMS = {
 }
 
 
-def test_notation_from_name():
-    assert Notation.from_name("peirce") is Notation.PEIRCE
-    assert Notation.from_name("peano-russell") is Notation.PEANO_RUSSELL
-    with pytest.raises(ValueError):
-        Notation.from_name("frege")
+def test_notation_by_name():
+    assert Notation("peirce") is Notation.PEIRCE
+    assert Notation("peano-russell") is Notation.PEANO_RUSSELL
+    with pytest.raises(ValueError, match="'frege' is not a valid Notation"):
+        Notation("frege")
 
 
 def test_table4_all_notations_parse_identically():
@@ -173,6 +173,10 @@ def test_parse_error_offsets():
         parse("", Notation.PEIRCE)
     with pytest.raises(ParseError):
         parse("Ca", Notation.POLISH)
+    # offsets count characters: two no-break spaces (four UTF-8 bytes) before the bad one
+    with pytest.raises(ParseError) as exc:
+        parse("\u00a0\u00a0\u00e9", Notation.PEIRCE)
+    assert exc.value.offset == 2
 
 
 def test_trailing_input_rejected():
@@ -212,13 +216,14 @@ def test_cross_notation_translation_preserves_ast():
 
 
 def test_conn16_prints_as_expansion():
-    f = Conn16(8, A, B)
-    for notation in Notation:
-        text = print_formula(f, notation)
-        g = parse(text, notation)
-        assert not isinstance(g, Conn16) or notation is Notation.POLISH
-        for env in all_envs("ab"):
-            assert ref_eval(g, env) == ref_eval(f, env)
+    # alone, and as a side of a product
+    for f, names in ((Conn16(8, A, B), "ab"), (Prod(Conn16(8, A, B), C), "abc")):
+        for notation in Notation:
+            text = print_formula(f, notation)
+            g = parse(text, notation)
+            assert not isinstance(g, Conn16) or notation is Notation.POLISH
+            for env in all_envs(names):
+                assert ref_eval(g, env) == ref_eval(f, env)
     # degenerate columns print without constants too
     for k in (1, 16):
         for notation in Notation:

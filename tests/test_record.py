@@ -1,7 +1,7 @@
 """The record decorator against the real dataclasses, and the CLI's import set.
 
-Every record class in the package gets a dataclass twin built from the same
-annotations, defaults and `__post_init__`; the two must agree on repr text,
+Every record class in the package gets a frozen dataclass twin built from the
+same annotations and `__post_init__`; the two must agree on repr text,
 equality (within and across classes), hashing, frozen assignment and
 validation errors.
 """
@@ -45,7 +45,7 @@ SAMPLES = {
     quantifiers.Structure: [(2, {"l": (2, frozenset({(0, 1)}))}), (3, {})],
     quantifiers.SatScanReport: [(((1, None),), ())],
     arithmetic.NumberStructure: [(("1", "2"), frozenset({("1", "2")}), "1")],
-    arithmetic.AxiomVerdict: [(True,), (False, "not reflexive at 1")],
+    arithmetic.AxiomVerdict: [(True, None), (False, "not reflexive at 1")],
     arithmetic.AxiomReport: [("reading", {})],
     notations._Style: [(">", "&", "|", "~", None, False)],
 }
@@ -68,12 +68,9 @@ def frozen(cls: type) -> bool:
 
 def twin(cls: type) -> type:
     """The dataclass the record class replaced."""
-    spec = [
-        (n, object, dataclasses.field(default=vars(cls)[n])) if n in vars(cls) else (n, object)
-        for n in vars(cls)["__annotations__"]
-    ]
+    spec = list(vars(cls)["__annotations__"])
     namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
-    made = dataclasses.make_dataclass(cls.__name__, spec, namespace=namespace, frozen=frozen(cls))
+    made = dataclasses.make_dataclass(cls.__name__, spec, namespace=namespace, frozen=True)
     made.__qualname__ = cls.__qualname__
     return made
 
@@ -81,7 +78,7 @@ def twin(cls: type) -> type:
 def test_every_record_class_is_sampled():
     assert set(record_classes()) == set(SAMPLES)
     assert len(SAMPLES) == 21
-    assert [c for c in SAMPLES if not frozen(c)] == [quantifiers.Structure]
+    assert [c for c in SAMPLES if not frozen(c)] == []
 
 
 def test_relational_connectives_are_the_propositional_nodes():
@@ -103,20 +100,17 @@ def test_record_matches_dataclass(cls):
         assert x == cls(*(getattr(x, n) for n in vars(cls)["__annotations__"]))
         assert x.__eq__(object()) is NotImplemented and tx.__eq__(object()) is NotImplemented
         assert x != tx  # a different class, as with two dataclasses
-        if frozen(cls):
-            try:
-                assert hash(x) == hash(tx)
-            except TypeError:  # a dict field makes both unhashable
-                pytest.raises(TypeError, hash, tx)
-            name = next(iter(vars(cls)["__annotations__"]))
-            for attempt in (lambda o: setattr(o, name, None), lambda o: delattr(o, name)):
-                with pytest.raises(AttributeError) as mine_err:
-                    attempt(x)
-                with pytest.raises(AttributeError) as their_err:
-                    attempt(tx)
-                assert str(mine_err.value) == str(their_err.value)
-        else:
-            pytest.raises(TypeError, hash, x)
+        try:
+            assert hash(x) == hash(tx)
+        except TypeError:  # a dict field makes both unhashable
+            pytest.raises(TypeError, hash, tx)
+        name = next(iter(vars(cls)["__annotations__"]))
+        for attempt in (lambda o: setattr(o, name, None), lambda o: delattr(o, name)):
+            with pytest.raises(AttributeError) as mine_err:
+                attempt(x)
+            with pytest.raises(AttributeError) as their_err:
+                attempt(tx)
+            assert str(mine_err.value) == str(their_err.value)
     for (x, tx), (y, ty) in zip(zip(mine, theirs), zip(mine[1:], theirs[1:])):
         assert (x == y, x != y) == (tx == ty, tx != ty) == (False, True)
 
@@ -138,7 +132,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
 def test_repr_is_the_dataclass_text():
     assert repr(A) == "Var(name='a')"
     assert repr(Neg(A)) == "Neg(inner=Var(name='a'))"
-    assert repr(arithmetic.AxiomVerdict(True)) == "AxiomVerdict(holds=True, witness=None)"
+    assert repr(arithmetic.AxiomVerdict(True, None)) == "AxiomVerdict(holds=True, witness=None)"
     with pytest.raises(TypeError, match=r"not a propositional formula: RAtom\(predicate='l'"):
         formulas.free_vars(ATOM)
 
@@ -164,23 +158,24 @@ def test_post_init_errors_match_dataclass(cls, args):
 
 
 def test_keywords_and_defaults():
+    """Fields bind by keyword as by position, and no field has a default."""
     Verdict = arithmetic.AxiomVerdict
     assert Verdict(holds=False, witness="w") == Verdict(False, "w")
     assert Verdict(witness="w", holds=False) == Verdict(False, "w")
-    assert Verdict(True) == Verdict(holds=True) == Verdict(True, None)
     assert Var(name="a") == A
     assert Claw(consequent=B, antecedent=A) == Claw(A, B)
     for call in (lambda: Var(), lambda: Var("a", "b"), lambda: Var(nam="a"),
-                 lambda: Verdict(True, witness="w", holds=False)):
+                 lambda: Verdict(True), lambda: Verdict(True, witness="w", holds=False)):
         with pytest.raises(TypeError, match=r"Var\.__init__\(\)|AxiomVerdict\.__init__\(\)"):
             call()
 
 
-def test_mutable_record_takes_assignment():
+def test_structure_refuses_assignment():
     s = quantifiers.Structure(2, {})
-    s.domain_size = 3
-    assert s == quantifiers.Structure(3, {})
-    assert quantifiers.Structure.__hash__ is None
+    with pytest.raises(_record.FrozenInstanceError, match="cannot assign to field 'domain_size'"):
+        s.domain_size = 3
+    assert s == quantifiers.Structure(2, {})
+    pytest.raises(TypeError, hash, s)  # its dict field is unhashable
 
 
 def test_cached_rows_on_frozen_tables():
@@ -198,14 +193,8 @@ def test_cached_rows_on_frozen_tables():
 
 
 def test_record_rejects_unsupported_shapes():
-    with pytest.raises(TypeError, match="without a default follows"):
-        @_record.record(frozen=True)
-        class Late:
-            a: int = 0
-            b: int
-
     with pytest.raises(TypeError, match="no record template for 4 fields"):
-        @_record.record()
+        @_record.record
         class Wide:
             a: int
             b: int

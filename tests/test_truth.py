@@ -117,6 +117,9 @@ def test_table_over_explicit_variables():
     assert t.values() == (True, True, False, False)
     with pytest.raises(MissingVariableError):
         table_over(Claw(A, B), ["a"])
+    for names in (["a", "a"], ["b", "a", "b"]):
+        with pytest.raises(ValueError, match=f"variable '{names[-1]}' is listed twice"):
+            table_over(A, names)
 
 
 def test_table_var_limit():
