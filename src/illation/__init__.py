@@ -23,6 +23,8 @@ from .formulas import (
     RSum,
     Sum,
     Var,
+    connective_index,
+    connective_vector,
     ensure_closed,
     free_vars,
     substitute,
@@ -38,8 +40,6 @@ from .truth import (
     TruthTable,
     anf,
     congruence_check,
-    connective_index,
-    connective_vector,
     eval2,
     find_counterexample,
     indirect_falsify,

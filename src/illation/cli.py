@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import arithmetic, frege, quantifiers, relsyntax, trivalent, truth
 from .errors import LimitExceededError
-from .formulas import free_vars
+from .formulas import connective_vector, free_vars
 from .notations import Notation, ParseError, parse, print_formula
 
 _NOTATION_NAMES = [n.value for n in Notation]
@@ -155,7 +155,7 @@ def _cmd_taut(args) -> int:
 def _cmd_connectives(args) -> int:
     _outline("index\tvv\tvf\tfv\tff")
     for index in range(1, 17):
-        cells = "\t".join(truth.spell(v) for v in truth.connective_vector(index))
+        cells = "\t".join(truth.spell(v) for v in connective_vector(index))
         _outline(f"{index}\t{cells}")
     for index in range(1, 17):
         _outline("")

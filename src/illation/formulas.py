@@ -3,9 +3,11 @@
 Propositional trees use Peirce's connective set: the claw (illation, his
 material implication), negation, Boolean product and sum, the two constants,
 and a generalized binary connective addressed by its column index in the
-sixteen-connective table of MS 431.  Relational trees add indexed predicate
-atoms and Peirce's Pi/Sigma quantifiers over index variables, joined by the
-same connective nodes.
+sixteen-connective table of MS 431.  That table and each connective's
+sum-of-products expansion live here too, so reading and printing need no
+evaluator.  Relational trees add indexed predicate atoms and Peirce's
+Pi/Sigma quantifiers over index variables, joined by the same connective
+nodes.
 
 All nodes are frozen records (`_record.record`): immutable, equal when they
 are of the same class with equal fields, and hashed by their field tuple.
@@ -14,7 +16,7 @@ are of the same class with equal fields, and hashed by their field tuple.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import partial, reduce
 from operator import attrgetter
 from typing import Iterator
 
@@ -48,6 +50,11 @@ class Const(PropFormula):
     # True is verum (v), False is falsum (f); constants are never variables.
     value: bool
 
+    @property
+    def name(self) -> str:
+        """The constant as the algebraic notations spell it."""
+        return "#t" if self.value else "#f"
+
 
 @record
 class Neg(PropFormula):
@@ -75,6 +82,57 @@ class Sum(PropFormula):
     right: PropFormula
 
 
+# --- the sixteen connectives of MS 431 ------------------------------------
+
+# The sixteen binary connectives, keyed by their column index in the MS 431
+# table.  Each vector lists the connective's value at the four assignment
+# rows in canonical order: (v,v), (v,f), (f,v), (f,f).
+CONNECTIVE_VECTORS: dict[int, tuple[bool, bool, bool, bool]] = {
+    1: (False, False, False, False),
+    2: (False, False, False, True),
+    3: (False, False, True, False),
+    4: (False, True, False, False),
+    5: (True, False, False, False),
+    6: (True, True, False, False),
+    7: (True, False, True, False),
+    8: (True, False, False, True),
+    9: (False, True, True, False),
+    10: (False, True, False, True),
+    11: (False, False, True, True),
+    12: (False, True, True, True),
+    13: (True, False, True, True),
+    14: (True, True, False, True),
+    15: (True, True, True, False),
+    16: (True, True, True, True),
+}
+
+# The claw's own vector (v,f,v,v) sits in column 13; plain equivalence
+# (v,f,f,v) in column 8.
+CLAW_INDEX = 13
+EQUIVALENCE_INDEX = 8
+
+
+def connective_vector(index: int) -> tuple[bool, bool, bool, bool]:
+    """The truth vector of column `index`; only the ints 1..16 are columns."""
+    if type(index) is not int or index not in CONNECTIVE_VECTORS:
+        raise ValueError(f"connective index out of range: {index!r}")
+    return CONNECTIVE_VECTORS[index]
+
+
+def connective_index(vector: tuple[bool, bool, bool, bool]) -> int:
+    for index, candidate in CONNECTIVE_VECTORS.items():
+        if candidate == tuple(vector):
+            return index
+    raise ValueError(f"not a length-4 truth vector: {vector!r}")
+
+
+def _rows(index: int, value: bool) -> list[tuple[bool, bool]]:
+    """The (left, right) values, in canonical order, where connective
+    `index` has `value`."""
+    pairs = ((True, True), (True, False), (False, True), (False, False))
+    return [pair for pair, cell in zip(pairs, connective_vector(index)) if cell == value]
+
+
 @record
 class Conn16(PropFormula):
     """Binary connective number `index` (1..16) from the MS 431 table."""
@@ -84,8 +142,30 @@ class Conn16(PropFormula):
     right: PropFormula
 
     def __post_init__(self) -> None:
-        if not 1 <= self.index <= 16:
-            raise ValueError(f"connective index out of range: {self.index}")
+        connective_vector(self.index)
+
+
+def sop_expansion(index: int, left: PropFormula, right: PropFormula) -> PropFormula:
+    """Sum-of-products formula with the same table as Conn16(index, l, r).
+
+    Constant-free so the result stays printable in every notation: the
+    all-false vector becomes (l AND NOT l) AND (r AND NOT r), the all-true
+    vector its dual.
+    """
+    rows = _rows(index, True)
+    if not rows:
+        return Prod(Prod(left, Neg(left)), Prod(right, Neg(right)))
+    if len(rows) == 4:
+        return Sum(Sum(left, Neg(left)), Sum(right, Neg(right)))
+    return reduce(Sum, [Prod(left if l else Neg(left), right if r else Neg(right))
+                        for l, r in rows])
+
+
+def expanded(f: PropFormula) -> PropFormula:
+    """`f` itself, or a Conn16 node's sum-of-products expansion."""
+    if type(f) is Conn16:
+        return sop_expansion(f.index, *SUBFORMULAS[Conn16](f))
+    return f
 
 
 def free_vars(formula: PropFormula) -> list[str]:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .formulas import SUBFORMULAS, Claw, Const, Neg, Prod, PropFormula, Sum, Var, free_vars
-from .truth import expanded
+from .formulas import (SUBFORMULAS, Claw, Const, Neg, Prod, PropFormula, Sum, Var, expanded,
+                       free_vars)
 
 _CELL_W = 12
 _CELL_H = 18
@@ -79,8 +79,7 @@ def _lines(f: PropFormula) -> Iterator[str]:
         f = expanded(f)
         cls = type(f)
         if cls is Var or cls is Const:
-            label = f.name if cls is Var else "#t" if f.value else "#f"
-            yield known + "".join(head) + "-- " + label
+            yield known + "".join(head) + "-- " + f.name
             continue
         if cls is Neg or cls is Prod:  # the nub; a product is a negated claw
             head.append("-|")

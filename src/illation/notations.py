@@ -20,11 +20,11 @@ from __future__ import annotations
 import enum
 import re
 from functools import cache, partial
-from itertools import chain
 from typing import Iterator, Optional
 
 from ._record import record
 from .formulas import (
+    EQUIVALENCE_INDEX,
     PI,
     SIGMA,
     SUBFORMULAS,
@@ -39,9 +39,9 @@ from .formulas import (
     RelFormula,
     Sum,
     Var,
+    expanded,
     from_prefix,
 )
-from .truth import EQUIVALENCE_INDEX, expanded
 
 
 class Notation(enum.Enum):
@@ -106,11 +106,17 @@ _STYLES = {
 # prefix waits there until its bracket closes or the text ends, so its scope
 # reaches as far right as it can.
 
+# How tightly each node binds, for the reader and the printer alike.
+_CLAW_LEVEL, _SUM_LEVEL, _PROD_LEVEL, _NEG_LEVEL, _ATOM_LEVEL = 1, 2, 3, 4, 5
+
+_LEVEL = {Var: _ATOM_LEVEL, Const: _ATOM_LEVEL, Neg: _NEG_LEVEL, Prod: _PROD_LEVEL,
+          Sum: _SUM_LEVEL, Claw: _CLAW_LEVEL}
+
 _BINARY = {"PROD": Prod, "SUM": Sum, "CLAW": Claw}
-_BINDS = {Prod: 3, Sum: 2, Claw: 1}
 # A binary operator first applies the pending ones that bind at least this
-# tightly: products and sums associate left, the claw to the right.
-_TAKES = {Prod: 3, Sum: 2, Claw: 2}
+# tightly: products and sums associate left, the claw to the right.  No
+# negation is pending then, as each applies once its operand is complete.
+_TAKES = {Prod: _PROD_LEVEL, Sum: _SUM_LEVEL, Claw: _SUM_LEVEL}
 _QUANTIFIERS = {"PI": PI, "SIGMA": SIGMA}
 _OPEN = "("  # an open bracket on the operator stack
 
@@ -148,20 +154,12 @@ def _lexical_error(token, lexicon: tuple[str, ...]) -> Optional[ParseError]:
     return None
 
 
-def _first_lexical_error(tokens, lexicon: tuple[str, ...]) -> Optional[ParseError]:
-    for token in tokens:
-        error = _lexical_error(token, lexicon)
-        if error:
-            return error
-    return None
-
-
 def _close(ops: list, operands: list) -> None:
     """Apply the pending operators down to the innermost open bracket, or
     the bottom of the stack, and take that mark off."""
     op = ops.pop()
     while op is not _OPEN and op is not None:
-        if op in _BINDS:
+        if op in _TAKES:
             right = operands.pop()
             operands[-1] = op(operands[-1], right)
         else:  # a quantifier prefix
@@ -180,11 +178,12 @@ def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
     def error(token, expected: tuple[str, ...]) -> ParseError:
         """The error where `token` (None: the end) cannot stand.  A
         character or word that no token spells is reported first, wherever
-        it stands."""
-        rest = tokens if token is None else chain((token,), tokens)
-        found = _first_lexical_error(rest, lexicon)
-        if found:
-            return found
+        it stands.  The loop raises at each such token it reaches, so none
+        stands before `token`, and the first in the text is the one due."""
+        for each in lexer.finditer(text):
+            found = _lexical_error(each, lexicon)
+            if found:
+                return found
         if token is None:
             return ParseError("syntax error", len(text), expected, "end of input")
         return ParseError("syntax error", token.start(token.lastgroup), expected,
@@ -192,11 +191,8 @@ def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
 
     def expect(kind: str, expected: tuple[str, ...]) -> str:
         token = next(tokens, None)
-        if token is None or token.lastgroup != kind:
+        if token is None or token.lastgroup != kind or _lexical_error(token, lexicon):
             raise error(token, expected)
-        found = _lexical_error(token, lexicon)
-        if found:
-            raise found
         return token[kind]
 
     leaves: dict = {}  # one node per distinct variable or constant
@@ -212,7 +208,7 @@ def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
             if binary or kind in juxtaposed:
                 op = binary or Prod  # juxtaposition is a product
                 takes = _TAKES[op]
-                while _BINDS.get(ops[-1], 0) >= takes:
+                while _LEVEL.get(ops[-1], 0) >= takes:
                     right = operands.pop()
                     operands[-1] = ops.pop()(operands[-1], right)
                 ops.append(op)
@@ -246,9 +242,8 @@ def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
             start = True
             continue
         elif kind == "WORD":  # a predicate atom
-            found = _lexical_error(token, lexicon)
-            if found:
-                raise found
+            if _lexical_error(token, lexicon):
+                raise error(token, operand)
             expect("LPAREN", ("'('",))
             indices = [expect("WORD", ("index variable",))]
             closing = next(tokens, None)
@@ -276,10 +271,11 @@ def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
     return operands[0]
 
 
-_POLISH_EXPECTED = ("'C'", "'N'", "'K'", "'A'", "'E'", "variable")
-
-_POLISH = {"C": Claw, "N": Neg, "K": Prod, "A": Sum, "E": partial(Conn16, EQUIVALENCE_INDEX)}
 _POLISH_LETTER = {Claw: "C", Neg: "N", Prod: "K", Sum: "A"}
+# Polish reads E too, as equivalence, and prints it expanded.
+_POLISH = {letter: cls for cls, letter in _POLISH_LETTER.items()}
+_POLISH["E"] = partial(Conn16, EQUIVALENCE_INDEX)
+_POLISH_EXPECTED = tuple(map(repr, _POLISH)) + ("variable",)
 
 
 def _parse_polish(text: str) -> PropFormula:
@@ -322,10 +318,6 @@ def parse(text: str, notation: Notation) -> PropFormula:
 
 # --- printing ---------------------------------------------------------------
 
-_CLAW_LEVEL, _SUM_LEVEL, _PROD_LEVEL, _NEG_LEVEL, _ATOM_LEVEL = 1, 2, 3, 4, 5
-
-_LEVEL = {Var: _ATOM_LEVEL, Const: _ATOM_LEVEL, Neg: _NEG_LEVEL, Prod: _PROD_LEVEL,
-          Sum: _SUM_LEVEL, Claw: _CLAW_LEVEL}
 # A side is bracketed when its level is below the lowest its place allows:
 # the right side of a product or sum binds tighter than the node, and nested
 # claws are bracketed on BOTH sides, the way the period sources set them,
@@ -394,7 +386,7 @@ def _fragments(f: PropFormula, notation: Notation) -> Iterator[str]:
                 else:
                     push(side)
         elif cls is Const and notation is not Notation.POLISH:
-            yield "#t" if f.value else "#f"
+            yield f.name
         elif cls is Const:
             raise PrintError("Polish notation has no constant literals")
         else:

@@ -1,9 +1,9 @@
 """Bivalent truth-functional machinery.
 
 Covers direct truth tables in Peirce's canonical row order, the indirect
-(falsification) method of MS 527 and MS 547, the sixteen binary connectives
-of MS 431 with their X-frame icons, algebraic normal form over GF(2), and
-Boole's substitution-congruence check.
+(falsification) method of MS 527 and MS 547, the X-frame icons of the
+sixteen binary connectives of MS 431 (whose table is in `formulas`),
+algebraic normal form over GF(2), and Boole's substitution-congruence check.
 
 Truth values are Python bools: True is v (verum), False is f (falsum).
 """
@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from ._record import record
 from .errors import LimitExceededError, MissingVariableError
 from .formulas import (
+    CONNECTIVE_VECTORS,
     PI,
     PROPOSITIONAL,
     RELATIONAL,
@@ -31,6 +32,8 @@ from .formulas import (
     RAtom,
     Sum,
     Var,
+    _rows,
+    connective_vector,
     free_vars,
     substitute,
 )
@@ -40,33 +43,6 @@ MAX_TABLE_VARS = 16
 # Counterexample and difference searches scan rows in blocks of 2^BLOCK_BITS,
 # so a formula falsified early costs one block rather than the whole table.
 BLOCK_BITS = 10
-
-# The sixteen binary connectives, keyed by their column index in the MS 431
-# table.  Each vector lists the connective's value at the four assignment
-# rows in canonical order: (v,v), (v,f), (f,v), (f,f).
-CONNECTIVE_VECTORS: dict[int, tuple[bool, bool, bool, bool]] = {
-    1: (False, False, False, False),
-    2: (False, False, False, True),
-    3: (False, False, True, False),
-    4: (False, True, False, False),
-    5: (True, False, False, False),
-    6: (True, True, False, False),
-    7: (True, False, True, False),
-    8: (True, False, False, True),
-    9: (False, True, True, False),
-    10: (False, True, False, True),
-    11: (False, False, True, True),
-    12: (False, True, True, True),
-    13: (True, False, True, True),
-    14: (True, True, False, True),
-    15: (True, True, True, False),
-    16: (True, True, True, True),
-}
-
-# The claw's own vector (v,f,v,v) sits in column 13; plain equivalence
-# (v,f,f,v) in column 8.
-CLAW_INDEX = 13
-EQUIVALENCE_INDEX = 8
 
 
 def spell(value: bool) -> str:
@@ -80,13 +56,6 @@ def eval2(formula: PropFormula, assignment: Mapping[str, bool]) -> bool:
     and 0.
     """
     return bool(_eval_masks(formula, assignment, 1))
-
-
-def _rows(index: int, value: bool) -> list[tuple[bool, bool]]:
-    """The (left, right) values, in canonical order, where connective
-    `index` has `value`."""
-    pairs = ((True, True), (True, False), (False, True), (False, False))
-    return [pair for pair, cell in zip(pairs, connective_vector(index)) if cell == value]
 
 
 def _check_table_limit(count: int) -> None:
@@ -400,7 +369,7 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
             node, want, goals = goals
             cls = type(node)
             if cls is Var or cls is Const:  # a constant is a variable assigned from the start
-                name = node.name if cls is Var else "#t" if node.value else "#f"
+                name = node.name
                 prior = assignment.get(name) if cls is Var else node.value
                 if prior is None:
                     assignment[name] = want
@@ -420,7 +389,7 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
                 alternatives = [tuple(zip(SUBFORMULAS[cls](node), row))
                                 for row in _rows(node.index, want)]
                 if not alternatives:  # a constant connective asked for the other value
-                    clash = ("#f", True) if want else ("#t", False)
+                    clash = (Const(not want).name, want)
                 break
             else:
                 raise TypeError(f"not a propositional formula: {node!r}")
@@ -448,20 +417,7 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
     return Tautology(best_trace)
 
 
-# --- the sixteen connectives ----------------------------------------------
-
-
-def connective_vector(index: int) -> tuple[bool, bool, bool, bool]:
-    if index not in CONNECTIVE_VECTORS:
-        raise ValueError(f"connective index out of range: {index}")
-    return CONNECTIVE_VECTORS[index]
-
-
-def connective_index(vector: tuple[bool, bool, bool, bool]) -> int:
-    for index, candidate in CONNECTIVE_VECTORS.items():
-        if candidate == tuple(vector):
-            return index
-    raise ValueError(f"not a length-4 truth vector: {vector!r}")
+# --- the X-frame icons of the sixteen connectives -------------------------
 
 
 def xframe(index: int) -> str:
@@ -475,34 +431,6 @@ def xframe(index: int) -> str:
     sw = " " if vec[2] else "/"
     se = " " if vec[3] else "\\"
     return f"{nw} {ne}\n X \n{sw} {se}"
-
-
-def sop_expansion(index: int, left: PropFormula, right: PropFormula) -> PropFormula:
-    """Sum-of-products formula with the same table as Conn16(index, l, r).
-
-    Constant-free so the result stays printable in every notation: the
-    all-false vector becomes (l AND NOT l) AND (r AND NOT r), the all-true
-    vector its dual.
-    """
-    rows = _rows(index, True)
-    if not rows:
-        return Prod(Prod(left, Neg(left)), Prod(right, Neg(right)))
-    if len(rows) == 4:
-        return Sum(Sum(left, Neg(left)), Sum(right, Neg(right)))
-    terms = [
-        Prod(left if l else Neg(left), right if r else Neg(right)) for l, r in rows
-    ]
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = Sum(acc, term)
-    return acc
-
-
-def expanded(f: PropFormula) -> PropFormula:
-    """`f` itself, or a Conn16 node's sum-of-products expansion."""
-    if type(f) is Conn16:
-        return sop_expansion(f.index, *SUBFORMULAS[Conn16](f))
-    return f
 
 
 # --- algebraic normal form -------------------------------------------------

@@ -35,7 +35,9 @@ from illation.formulas import (
     SUBFORMULAS,
     Sum,
     Var,
+    _rows,
     ensure_closed,
+    expanded,
     free_vars,
     from_prefix,
     predicate_signature,
@@ -51,8 +53,6 @@ from illation.truth import (
     Falsified,
     Tautology,
     _eval_masks,
-    _rows,
-    expanded,
 )
 
 # The fixed 16-column connective table, rows (v,v),(v,f),(f,v),(f,f).

@@ -9,6 +9,7 @@ import itertools
 
 from illation.arithmetic import HFAtom, NumberStructure, chain, check_axioms, hf_equal, wiener_pair
 from illation.formulas import (
+    CLAW_INDEX,
     PI,
     SIGMA,
     Claw,
@@ -22,6 +23,8 @@ from illation.formulas import (
     RSum,
     Sum,
     Var,
+    connective_index,
+    connective_vector,
     ensure_closed,
     free_vars,
 )
@@ -36,12 +39,9 @@ from illation.quantifiers import (
 )
 from illation.trivalent import F, L, V, tri_and, tri_neg, tri_or
 from illation.truth import (
-    CLAW_INDEX,
     Falsified,
     Tautology,
     anf,
-    connective_index,
-    connective_vector,
     find_counterexample,
     indirect_falsify,
     is_tautology,

@@ -1,14 +1,21 @@
-"""The relational commands against the benchmark's reference model.
+"""The CLI against the benchmark's reference model.
 
 `bench/oracle.py` is written apart from the package and imports nothing
-from it.  Random closed formulas are built as its tuples, printed with its
-`render_relational`, and fed on stdin to the CLI run in this process; the
-exit code and stdout of `sat`, `scan`, `scan --herbrand` and `expand` must be
-the ones the oracle computes.  Domains stay at 1-3 and the predicates at
-arity 1-2 over at most 12 cells, so every case is inside the package's
-limits (the oracle has none).  The tables of the propositional commands are
-not checked here: the oracle's table of a formula with no variables is not
-yet the one `docs/grammars.md` describes.
+from it.  Random formulas are built as its tuples, printed with its
+`render` or `render_relational`, and fed on stdin to the CLI run in this
+process; the exit code and stdout must be the ones the oracle computes.
+
+- Propositional: `translate` between every pair of the four notations
+  (Polish only for formulas without constants), `taut` and `anf`, on
+  formulas with and without constants and with no variables at all.
+- Relational: `sat`, `scan`, `scan --herbrand` and `expand` on closed
+  formulas.  Domains stay at 1-3 and the predicates at arity 1-2 over at
+  most 12 cells, so every case is inside the package's limits (the oracle
+  has none).
+
+`table` and `table --values 3` are not checked here: the oracle's table of
+a formula with no variables is not yet the one `docs/grammars.md`
+describes (ROADMAP item 1).
 """
 
 import importlib.util
@@ -22,9 +29,41 @@ _SPEC = importlib.util.spec_from_file_location(
 O = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(O)
 
+NOTATIONS = ("peano-russell", "peirce", "schroeder", "polish")
 ARITY = {"p": 1, "q": 1, "l": 2, "r": 2}
 INDICES = ("i", "j", "k")
 MAX_CELLS = 12
+
+
+def prop_formula(rng, names, size):
+    """An oracle tuple of about `size` nodes over the letters `names`;
+    with none, every leaf is a constant."""
+    if size <= 1:
+        if not names or rng.random() < 0.2:
+            return ("const", rng.random() < 0.5)
+        return ("var", rng.choice(names))
+    if rng.random() < 0.25:
+        return ("not", prop_formula(rng, names, size - 1))
+    left = rng.randint(1, max(1, size - 2))
+    return (rng.choice(O.BINARY), prop_formula(rng, names, left),
+            prop_formula(rng, names, size - 1 - left))
+
+
+def test_propositional_commands_print_what_the_oracle_computes():
+    rng = random.Random(1879)
+    for _ in range(64):  # 872 checks, 22 formulas with no variables
+        f = prop_formula(rng, rng.choice(("", "a", "ab", "abcde")), rng.randint(1, 9))
+        texts = {name: O.render(f, name) for name in NOTATIONS
+                 if name != "polish" or "const" not in repr(f)}
+        for src, text in texts.items():
+            for dst, printed in texts.items():
+                assert run("translate", "--from", src, "--to", dst, "-", stdin=text) == (
+                    0, printed + "\n", ""), (src, dst, text)
+        src = rng.choice(list(texts))
+        code, out = O.taut_line(f)
+        assert run("taut", "--notation", src, "-", stdin=texts[src]) == (code, out, ""), f
+        assert run("anf", "--notation", src, "-", stdin=texts[src]) == (
+            0, O.anf_text(f) + "\n", ""), f
 
 
 def closed_formula(rng, bound=(), size=6):

@@ -5,24 +5,33 @@ import pytest
 
 from illation import truth
 from illation.errors import LimitExceededError, MissingVariableError
-from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var, free_vars
-from illation.notations import Notation, parse
-from illation.truth import (
+from illation.formulas import (
     CLAW_INDEX,
     CONNECTIVE_VECTORS,
     EQUIVALENCE_INDEX,
+    Claw,
+    Conn16,
+    Const,
+    Neg,
+    Prod,
+    Sum,
+    Var,
+    connective_index,
+    connective_vector,
+    free_vars,
+    sop_expansion,
+)
+from illation.notations import Notation, parse
+from illation.truth import (
     AnfPoly,
     Falsified,
     Tautology,
     anf,
     congruence_check,
-    connective_index,
-    connective_vector,
     eval2,
     find_counterexample,
     indirect_falsify,
     is_tautology,
-    sop_expansion,
     table_over,
     truth_table,
     xframe,
@@ -315,6 +324,17 @@ def test_connective_anchor_columns():
     assert connective_index((True, True, True, True)) == 16
     assert connective_index((True, False, False, False)) == 5
     assert connective_vector(CLAW_INDEX) == (True, False, True, True)
+
+
+@pytest.mark.parametrize("index", [0, 17, -1, True, False, 3.0, "3", None])
+def test_connective_index_is_an_int_from_1_to_16(index):
+    message = f"connective index out of range: {index!r}"
+    with pytest.raises(ValueError) as caught:
+        connective_vector(index)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        Conn16(index, A, B)
+    assert str(caught.value) == message
 
 
 def test_conn16_agrees_with_its_vector():
