@@ -206,17 +206,15 @@ def _cmd_scan(args) -> int:
         return 0
     report = quantifiers.sat_scan(formula, args.max_size)
     extensions = dict(report.extensions)
-    any_witness = False
     for size, witness in report.verdicts:
         if witness is None:
             _outline(f"size {size}: none")
             continue
-        any_witness = True
         _outline(f"size {size}: satisfiable "
                  + json.dumps(quantifiers.structure_to_json(witness)))
         _outline(f"extend {size} -> {size + 1}: "
                  + json.dumps(quantifiers.structure_to_json(extensions[size])))
-    return 0 if any_witness else 1
+    return 0 if report.extensions else 1
 
 
 def _cmd_axioms(args) -> int:

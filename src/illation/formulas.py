@@ -4,7 +4,8 @@ Propositional trees use Peirce's connective set: the claw (illation, his
 material implication), negation, Boolean product and sum, the two constants,
 and a generalized binary connective addressed by its column index in the
 sixteen-connective table of MS 431.  That table and each connective's
-sum-of-products expansion live here too, so reading and printing need no
+sum-of-products expansion live here too, with the bound on the atom
+occurrences printing those expansions adds, so reading and printing need no
 evaluator.  Relational trees add indexed predicate atoms and Peirce's
 Pi/Sigma quantifiers over index variables, joined by the same connective
 nodes.
@@ -21,6 +22,7 @@ from operator import attrgetter
 from typing import Iterator
 
 from ._record import record
+from .errors import LimitExceededError
 
 # Single letter, or an expansion atom such as l_0_1 produced by quantifier
 # elimination (predicate name + underscore-joined element indices).  The four
@@ -28,6 +30,11 @@ from ._record import record
 _VAR_NAME = re.compile(r"[a-z]|[a-z][a-z0-9]*(?:_[0-9]+)+")
 
 _PREDICATE_NAME = re.compile(r"[a-z][a-z0-9]*")
+
+# The most atom occurrences an expansion may have, or a search's evaluation
+# read (2^16 take ~0.6 s and ~37 MB to expand, and each quantifier multiplies
+# them by n), or printing each Conn16 as its expansion add.
+MAX_EXPANSION_LEAVES = 1 << 16
 
 
 class PropFormula:
@@ -166,6 +173,36 @@ def expanded(f: PropFormula) -> PropFormula:
     if type(f) is Conn16:
         return sop_expansion(f.index, *SUBFORMULAS[Conn16](f))
     return f
+
+
+_RESUME = object()  # on `check_expansions`' stack above the count to resume
+
+
+def check_expansions(formula: PropFormula) -> None:
+    """Refuse a formula whose Conn16 nodes, printed as their sum-of-products
+    expansions, add more than MAX_EXPANSION_LEAVES atom occurrences: each
+    side is printed once per v row of its column, twice for columns 1 and
+    16.  A non-propositional node raises TypeError."""
+    added, copies = 0, 1  # `copies`: how many times the node at hand is printed
+    todo: list = [formula]
+    while todo:
+        f = todo.pop()
+        cls = type(f)
+        if cls is Var or cls is Const:
+            added += copies - 1
+            if added > MAX_EXPANSION_LEAVES:
+                raise LimitExceededError(f"connective expansions add more than "
+                                         f"{MAX_EXPANSION_LEAVES:,} atom occurrences")
+        elif f is _RESUME:
+            copies = todo.pop()
+        elif cls not in PROPOSITIONAL:
+            raise TypeError(f"not a propositional formula: {f!r}")
+        else:
+            if cls is Conn16:
+                todo += (copies, _RESUME)
+                rows = len(_rows(f.index, True))
+                copies *= rows if 0 < rows < 4 else 2
+            todo += SUBFORMULAS[cls](f)[::-1]
 
 
 def free_vars(formula: PropFormula) -> list[str]:

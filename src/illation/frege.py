@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .formulas import (SUBFORMULAS, Claw, Const, Neg, Prod, PropFormula, Sum, Var, expanded,
-                       free_vars)
+from .formulas import (SUBFORMULAS, Claw, Const, Neg, Prod, PropFormula, Sum, Var,
+                       check_expansions, expanded)
 
 _CELL_W = 12
 _CELL_H = 18
@@ -58,7 +58,7 @@ def _lines(f: PropFormula) -> Iterator[str]:
     the first `valid` pieces of `indent`, kept from the last branch line, so
     each line copies that text and joins only the pieces pushed since.
     """
-    free_vars(f)  # a non-formula raises before the first line is drawn
+    check_expansions(f)  # a non-formula or an oversized drawing raises before line 0
     head: list[str] = []
     indent: list[str] = []
     known, valid = "", 0

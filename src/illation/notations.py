@@ -39,6 +39,7 @@ from .formulas import (
     RelFormula,
     Sum,
     Var,
+    check_expansions,
     expanded,
     from_prefix,
 )
@@ -359,9 +360,14 @@ def _layout(notation: Notation) -> dict:
 
 
 def _fragments(f: PropFormula, notation: Notation) -> Iterator[str]:
-    """The text in order, with the fewest brackets."""
+    """The text in order, with the fewest brackets.  At the first Conn16
+    met, `check_expansions` bounds what the formula's expansions print."""
     layout = _layout(notation)
     opened, closed = _Text("("), _Text(")")
+    root = f  # until `check_expansions` has run on it, then None
+    if type(f) is Conn16:
+        check_expansions(f)
+        root = None
     todo: list = [expanded(f)]
     pop, push = todo.pop, todo.append
     while todo:
@@ -380,6 +386,9 @@ def _fragments(f: PropFormula, notation: Notation) -> Iterator[str]:
                 position, lowest = piece
                 side = sides[position]
                 if type(side) is Conn16:
+                    if root is not None:
+                        check_expansions(root)
+                        root = None
                     side = expanded(side)
                 if lowest and _LEVEL.get(type(side), _ATOM_LEVEL) < lowest:
                     todo += (closed, side, opened)

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 from . import truth
 from ._record import record
 from .errors import LimitExceededError
 from .formulas import (
+    MAX_EXPANSION_LEAVES,
     PI,
+    RELATIONAL,
     SIGMA,
     SUBFORMULAS,
     Claw,
@@ -40,14 +42,11 @@ from .formulas import (
     ensure_closed,
     from_prefix,
     predicate_signature,
+    walk,
 )
 
 DEFAULT_MAX_ATOMS = 16
 MAX_ATOMS_ENV = "ILLATION_MAX_ATOMS"
-
-# The most atom occurrences an expansion or a search's evaluation may have:
-# 2^16 take ~0.6 s and ~37 MB to expand, and each quantifier multiplies them by n.
-MAX_EXPANSION_LEAVES = 1 << 16
 
 
 def max_atoms_limit() -> int:
@@ -123,41 +122,49 @@ def _check_leaves(depths: dict[int, int], n: int) -> None:
             )
 
 
-def _expansion(formula: RelFormula, n: int) -> tuple[list, tuple]:
-    """The expansion over a domain of size n in prefix order, and the cells
-    (predicate, elements) it reads, in the order it first reads them.
-
-    The one walk over an expansion's cells, and the one check of the atom
-    budget: at most `max_atoms_limit()` distinct cells, each one atom of
-    `expand` and one cell that `sat_search` enumerates.
-    """
+def _cells(formula: RelFormula, n: int) -> tuple[tuple, ...]:
+    """The cells (predicate, elements) the expansion over a domain of size n
+    reads, listed from the formula's atoms after every check, this one of the
+    atom budget (at most `max_atoms_limit()` cells) last.  Each index of an
+    atom is bound by its own quantifier, which takes every element, so an
+    atom reads one cell per assignment of elements to its distinct indices:
+    l(i,i) reads (l, (d, d)) for each d."""
     if n < 1:
         raise ValueError("domain must have at least one element")
     depths = ensure_closed(formula)
     limit = max_atoms_limit()
-    todo: list = []
-    if n <= limit:  # each atom's index is bound, so it expands to n or more atoms
+    cells: dict[tuple, None] = {}
+    if n <= limit:  # each atom's index is bound, so it reads n or more cells
         _check_leaves(depths, n)
-        todo.append(formula)
-    seen: dict[tuple, Var] = {}  # one Var per cell (predicate, elements)
-    # A closed formula binds no index twice on a path, so one dict serves:
-    # a `(var, element)` pair above each body copy on the stack binds it.
+        shapes: dict[tuple, None] = {}  # (predicate, where each index first stands)
+        for f in walk(formula, RELATIONAL):
+            if type(f) is RAtom:
+                names = list(dict.fromkeys(f.indices))
+                shapes[f.predicate, tuple(map(names.index, f.indices))] = None
+        for predicate, shape in shapes:
+            for elements in islice(product(range(n), repeat=max(shape) + 1), limit + 1):
+                cells[predicate, tuple(map(elements.__getitem__, shape))] = None
+            if len(cells) > limit:
+                break
+    if n > limit or len(cells) > limit:
+        raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
+    return tuple(cells)
+
+
+def expand(formula: RelFormula, n: int) -> PropFormula:
+    """Eliminate quantifiers over a domain of size n by sum/product folding."""
+    atoms = {cell: Var(atom_name(*cell)) for cell in _cells(formula, n)}
+    # The expansion in prefix order: each atom as its cell's variable, each
+    # quantifier as the n - 1 sums or products of its left fold, then its body
+    # once per element in index order, under a `(var, element)` pair binding
+    # the index.  A closed formula binds no index twice on a path: one dict.
     binds: dict[str, int] = {}
-    # The expansion in prefix order: each atom as its variable, each
-    # quantifier as the n - 1 sums or products of its left fold followed by
-    # its body once per element, in index order.
-    tokens: list = []
+    tokens, todo = [], [formula]
     while todo:
         f = todo.pop()
         cls = type(f)
         if cls is RAtom:
-            cell = (f.predicate, tuple(map(binds.__getitem__, f.indices)))
-            atom = seen.get(cell)
-            if atom is None:
-                atom = seen[cell] = Var(atom_name(*cell))
-                if len(seen) > limit:
-                    break
-            tokens.append(atom)
+            tokens.append(atoms[f.predicate, tuple(map(binds.__getitem__, f.indices))])
         elif cls is tuple:
             binds[f[0]] = f[1]
         elif cls is Quant:
@@ -168,14 +175,7 @@ def _expansion(formula: RelFormula, n: int) -> tuple[list, tuple]:
         else:
             tokens.append(cls)
             todo += SUBFORMULAS[cls](f)[::-1]
-    if n > limit or len(seen) > limit:
-        raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
-    return tokens, tuple(seen)
-
-
-def expand(formula: RelFormula, n: int) -> PropFormula:
-    """Eliminate quantifiers over a domain of size n by sum/product folding."""
-    return from_prefix(_expansion(formula, n)[0])
+    return from_prefix(tokens)
 
 
 # --- evaluation and search ---------------------------------------------------
@@ -217,7 +217,7 @@ def sat_search(formula: RelFormula, n: int) -> Optional[Structure]:
     """
     signature = predicate_signature(formula)
     rank = {name: i for i, name in enumerate(signature)}
-    cells = sorted(_expansion(formula, n)[1], key=lambda c: (rank[c[0]], c[1]))
+    cells = sorted(_cells(formula, n), key=lambda c: (rank[c[0]], c[1]))
     found = truth._first_row(cells, lambda env, full: truth._eval_masks(
         formula, {cell: full ^ mask for cell, mask in env.items()}, full, n))
     if found is None:

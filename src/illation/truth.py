@@ -385,14 +385,12 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
                     alternatives = [((left, on_left),), ((right, on_right),)]
                     break
                 goals = (left, not on_left, (right, not on_right, goals))  # both are forced
-            elif cls is Conn16:
+            else:  # a Conn16: `free_vars` above let no other class through
                 alternatives = [tuple(zip(SUBFORMULAS[cls](node), row))
                                 for row in _rows(node.index, want)]
                 if not alternatives:  # a constant connective asked for the other value
                     clash = (Const(not want).name, want)
                 break
-            else:
-                raise TypeError(f"not a propositional formula: {node!r}")
         else:  # an open branch: its completion sets the unforced variables v
             key = sum(1 << rank[name] for name, value in assignment.items() if not value)
             if least is None or key < least:
@@ -498,11 +496,7 @@ class CongruenceReport:
 
 
 def merged_vars(first: PropFormula, second: PropFormula) -> tuple[str, ...]:
-    names = free_vars(first)
-    for name in free_vars(second):
-        if name not in names:
-            names.append(name)
-    return tuple(names)
+    return tuple(dict.fromkeys(free_vars(first) + free_vars(second)))
 
 
 def semantic_difference(

@@ -8,10 +8,13 @@ process; the exit code and stdout must be the ones the oracle computes.
 - Propositional: `translate` between every pair of the four notations
   (Polish only for formulas without constants), `taut` and `anf`, on
   formulas with and without constants and with no variables at all.
-- Relational: `sat`, `scan`, `scan --herbrand` and `expand` on closed
-  formulas.  Domains stay at 1-3 and the predicates at arity 1-2 over at
-  most 12 cells, so every case is inside the package's limits (the oracle
-  has none).
+- Relational: `sat`, `scan`, `scan --herbrand`, and `expand` printed in
+  each of the four notations, on closed formulas.  Domains stay at 1-3 and
+  the predicates at arity 1-2 over at most 12 cells, so every case is inside
+  the package's limits (the oracle has none).
+- Number structures: `axioms -` and `axioms - --json` on chains, chains
+  broken in one way, and random relations on 1-7 elements: the verdict of
+  each axiom, `all_hold` and the exit code.
 
 `table` and `table --values 3` are not checked here: the oracle's table of
 a formula with no variables is not yet the one `docs/grammars.md`
@@ -19,7 +22,9 @@ describes (ROADMAP item 1).
 """
 
 import importlib.util
+import json
 import random
+import re
 from pathlib import Path
 
 from test_deep import run
@@ -89,7 +94,7 @@ def cell_count(f, n):
 
 def test_relational_commands_print_what_the_oracle_computes():
     rng = random.Random(1881)
-    for _ in range(100):  # 400 checks
+    for _ in range(100):  # 700 checks
         f = closed_formula(rng, size=rng.randint(2, 7))
         pick = rng.random()
         if pick < 0.25:  # valid at every size, so the Herbrand scan finds one
@@ -99,12 +104,63 @@ def test_relational_commands_print_what_the_oracle_computes():
         sizes = [n for n in (1, 2, 3) if cell_count(f, n) <= MAX_CELLS]
         n = rng.choice(sizes)
         text = O.render_relational(f)
-        expansion = O.render(O.expand(f, n), "peirce") + "\n"
+        expansion = O.expand(f, n)
         code, out, _ = O.sat_output(f, n)
         assert run("sat", "--domain", str(n), "-", stdin=text) == (code, out, ""), text
-        assert run("expand", "--domain", str(n), "-", stdin=text) == (0, expansion, ""), text
+        for notation in NOTATIONS:
+            assert run("expand", "--domain", str(n), "--to", notation, "-", stdin=text) == (
+                0, O.render(expansion, notation) + "\n", ""), (notation, text)
         code, out, _ = O.scan_output(f, n)
         assert run("scan", "--max-size", str(n), "-", stdin=text) == (code, out, ""), text
         code, out = O.herbrand_output(f, n)
         assert run("scan", "--herbrand", "--max-size", str(n), "-", stdin=text) == (
             code, out, ""), text
+
+
+def number_structure(rng):
+    """(carrier, one, R) on 1-7 elements: a chain, a chain broken in one way
+    (two incomparable tops, a missing transitive pair, 1 off the bottom), or
+    a random relation."""
+    n = rng.randint(1, 7)
+    names = [str(i) for i in range(1, n + 1)]
+    rng.shuffle(names)
+    kinds = ["chain", "shifted", "random"] + ["fork"] * (n >= 2) + ["gap"] * (n >= 3)
+    kind = rng.choice(kinds)
+    if kind == "random":
+        rel = {(x, y) for x in names for y in names if rng.random() < 0.5}
+        return names, rng.choice(names), rel
+    rank = {x: i for i, x in enumerate(names)}
+    rel = {(x, y) for x in names for y in names if rank[x] <= rank[y]}
+    if kind == "fork":
+        rel.discard((names[-2], names[-1]))
+    elif kind == "gap":
+        i = rng.randrange(n - 2)
+        rel.discard((names[i], names[i + 2]))
+    return names, rng.choice(names) if kind == "shifted" else names[0], rel
+
+
+AXIOM_LINE = re.compile(r"axiom (\S+) \((.*?)\): (pass|fail)(  witness: .+)?")
+
+
+def test_axioms_report_what_the_oracle_computes():
+    rng = random.Random(1880)
+    for _ in range(80):  # 160 checks
+        carrier, one, rel = number_structure(rng)
+        verdicts, _ = O.axiom_verdicts(carrier, one, rel)
+        code = 0 if all(verdicts.values()) else 1
+        blob = json.dumps({"carrier": carrier, "one": one, "R": sorted(map(list, rel))})
+        status, out, err = run("axioms", "-", stdin=blob)
+        assert (status, err) == (code, ""), blob
+        reading, *lines = out.splitlines()
+        assert reading == O.READING
+        got = {}
+        for line in lines:
+            key, label, verdict, _ = AXIOM_LINE.fullmatch(line).groups()
+            assert O.AXIOM_LABELS[key] == label
+            got[key] = verdict == "pass"
+        assert got == verdicts, blob
+        status, out, err = run("axioms", "-", "--json", stdin=blob)
+        assert (status, err) == (code, ""), blob
+        report = json.loads(out)
+        assert {key: axiom["holds"] for key, axiom in report["axioms"].items()} == verdicts
+        assert report["all_hold"] is (code == 0)

@@ -44,6 +44,10 @@ def test_translate_parse_error():
     assert r.returncode == 2
     assert r.stdout == ""
     assert "offset" in r.stderr
+    r = run("translate", "--from", "polish", "--to", "peirce", "Ca1")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == ("error: syntax error at offset 2; found '1'; "
+                        "expected one of: 'C', 'N', 'K', 'A', 'E', variable\n")
 
 
 def test_translate_polish_const_print_error():
@@ -180,6 +184,14 @@ def test_expand_limit_exit_3():
     assert "limit" in r.stderr
 
 
+@pytest.mark.parametrize("value, message", [
+    ("0", "must be positive, got 0"), ("many", "must be an integer, got 'many'")])
+def test_a_bad_atom_budget_exits_2(value, message):
+    r = run("sat", "Pi i . p(i)", "--domain", "1", env_extra={"ILLATION_MAX_ATOMS": value})
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: ILLATION_MAX_ATOMS {message}\n"
+
+
 def test_sat_witness_json():
     r = run("sat", "Sum i . Sum j . l(i,j)", "--domain", "1")
     assert r.returncode == 0
@@ -264,7 +276,9 @@ def test_axioms_stdin():
      "axiom 5 (induction): fail  witness: closed proper subset {1}", ""),
     ({"carrier": [None, "2"], "one": None, "R": [[None, None], ["2", "2"], [None, "2"]]}, 2,
      None, "error: number structure JSON: one must be a string or number, got None\n"),
-], ids=["numbers", "null"])
+    ({"carrier": ["1"], "one": "1"}, 2,
+     None, "error: number structure JSON needs carrier/one/R: 'R'\n"),
+], ids=["numbers", "null", "no-R"])
 def test_axioms_reads_numbers_and_rejects_null(blob, code, stdout_line, stderr):
     r = run("axioms", "-", stdin=json.dumps(blob))
     assert (r.returncode, r.stderr) == (code, stderr)
@@ -309,6 +323,8 @@ def _address_space_cap():
 
 # 16 distinct atoms, within the atom limit, but 16^6 atom occurrences.
 SIX_QUANTIFIERS = "Pi i . Pi j . Pi k . Pi l . Pi m . Pi o . p(i)"
+# Each E prints as its expansion, which repeats both sides: 3 * 2^40 - 2 leaves.
+FORTY_NESTED_E = "E" * 40 + "".join(chr(ord("a") + i % 26) for i in range(41))
 
 
 # Each limit is checked before its enumeration starts: the run ends at once
@@ -326,9 +342,13 @@ SIX_QUANTIFIERS = "Pi i . Pi j . Pi k . Pi l . Pi m . Pi o . p(i)"
     (["table", "&".join(chr(ord("a") + i) for i in range(17))], None, 3),
     (["expand", "--domain", "16", SIX_QUANTIFIERS], None, 3),
     (["sat", "--domain", "16", SIX_QUANTIFIERS], None, 3),
+    (["translate", "--from", "polish", "--to", "peirce", FORTY_NESTED_E], None, 3),
+    (["translate", "--from", "polish", "--to", "frege", "--format", "svg", FORTY_NESTED_E],
+     None, 3),
 ], ids=["expand-domain-1e9", "sat-domain-1e9", "herbrand-max-size-1e9", "scan-max-size-0",
         "herbrand-max-size-0", "axioms-13-elements", "pair-check-5-atoms", "table-17-variables",
-        "expand-16-to-the-6-leaves", "sat-16-to-the-6-leaves"])
+        "expand-16-to-the-6-leaves", "sat-16-to-the-6-leaves", "peirce-40-nested-E",
+        "frege-svg-40-nested-E"])
 def test_limits_fail_before_enumeration(argv, stdin, code):
     done = subprocess.run(CMD + argv, input=stdin, capture_output=True, text=True, timeout=20,
                           preexec_fn=_address_space_cap)

@@ -42,6 +42,11 @@ EXAMPLES = {
         "`scan --max-size 1` on `Pi x0 . Pi x1 . ... Pi x39 . p(x0)`", 3,
         "limit exceeded: extension to size 2: expansion needs more than 65,536 atom "
         "occurrences"),
+    "translate-15-nested-E": (
+        ["translate", "--from", "polish", "--to", "peirce", "E" * 15 + "abcdefghijklmnop"],
+        "`translate --from polish --to peirce` on 15 nested `E`, "
+        "`EEEEEEEEEEEEEEEabcdefghijklmnop`", 3,
+        "limit exceeded: connective expansions add more than 65,536 atom occurrences"),
 }
 # The atom budget an example runs under, where it is not the default.
 MAX_ATOMS = {"sat-25-cells-with-the-variable": "25"}

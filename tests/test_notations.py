@@ -1,9 +1,14 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
-from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var
+from illation import formulas
+from illation.errors import LimitExceededError
+from illation.formulas import (EQUIVALENCE_INDEX, PROPOSITIONAL, Claw, Conn16, Const, Neg, Prod,
+                               RAtom, Sum, Var, check_expansions, free_vars, sop_expansion, walk)
+from illation.frege import render_frege
 from illation.notations import Notation, ParseError, PrintError, parse, print_formula
 
 from helpers import formulas_up_to_depth, random_formula, ref_eval, all_envs
@@ -231,6 +236,61 @@ def test_conn16_prints_as_expansion():
             want = k == 16
             for env in all_envs("ab"):
                 assert ref_eval(g, env) == want
+
+
+# Every way a formula is printed: each notation, and the drawing in ASCII and SVG.
+PRINTERS = [*(partial(print_formula, notation=n) for n in Notation),
+            render_frege, partial(render_frege, format="svg")]
+
+
+def nested_equivalences(k):
+    """E(...E(E(a, b), c)..., z): k nested E, which print 3 * 2^k - 2 leaves."""
+    f = Var("a")
+    for i in range(1, k + 1):
+        f = Conn16(EQUIVALENCE_INDEX, f, Var(chr(ord("a") + i)))
+    return f
+
+
+def test_nested_connectives_print_up_to_the_expansion_bound():
+    # 20 nested: 3 * 2^20 - 23 added occurrences, far past 2^16; none is printed
+    f = nested_equivalences(20)
+    for print_it in PRINTERS:
+        with pytest.raises(LimitExceededError, match="^connective expansions add more than "
+                                                     "65,536 atom occurrences$"):
+            print_it(f)
+    # 14 nested: 49,135 added, and the text reads back as the nested expansions
+    f = nested_equivalences(14)
+    want = Var("a")
+    for name in free_vars(f)[1:]:
+        want = sop_expansion(EQUIVALENCE_INDEX, want, Var(name))
+    assert parse(print_formula(f, Notation.PEIRCE), Notation.PEIRCE) == want
+
+
+def test_the_expansion_bound_counts_what_the_printers_repeat(monkeypatch):
+    rng = random.Random(1880)
+    cases = []
+    for _ in range(60):
+        f = random_formula(rng, 5, "abc", with_consts=False, with_conn16=True)
+        # each time a variable is printed is one lowercase letter of the Polish text
+        printed = sum(c.islower() for c in print_formula(f, Notation.POLISH))
+        cases.append((f, printed - sum(type(node) is Var for node in walk(f, PROPOSITIONAL))))
+    for f, added in cases:
+        monkeypatch.setattr(formulas, "MAX_EXPANSION_LEAVES", added)
+        check_expansions(f)
+        if not added:
+            continue
+        monkeypatch.setattr(formulas, "MAX_EXPANSION_LEAVES", added - 1)
+        for print_it in [check_expansions, *PRINTERS]:
+            with pytest.raises(LimitExceededError, match=f"more than {added - 1:,} atom"):
+                print_it(f)
+
+
+@pytest.mark.parametrize("f", [RAtom("p", ("i",)), Conn16(8, A, RAtom("p", ("i",)))],
+                         ids=["alone", "under-a-connective"])
+def test_a_relational_node_is_a_type_error_in_every_printer(f):
+    for print_it in [check_expansions, *PRINTERS]:
+        with pytest.raises(TypeError, match=r"^not a propositional formula: RAtom\("):
+            print_it(f)
 
 
 def test_print_is_deterministic():

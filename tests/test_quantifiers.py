@@ -339,6 +339,8 @@ def test_indiscernible():
     assert indiscernible(t, 0, 1) is False
     u = Structure(2, {"p": (1, frozenset({(0,)}))})
     assert indiscernible(u, 0, 1) is False
+    with pytest.raises(ValueError, match="^element 5 is outside the domain$"):
+        indiscernible(s, 0, 5)
 
 
 def test_indiscernible_is_equivalence_relation():
@@ -369,3 +371,5 @@ def test_structure_validation():
         Structure(1, {"l": (2, frozenset({(0, 1)}))})  # element out of range
     with pytest.raises(ValueError):
         Structure(1, {"l": (2, frozenset({(0,)}))})  # wrong arity tuple
+    with pytest.raises(ValueError, match="^l has arity 2, got 1 elements$"):
+        Structure(2, {"l": (2, frozenset())}).holds("l", (0,))

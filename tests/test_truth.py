@@ -324,6 +324,8 @@ def test_connective_anchor_columns():
     assert connective_index((True, True, True, True)) == 16
     assert connective_index((True, False, False, False)) == 5
     assert connective_vector(CLAW_INDEX) == (True, False, True, True)
+    with pytest.raises(ValueError, match=r"^not a length-4 truth vector: \(True, False\)$"):
+        connective_index((True, False))
 
 
 @pytest.mark.parametrize("index", [0, 17, -1, True, False, 3.0, "3", None])
