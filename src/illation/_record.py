@@ -1,6 +1,7 @@
 """Record classes: the part of `dataclasses` the package uses, cheap to load.
 
-`record` turns a class whose annotations name its fields into a record:
+`record` is the metaclass of a record: `class Var(PropFormula,
+metaclass=record)` makes a class whose annotations name its fields.
 
 - `__init__` takes every field, positionally or by keyword, in annotation
   order.  Python binds the arguments itself, so missing or unexpected ones
@@ -12,10 +13,21 @@
 - `__hash__` is the hash of the field tuple (a dict field makes it raise
   `TypeError`, as in a frozen dataclass), and every record is frozen:
   assignment and deletion raise `FrozenInstanceError`.
+- `copy` and `pickle` rebuild a record from its fields.
 
 Only the class's own annotations are fields; records do not inherit fields.
-`functools.cached_property` works on records, as it writes the instance
-`__dict__` directly.
+
+A record has no instance `__dict__`: its `__slots__` are its fields and
+one more, `__record_hash__`, where the record keeps its hash once taken.  A
+formula is a record per node, tens of thousands of them for one long
+formula: with a dict per node, a parsed tree took ~87 bytes a node, and
+takes ~55 in slots.  The class is built once, with its slots, as `type`
+builds any class; a decorator would have to build it a second time, as
+slots cannot be added to a class made without them.  (Bases of records
+define `__slots__ = ()`, or every instance would get a `__dict__` from
+them.)  `functools.cached_property` writes the instance `__dict__`, so a
+class that has one keeps a `__dict__` slot as well, and its cached values
+live there.
 
 No source is compiled per class.  `dataclasses` builds every class by
 `exec` of generated code (~0.8 ms a class) and imports `inspect` (~10 ms),
@@ -26,15 +38,16 @@ runs the same bytecode as a hand-written one.  `__eq__`, `__hash__` and
 `__repr__` are one function each, shared by every record.  Formulas are
 records nested one level per connective, thousands of levels deep in a
 folded chain, so each walks the nested records with an explicit stack
-instead of recursing through the fields' own methods.  A record keeps its
-hash in its `__dict__`, so hashing a tree is bottom-up and each node is
-hashed once.
+instead of recursing through the fields' own methods.  As a record keeps
+its hash, hashing a tree is bottom-up and each node is hashed once.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 _set = object.__setattr__
-_HASH = "__record_hash__"  # the instance `__dict__` key of a record's hash
+_HASH = "__record_hash__"  # the slot of a record's hash
 
 
 class FrozenInstanceError(AttributeError):
@@ -89,24 +102,25 @@ def _fields6(post):
 _TEMPLATES = {1: _fields1, 2: _fields2, 3: _fields3, 6: _fields6}
 
 
-def _init(cls: type, names: tuple[str, ...]):
-    """`__init__` for the fields `names` of `cls`."""
+def _init(namespace: dict, names: tuple[str, ...]):
+    """`__init__` for the fields `names` of the class body `namespace`."""
     template = _TEMPLATES.get(len(names))
     if template is None:
-        raise TypeError(f"{cls.__name__}: no record template for {len(names)} fields")
+        raise TypeError(f"{namespace['__qualname__']}: no record template for "
+                        f"{len(names)} fields")
     rename = dict(zip("abcdef", names))
 
     def swap(items: tuple) -> tuple:
         return tuple(rename.get(x, x) if isinstance(x, str) else x for x in items)
 
-    method = template(hasattr(cls, "__post_init__"))
+    method = template("__post_init__" in namespace)
     code = method.__code__
     method.__code__ = code.replace(
         co_varnames=swap(code.co_varnames),
         co_names=swap(code.co_names),
         co_consts=swap(code.co_consts),
     )
-    method.__qualname__ = f"{cls.__qualname__}.__init__"
+    method.__qualname__ = f"{namespace['__qualname__']}.__init__"
     return method
 
 
@@ -137,18 +151,18 @@ def _hash(self):
     stack = [self]
     while stack:
         item = stack[-1]
-        if _HASH in item.__dict__:
+        if hasattr(item, _HASH):
             stack.pop()
             continue
         fields = _fields(item)
         unhashed = [x for x in fields
-                    if x.__class__.__hash__ is _hash and _HASH not in x.__dict__]
+                    if x.__class__.__hash__ is _hash and not hasattr(x, _HASH)]
         if unhashed:
             stack.extend(unhashed)
         else:
             _set(item, _HASH, hash(tuple(fields)))
             stack.pop()
-    return self.__dict__[_HASH]
+    return getattr(self, _HASH)
 
 
 def _repr(self):
@@ -168,6 +182,12 @@ def _repr(self):
     return "".join(out)
 
 
+def _reduce(self):
+    """Copies and pickles are made through `__init__` from the fields, as
+    the frozen `__setattr__` refuses to fill the slots of a bare instance."""
+    return self.__class__, tuple(_fields(self))
+
+
 def _setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -176,14 +196,19 @@ def _delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls: type) -> type:
-    """Class decorator; see the module docstring."""
-    names = tuple(cls.__dict__.get("__annotations__", {}))
-    cls.__init__ = _init(cls, names)
-    cls.__record_fields__ = names
-    cls.__repr__ = _repr
-    cls.__eq__ = _eq
-    cls.__hash__ = _hash
-    cls.__setattr__ = _setattr
-    cls.__delattr__ = _delattr
-    return cls
+def record(name: str, bases: tuple, namespace: dict) -> type:
+    """Metaclass of the record class `name`; see the module docstring."""
+    names = tuple(namespace.get("__annotations__", {}))
+    cached = any(type(x) is cached_property for x in namespace.values())
+    namespace.update(
+        __slots__=names + (_HASH,) + (("__dict__",) if cached else ()),
+        __init__=_init(namespace, names),
+        __record_fields__=names,
+        __repr__=_repr,
+        __eq__=_eq,
+        __hash__=_hash,
+        __reduce__=_reduce,
+        __setattr__=_setattr,
+        __delattr__=_delattr,
+    )
+    return type(name, bases, namespace)

@@ -33,8 +33,7 @@ from .errors import LimitExceededError
 MAX_CARRIER = 12  # part of the CLI's exit-3 contract; induction no longer needs it
 
 
-@record
-class NumberStructure:
+class NumberStructure(metaclass=record):
     carrier: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
     one: str
@@ -95,14 +94,12 @@ def chain(n: int) -> NumberStructure:
     return NumberStructure(names, relation, "1")
 
 
-@record
-class AxiomVerdict:
+class AxiomVerdict(metaclass=record):
     holds: bool
     witness: Optional[str]  # human-readable counterexample, None when the axiom holds
 
 
-@record
-class AxiomReport:
+class AxiomReport(metaclass=record):
     reading: str
     verdicts: dict[str, AxiomVerdict]  # the keys of _AXIOMS, in its order
 

@@ -135,7 +135,10 @@ def _cmd_taut(args) -> int:
     formula = parse(_read_source(args.formula), Notation(args.notation))
     order = free_vars(formula)
     if args.method == "full":
-        counterexample = truth.find_counterexample(formula)
+        try:
+            counterexample = truth.find_counterexample(formula)
+        except LimitExceededError as err:
+            raise LimitExceededError(f"{err}; try --method indirect") from None
         if counterexample is None:
             _outline("tautology")
             return 0

@@ -12,6 +12,8 @@ nodes.
 
 All nodes are frozen records (`_record.record`): immutable, equal when they
 are of the same class with equal fields, and hashed by their field tuple.
+A node holds its fields and its hash in slots, with no `__dict__`, so a
+binary node is 56 bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from functools import partial, reduce
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ._record import record
 from .errors import LimitExceededError
@@ -40,11 +42,11 @@ MAX_EXPANSION_LEAVES = 1 << 16
 class PropFormula:
     """Base class for propositional formula nodes."""
 
+    __slots__ = ()  # a node's fields are the slots of its record class
     __hash__ = None  # each concrete node class is a frozen record with its own
 
 
-@record
-class Var(PropFormula):
+class Var(PropFormula, metaclass=record):
     name: str
 
     def __post_init__(self) -> None:
@@ -52,8 +54,7 @@ class Var(PropFormula):
             raise ValueError(f"bad variable name: {self.name!r}")
 
 
-@record
-class Const(PropFormula):
+class Const(PropFormula, metaclass=record):
     # True is verum (v), False is falsum (f); constants are never variables.
     value: bool
 
@@ -63,13 +64,11 @@ class Const(PropFormula):
         return "#t" if self.value else "#f"
 
 
-@record
-class Neg(PropFormula):
+class Neg(PropFormula, metaclass=record):
     inner: PropFormula
 
 
-@record
-class Claw(PropFormula):
+class Claw(PropFormula, metaclass=record):
     """Illation a -< b: false exactly when the antecedent holds and the
     consequent fails."""
 
@@ -77,14 +76,12 @@ class Claw(PropFormula):
     consequent: PropFormula
 
 
-@record
-class Prod(PropFormula):
+class Prod(PropFormula, metaclass=record):
     left: PropFormula
     right: PropFormula
 
 
-@record
-class Sum(PropFormula):
+class Sum(PropFormula, metaclass=record):
     left: PropFormula
     right: PropFormula
 
@@ -140,8 +137,7 @@ def _rows(index: int, value: bool) -> list[tuple[bool, bool]]:
     return [pair for pair, cell in zip(pairs, connective_vector(index)) if cell == value]
 
 
-@record
-class Conn16(PropFormula):
+class Conn16(PropFormula, metaclass=record):
     """Binary connective number `index` (1..16) from the MS 431 table."""
 
     index: int
@@ -222,7 +218,7 @@ def substitute(context: PropFormula, hole: str, filler: PropFormula) -> PropForm
             tokens.append(f)
         else:
             tokens.append(partial(Conn16, f.index) if cls is Conn16 else cls)
-    return from_prefix(tokens)
+    return from_prefix(reversed(tokens))
 
 
 # --- relational formulas -------------------------------------------------
@@ -234,11 +230,11 @@ SIGMA = "Sigma"
 class RelFormula:
     """Base class for the relational leaves: predicate atoms and quantifiers."""
 
+    __slots__ = ()
     __hash__ = None
 
 
-@record
-class RAtom(RelFormula):
+class RAtom(RelFormula, metaclass=record):
     predicate: str
     indices: tuple[str, ...]
 
@@ -255,8 +251,7 @@ class RAtom(RelFormula):
 RNeg, RClaw, RProd, RSum = Neg, Claw, Prod, Sum
 
 
-@record
-class Quant(RelFormula):
+class Quant(RelFormula, metaclass=record):
     """Peirce quantifier: Pi is the product (every element), Sigma the sum
     (some element)."""
 
@@ -361,14 +356,15 @@ def walk(formula, kinds: frozenset) -> Iterator:
             todo += children(f)[::-1]
 
 
-def from_prefix(tokens: list) -> PropFormula:
-    """The formula whose preorder is `tokens`, read as Polish notation is:
-    each token is a finished subformula, `Neg`, or a binary node's
-    constructor, which takes the two formulas after it as its sides.  Read
-    right to left, each constructor takes its sides off a stack, the first
-    side on top."""
+def from_prefix(tokens: Iterable) -> PropFormula:
+    """The formula whose preorder, read backwards, is `tokens`: Polish
+    notation read right to left.  Each token is a finished subformula,
+    `Neg`, or a binary node's constructor, which takes the two formulas
+    after it in the preorder as its sides.  So each constructor takes its
+    sides off a stack of the formulas built so far, the first side on top.
+    Only that stack is held: `tokens` may be any iterator."""
     built: list = []
-    for token in reversed(tokens):
+    for token in tokens:
         if token is Neg:
             built.append(Neg(built.pop()))
         elif callable(token):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import re
 from functools import cache, partial
+from itertools import islice
 from typing import Iterator, Optional
 
 from ._record import record
@@ -76,8 +77,7 @@ class PrintError(ValueError):
     """The formula is not expressible in the requested notation."""
 
 
-@record
-class _Style:
+class _Style(metaclass=record):
     claw: str
     prod: str
     sum: str
@@ -307,8 +307,9 @@ def _parse_polish(text: str) -> PropFormula:
         raise ParseError(
             "syntax error", base + len(stripped), _POLISH_EXPECTED, "end of input"
         )
-    leaves = {c: Var(c) for c in set(stripped) - _POLISH.keys()}
-    return from_prefix([_POLISH.get(c) or leaves[c] for c in stripped])
+    # Built in one pass from the right, with no list of the tokens.
+    lookup = _POLISH | {c: Var(c) for c in set(stripped) - _POLISH.keys()}
+    return from_prefix(map(lookup.__getitem__, reversed(stripped)))
 
 
 def parse(text: str, notation: Notation) -> PropFormula:
@@ -332,7 +333,7 @@ class _Text(str):
 
 
 _JOINT = "\0"  # between juxtaposed factors; no formula text contains it
-_SPACED_JOINT = re.compile(r"(?<=[a-z0-9_])\0(?=[a-z0-9_])")
+_NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
 
 def _layout(notation: Notation) -> dict:
@@ -402,7 +403,28 @@ def _fragments(f: PropFormula, notation: Notation) -> Iterator[str]:
             raise TypeError(f"not a propositional formula: {f!r}")
 
 
+def _spaced(fragments: Iterator[str]) -> Iterator[str]:
+    """`fragments` with each joint between juxtaposed factors made a space
+    where two names would run together, and dropped elsewhere."""
+    before, joint = "", False
+    for piece in fragments:
+        if piece == _JOINT:
+            joint = True
+            continue
+        if joint and before[-1] in _NAME_CHARS and piece[0] in _NAME_CHARS:
+            yield " "
+        joint = False
+        yield piece
+        before = piece
+
+
+# `print_formula` joins this many fragments at a time, so it holds no list
+# of them all.
+_BATCH = 4096
+
+
 def print_formula(f: PropFormula, notation: Notation) -> str:
-    text = "".join(_fragments(f, notation))
-    # between juxtaposed factors, a space only where two names would run together
-    return _SPACED_JOINT.sub(" ", text).replace(_JOINT, "")
+    fragments = _fragments(f, notation)
+    if notation is not Notation.POLISH and _STYLES[notation].juxtaposition:
+        fragments = _spaced(fragments)
+    return "".join(iter(lambda: "".join(islice(fragments, _BATCH)), ""))

@@ -62,8 +62,7 @@ def max_atoms_limit() -> int:
     return value
 
 
-@record
-class Structure:
+class Structure(metaclass=record):
     """Finite relational structure: domain {0..n-1} plus predicate tables."""
 
     domain_size: int
@@ -175,7 +174,7 @@ def expand(formula: RelFormula, n: int) -> PropFormula:
         else:
             tokens.append(cls)
             todo += SUBFORMULAS[cls](f)[::-1]
-    return from_prefix(tokens)
+    return from_prefix(reversed(tokens))
 
 
 # --- evaluation and search ---------------------------------------------------
@@ -256,8 +255,7 @@ def extend_model(formula: RelFormula, s: Structure) -> Structure:
     return bigger
 
 
-@record
-class SatScanReport:
+class SatScanReport(metaclass=record):
     """Per-size satisfiability verdicts plus verified extension witnesses."""
 
     verdicts: tuple[tuple[int, Optional[Structure]], ...]

@@ -80,8 +80,7 @@ def _tile(unit: int, period: int, total: int) -> int:
 _LETTERS = {("1", "1"): "V", ("1", "0"): "L", ("0", "0"): "F"}
 
 
-@record
-class TriTable:
+class TriTable(metaclass=record):
     """Rows in canonical order: V before L before F, first variable slowest.
 
     The values are two bit-planes over the rows: bit r of `not_f` is set when

@@ -44,6 +44,13 @@ MAX_TABLE_VARS = 16
 # so a formula falsified early costs one block rather than the whole table.
 BLOCK_BITS = 10
 
+# A row scan reads at most 2^MAX_SCAN_BITS rows.  No table limit bounds the
+# scans over more variables or cells, so such a scan answers when a row early
+# on decides and exits 3 otherwise.  On a 2-vCPU host, 2^26 rows of a 40-leaf
+# tautology take ~2 s, and a 24-cell model search with no model (2^24 rows)
+# ~0.4 s.
+MAX_SCAN_BITS = 26
+
 
 def spell(value: bool) -> str:
     return "v" if value else "f"
@@ -172,19 +179,25 @@ def _first_row(names: tuple, hits: Callable[[dict, int], int]) -> Optional[dict]
 
     Rows go in blocks of 2^BLOCK_BITS: the fastest-varying variables are row
     masks within a block and the others are constant across it, so the scan
-    stops at the first block with a hit.
+    stops at the first block with a hit.  Past 2^MAX_SCAN_BITS rows with no
+    hit it raises LimitExceededError.
     """
     low = min(len(names), BLOCK_BITS)
     high = len(names) - low
     full = (1 << (1 << low)) - 1
     env = dict(zip(names[high:], row_masks(low)))
-    for block in range(1 << high):
+    for block in range(1 << min(high, MAX_SCAN_BITS - low)):
         for i, name in enumerate(names[:high]):
             env[name] = 0 if block >> (high - 1 - i) & 1 else full
         found = hits(env, full)
         if found:
             row = (block << low) + (found & -found).bit_length() - 1
             return _row_assignment(names, row)
+    if len(names) > MAX_SCAN_BITS:
+        raise LimitExceededError(
+            f"row scan stopped after clearing {1 << MAX_SCAN_BITS:,} of the "
+            f"2^{len(names)} rows over {len(names)} variables or cells"
+        )
     return None
 
 
@@ -224,8 +237,7 @@ def render_tsv(
 _SPELL_BITS = str.maketrans("10", "vf")
 
 
-@record
-class TruthTable:
+class TruthTable(metaclass=record):
     """Rows run in canonical order: first variable slowest, v before f.
 
     Bit r of `mask` is the value in row r.
@@ -292,16 +304,14 @@ def is_tautology(formula: PropFormula) -> bool:
 # --- indirect method ------------------------------------------------------
 
 
-@record
-class Tautology:
+class Tautology(metaclass=record):
     """No falsifying assignment exists; trace is the forced-assignment run
     that ends in a contradiction (last step re-forces an earlier variable)."""
 
     trace: tuple[tuple[str, bool], ...]
 
 
-@record
-class Falsified:
+class Falsified(metaclass=record):
     counterexample: dict[str, bool]
 
 
@@ -434,8 +444,7 @@ def xframe(index: int) -> str:
 # --- algebraic normal form -------------------------------------------------
 
 
-@record
-class AnfPoly:
+class AnfPoly(metaclass=record):
     """XOR of AND-monomials over GF(2); the empty monomial is the constant 1.
 
     The monomial set is unique for a given truth function (Zhegalkin form).
@@ -483,8 +492,7 @@ def anf(formula: PropFormula) -> AnfPoly:
 # --- Boole's congruence rule ----------------------------------------------
 
 
-@record
-class CongruenceReport:
+class CongruenceReport(metaclass=record):
     """Evidence that semantically equal terms stay equal inside a context."""
 
     operands_equal: bool

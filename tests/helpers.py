@@ -43,7 +43,7 @@ from illation.formulas import (
     predicate_signature,
 )
 from illation.frege import _CELL_H, _CELL_W, _NUB_DEPTH, _STROKE
-from illation.notations import Notation, ParseError
+from illation.notations import _POLISH, _POLISH_EXPECTED, Notation, ParseError
 from illation import quantifiers
 from illation.quantifiers import Structure, atom_name, max_atoms_limit
 from illation.trivalent import UnsupportedConnectiveError, tri_and, tri_neg, tri_or
@@ -228,7 +228,7 @@ def ref_expand(formula, n, max_atoms=None):
         else:
             tokens.append(cls)
             todo += [(g, env) for g in SUBFORMULAS[cls](f)[::-1]]
-    return from_prefix(tokens)
+    return from_prefix(reversed(tokens))
 
 
 def ref_herbrand_scan(formula, max_size):
@@ -609,6 +609,48 @@ def ref_parse(text, notation):
     """`notations.parse` of an algebraic notation, by recursive descent."""
     style = _STYLES[notation]
     return _AlgebraicParser(_tokenize_algebraic(text, style), style).parse()
+
+
+def ref_parse_polish(text):
+    """`notations.parse` of Polish as it read with a list of every token:
+    the same checks, then the list of tokens built into a tree read from
+    its end."""
+    stripped = text.strip()
+    base = len(text) - len(text.lstrip())
+    for i, c in enumerate(stripped):
+        if c.isspace():
+            raise ParseError(
+                "whitespace is not allowed inside Polish formulas", base + i
+            )
+        if c == "#":
+            raise ParseError(
+                "Polish notation has no constant literals", base + i, _POLISH_EXPECTED
+            )
+    need = 1
+    for pos, c in enumerate(stripped):
+        if not need:
+            raise ParseError("syntax error", base + pos, ("end of input",), repr(c))
+        if c in _POLISH:
+            need += c != "N"
+        elif "a" <= c <= "z":
+            need -= 1
+        else:
+            raise ParseError("syntax error", base + pos, _POLISH_EXPECTED, repr(c))
+    if need:
+        raise ParseError(
+            "syntax error", base + len(stripped), _POLISH_EXPECTED, "end of input"
+        )
+    leaves = {c: Var(c) for c in set(stripped) - _POLISH.keys()}
+    tokens = [_POLISH.get(c) or leaves[c] for c in stripped]
+    built = []
+    for token in reversed(tokens):
+        if token is Neg:
+            built.append(Neg(built.pop()))
+        elif callable(token):
+            built.append(token(built.pop(), built.pop()))
+        else:
+            built.append(token)
+    return built[0]
 
 
 _SYMBOLS = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT",

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from illation import cli
+from illation import cli, truth
 
 CMD = [sys.executable, "-m", "illation.cli"]
 
@@ -325,36 +325,66 @@ def _address_space_cap():
 SIX_QUANTIFIERS = "Pi i . Pi j . Pi k . Pi l . Pi m . Pi o . p(i)"
 # Each E prints as its expansion, which repeats both sides: 3 * 2^40 - 2 leaves.
 FORTY_NESTED_E = "E" * 40 + "".join(chr(ord("a") + i % 26) for i in range(41))
+# With the atom budget raised, its negation has 24 cells at size 4 and 35 at 5.
+HERBRAND_35_CELLS = "(Sum i . (((Sum o . (t(i,o,i) > q(o))) > s(i,i,i)) > s(i,i,i)))"
+# A tautology over 40 variables that no row scan of 2^26 rows decides.
+FORTY_VARIABLE_TAUTOLOGY = "a | ~a | " + " | ".join(f"b_{i}" for i in range(1, 40))
 
 
-# Each limit is checked before its enumeration starts: the run ends at once
-# with one line on stderr, where a late check would exhaust time or memory
-# first (the run's address space is capped at 1 GiB).
-@pytest.mark.parametrize("argv, stdin, code", [
-    (["expand", "--domain", str(10**9), "Pi i . p(i)"], None, 3),
-    (["sat", "--domain", str(10**9), "Pi i . p(i)"], None, 3),
-    (["scan", "--herbrand", "--max-size", str(10**9), "Pi i . p(i)"], None, 3),
-    (["scan", "--max-size", "0", "Pi i . p(i)"], None, 2),
-    (["scan", "--herbrand", "--max-size", "0", "Pi i . p(i)"], None, 2),
+# Each limit is checked before its enumeration starts, or in the row scans
+# after the first 2^26 rows: the run ends at once, or within seconds, with one
+# line on stderr, where a late check would exhaust time or memory first (the
+# run's address space is capped at 1 GiB).
+@pytest.mark.parametrize("argv, stdin, code, env", [
+    (["expand", "--domain", str(10**9), "Pi i . p(i)"], None, 3, {}),
+    (["sat", "--domain", str(10**9), "Pi i . p(i)"], None, 3, {}),
+    (["scan", "--herbrand", "--max-size", str(10**9), "Pi i . p(i)"], None, 3, {}),
+    (["scan", "--max-size", "0", "Pi i . p(i)"], None, 2, {}),
+    (["scan", "--herbrand", "--max-size", "0", "Pi i . p(i)"], None, 2, {}),
     (["axioms", "-"], json.dumps({"carrier": [str(i) for i in range(13)], "one": "0", "R": []}),
-     3),
-    (["pair-check", "--atoms", "5"], None, 2),
-    (["table", "&".join(chr(ord("a") + i) for i in range(17))], None, 3),
-    (["expand", "--domain", "16", SIX_QUANTIFIERS], None, 3),
-    (["sat", "--domain", "16", SIX_QUANTIFIERS], None, 3),
-    (["translate", "--from", "polish", "--to", "peirce", FORTY_NESTED_E], None, 3),
+     3, {}),
+    (["pair-check", "--atoms", "5"], None, 2, {}),
+    (["table", "&".join(chr(ord("a") + i) for i in range(17))], None, 3, {}),
+    (["expand", "--domain", "16", SIX_QUANTIFIERS], None, 3, {}),
+    (["sat", "--domain", "16", SIX_QUANTIFIERS], None, 3, {}),
+    (["translate", "--from", "polish", "--to", "peirce", FORTY_NESTED_E], None, 3, {}),
     (["translate", "--from", "polish", "--to", "frege", "--format", "svg", FORTY_NESTED_E],
-     None, 3),
+     None, 3, {}),
+    (["scan", "--herbrand", "--max-size", "5", HERBRAND_35_CELLS], None, 3,
+     {"ILLATION_MAX_ATOMS": "100"}),
+    (["taut", FORTY_VARIABLE_TAUTOLOGY], None, 3, {}),
 ], ids=["expand-domain-1e9", "sat-domain-1e9", "herbrand-max-size-1e9", "scan-max-size-0",
         "herbrand-max-size-0", "axioms-13-elements", "pair-check-5-atoms", "table-17-variables",
         "expand-16-to-the-6-leaves", "sat-16-to-the-6-leaves", "peirce-40-nested-E",
-        "frege-svg-40-nested-E"])
-def test_limits_fail_before_enumeration(argv, stdin, code):
+        "frege-svg-40-nested-E", "herbrand-35-cells", "taut-40-variables"])
+def test_limits_fail_before_enumeration(argv, stdin, code, env):
     done = subprocess.run(CMD + argv, input=stdin, capture_output=True, text=True, timeout=20,
-                          preexec_fn=_address_space_cap)
+                          env={**os.environ, **env}, preexec_fn=_address_space_cap)
     assert (done.returncode, done.stdout) == (code, "")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert done.stderr.startswith("limit exceeded: " if code == 3 else "error: ")
+
+
+def test_row_scans_name_the_rows_they_cleared(monkeypatch):
+    """Past its budget, here cut to 2^12 rows, a row scan names the rows it
+    cleared, and the tautology check names the method that needs no table.
+    A row that decides within the budget is answered."""
+    monkeypatch.setattr(truth, "MAX_SCAN_BITS", 12)
+    fourteen = "a | ~a | " + " | ".join(f"b_{i}" for i in range(1, 14))
+    contradiction = "Pi i . Pi j . (l(i,j) & ~l(i,j))"  # n*n cells at size n, no model
+    assert in_process(cli.main, ["taut", fourteen]) == (3, "", (
+        "limit exceeded: row scan stopped after clearing 4,096 of the 2^14 rows over 14 "
+        "variables or cells; try --method indirect\n"))
+    assert in_process(cli.main, ["taut", f"~({fourteen})"]) == (1, "counterexample: " + " ".join(
+        ["a=v"] + [f"b_{i}=v" for i in range(1, 14)]) + "\n", "")
+    r = run("taut", "--method", "indirect", FORTY_VARIABLE_TAUTOLOGY)  # at the full budget
+    assert (r.returncode, r.stdout) == (0, "tautology\nforce a=f\nforce a=v (contradiction)\n")
+    assert in_process(cli.main, ["sat", "--domain", "4", contradiction]) == (3, "", (
+        "limit exceeded: row scan stopped after clearing 4,096 of the 2^16 rows over 16 "
+        "variables or cells\n"))
+    assert in_process(cli.main, ["scan", "--max-size", "4", contradiction])[::2] == (
+        3, "limit exceeded: size 4: row scan stopped after clearing 4,096 of the 2^16 rows "
+           "over 16 variables or cells\n")
 
 
 def test_unknown_subcommand():

@@ -1,7 +1,9 @@
-"""The reading loop against the recursive-descent parsers it replaced.
+"""The readers against the parsers they replaced.
 
-`helpers.ref_parse` and `helpers.ref_parse_relational` are those parsers,
-kept as they were.  On strings over each grammar's alphabet, well formed,
+`helpers.ref_parse` and `helpers.ref_parse_relational` are the
+recursive-descent parsers the reading loop replaced, and
+`helpers.ref_parse_polish` the Polish reader that listed every token before
+it built the tree; each is kept as it was.  On strings over each grammar's alphabet, well formed,
 slightly broken, or random, the loop must build the same tree, or raise the
 same error with the same text.  The strings come from hypothesis with a
 fixed seed (derandomize), so a run is repeatable.
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from illation.notations import Notation, ParseError, parse
 from illation.relsyntax import parse_relational
 
-from helpers import ref_parse, ref_parse_relational
+from helpers import ref_parse, ref_parse_polish, ref_parse_relational
 
 ORACLE = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -120,3 +122,37 @@ def test_relational_reading_matches_the_recursive_descent(text):
 def test_one_node_per_distinct_name(notation):
     f = parse("a" + SPELLING[notation][2] + "a", notation)
     assert f.left is f.right
+
+
+def polish_outcome(read, text):
+    """The tree read, as its repr, or every part of the error raised."""
+    try:
+        return repr(read(text))
+    except ParseError as err:
+        return str(err), err.message, err.offset, err.expected, err.found
+
+
+def polish_formulas():
+    return st.recursive(st.sampled_from("abpz"),
+                        lambda kids: kids.map("N".__add__)
+                        | st.builds(lambda op, a, b: op + a + b, st.sampled_from("CKAE"),
+                                    kids, kids),
+                        max_leaves=12)
+
+
+POLISH_PIECES = ["C", "K", "A", "E", "N", "a", "z", "B", "X", "O", "1", "é", "#", "#t",
+                 " ", "\t", "\n", "\u00a0", ""]
+
+
+@ORACLE
+@given(polish_formulas() | spliced(polish_formulas(), POLISH_PIECES)
+       | st.builds(lambda f, cut: f[:cut], polish_formulas(), st.integers(0, 30))
+       | st.builds(lambda a, f, b: a + f + b, st.sampled_from(WHITESPACE), polish_formulas(),
+                   st.sampled_from(WHITESPACE))
+       | strings(POLISH_PIECES))
+@example("CaNb c")  # whitespace inside
+@example(" \tEab\n")  # whitespace around
+@example("Kab#t")  # a constant after the end
+def test_polish_reading_matches_the_token_list_reader(text):
+    assert polish_outcome(lambda t: parse(t, Notation.POLISH), text) \
+        == polish_outcome(ref_parse_polish, text)

@@ -6,9 +6,12 @@ equality (within and across classes), hashing, frozen assignment and
 validation errors.
 """
 
+import copy
 import dataclasses
+import functools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -192,10 +195,40 @@ def test_cached_rows_on_frozen_tables():
     assert tri.rows is tri.rows and len(tri.rows) == 3
 
 
+def test_records_hold_their_fields_in_slots():
+    """A record's slots are its fields and its hash's, and a cached
+    property's class keeps a `__dict__` for it: nothing else per instance."""
+    for cls in SAMPLES:
+        cached = any(isinstance(v, functools.cached_property) for v in vars(cls).values())
+        fields = tuple(vars(cls)["__annotations__"])
+        assert cls.__slots__ == fields + ("__record_hash__",) + (("__dict__",) * cached)
+        assert cls.__record_fields__ == fields
+    assert {c for c in SAMPLES if "__dict__" in c.__slots__} == {truth.TruthTable,
+                                                                 trivalent.TriTable}
+
+
+def test_formula_nodes_have_no_dict():
+    samples = [cls(*args) for cls in SAMPLES if cls.__module__ == formulas.__name__
+               for args in SAMPLES[cls]]
+    parsed = notations.parse("CKabNEcd", notations.Notation.POLISH)
+    nodes = samples + list(formulas.walk(parsed, formulas.PROPOSITIONAL))
+    assert (len(samples), len(nodes)) == (18, 26)
+    assert formulas.PropFormula.__slots__ == formulas.RelFormula.__slots__ == ()
+    for f in nodes:
+        hash(f)  # the hash is kept in its slot
+        assert not hasattr(f, "__dict__"), f
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_records_copy_and_pickle(cls):
+    for x in (cls(*args) for args in SAMPLES[cls]):
+        for same in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert same == x and type(same) is cls and repr(same) == repr(x)
+
+
 def test_record_rejects_unsupported_shapes():
     with pytest.raises(TypeError, match="no record template for 4 fields"):
-        @_record.record
-        class Wide:
+        class Wide(metaclass=_record.record):
             a: int
             b: int
             c: int
