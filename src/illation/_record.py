@@ -33,8 +33,12 @@ No source is compiled per class.  `dataclasses` builds every class by
 `exec` of generated code (~0.8 ms a class) and imports `inspect` (~10 ms),
 a large share of a one-shot command.  Only `__init__`, which every parse and
 every engine step runs, comes from a template: one per field count, written
-for fields named a..f, which `code.replace` renames to the real fields so it
-runs the same bytecode as a hand-written one.  `__eq__`, `__hash__` and
+for fields named a..f, which `code.replace` renames to the real fields so
+that keyword arguments take their names.  It fills each slot through the
+slot's own descriptor, taken once when the class is made: `object.__setattr__`
+by name looks the descriptor up again for every field, which made a binary
+node ~30% dearer to build, and the readers build a node for every token.
+`__eq__`, `__hash__` and
 `__repr__` are one function each, shared by every record.  Formulas are
 records nested one level per connective, thousands of levels deep in a
 folded chain, so each walks the nested records with an explicit stack
@@ -54,45 +58,46 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a record."""
 
 
-# `__init__` templates, one per field count, for fields named a..f.
-def _fields1(post):
+# `__init__` templates, one per field count, for fields named a..f, each
+# filled through the setter of its slot.
+def _fields1(post, set_a):
     def __init__(self, a):
-        _set(self, "a", a)
+        set_a(self, a)
         if post:
             self.__post_init__()
 
     return __init__
 
 
-def _fields2(post):
+def _fields2(post, set_a, set_b):
     def __init__(self, a, b):
-        _set(self, "a", a)
-        _set(self, "b", b)
+        set_a(self, a)
+        set_b(self, b)
         if post:
             self.__post_init__()
 
     return __init__
 
 
-def _fields3(post):
+def _fields3(post, set_a, set_b, set_c):
     def __init__(self, a, b, c):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
         if post:
             self.__post_init__()
 
     return __init__
 
 
-def _fields6(post):
+def _fields6(post, set_a, set_b, set_c, set_d, set_e, set_f):
     def __init__(self, a, b, c, d, e, f):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        _set(self, "e", e)
-        _set(self, "f", f)
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+        set_d(self, d)
+        set_e(self, e)
+        set_f(self, f)
         if post:
             self.__post_init__()
 
@@ -102,25 +107,18 @@ def _fields6(post):
 _TEMPLATES = {1: _fields1, 2: _fields2, 3: _fields3, 6: _fields6}
 
 
-def _init(namespace: dict, names: tuple[str, ...]):
-    """`__init__` for the fields `names` of the class body `namespace`."""
+def _init(cls: type, names: tuple[str, ...]):
+    """`__init__` for the fields `names` of the record class `cls`."""
     template = _TEMPLATES.get(len(names))
     if template is None:
-        raise TypeError(f"{namespace['__qualname__']}: no record template for "
-                        f"{len(names)} fields")
+        raise TypeError(f"{cls.__qualname__}: no record template for {len(names)} fields")
     rename = dict(zip("abcdef", names))
-
-    def swap(items: tuple) -> tuple:
-        return tuple(rename.get(x, x) if isinstance(x, str) else x for x in items)
-
-    method = template("__post_init__" in namespace)
+    method = template("__post_init__" in cls.__dict__,
+                      *(cls.__dict__[n].__set__ for n in names))
     code = method.__code__
     method.__code__ = code.replace(
-        co_varnames=swap(code.co_varnames),
-        co_names=swap(code.co_names),
-        co_consts=swap(code.co_consts),
-    )
-    method.__qualname__ = f"{namespace['__qualname__']}.__init__"
+        co_varnames=tuple(rename.get(x, x) for x in code.co_varnames))
+    method.__qualname__ = f"{cls.__qualname__}.__init__"
     return method
 
 
@@ -202,7 +200,6 @@ def record(name: str, bases: tuple, namespace: dict) -> type:
     cached = any(type(x) is cached_property for x in namespace.values())
     namespace.update(
         __slots__=names + (_HASH,) + (("__dict__",) if cached else ()),
-        __init__=_init(namespace, names),
         __record_fields__=names,
         __repr__=_repr,
         __eq__=_eq,
@@ -211,4 +208,6 @@ def record(name: str, bases: tuple, namespace: dict) -> type:
         __setattr__=_setattr,
         __delattr__=_delattr,
     )
-    return type(name, bases, namespace)
+    cls = type(name, bases, namespace)
+    cls.__init__ = _init(cls, names)
+    return cls

@@ -10,6 +10,7 @@ the same argv and stdin always produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Optional
 
@@ -98,10 +99,16 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run the command `argv` names.  The cyclic collector is paused while
+    it runs: a command builds trees of frozen records, which hold no cycle,
+    so the collections their allocations set off would find nothing.  The
+    collector is left as it was found, however `main` ends."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
-    handler = globals()["_cmd_" + args.command.replace("-", "_")]
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser(argv).parse_args(argv)
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
         return handler(args)
     except LimitExceededError as err:
         print(f"limit exceeded: {err}", file=sys.stderr)
@@ -109,6 +116,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, ValueError, OSError) as err:  # PrintError and JSONDecodeError too
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _cmd_translate(args) -> int:

@@ -362,7 +362,9 @@ def from_prefix(tokens: Iterable) -> PropFormula:
     `Neg`, or a binary node's constructor, which takes the two formulas
     after it in the preorder as its sides.  So each constructor takes its
     sides off a stack of the formulas built so far, the first side on top.
-    Only that stack is held: `tokens` may be any iterator."""
+    Only that stack is held: `tokens` may be any iterator.  Tokens that
+    spell no one formula raise: `IndexError` where a constructor finds too
+    few formulas, `ValueError` where other than one is left at the end."""
     built: list = []
     for token in tokens:
         if token is Neg:
@@ -371,4 +373,5 @@ def from_prefix(tokens: Iterable) -> PropFormula:
             built.append(token(built.pop(), built.pop()))
         else:
             built.append(token)
-    return built[0]
+    (formula,) = built
+    return formula

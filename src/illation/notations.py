@@ -95,14 +95,20 @@ _STYLES = {
 
 # --- reading ----------------------------------------------------------------
 #
-# A master regex per syntax lexes one token per match (the "Writing a
-# Tokenizer" recipe of the `re` documentation), and one loop reads the
-# algebraic notations and the relational grammar by operator precedence
-# (Dijkstra's shunting yard), with explicit stacks, so no nesting depth
-# exhausts the interpreter's.  Each match's group name is the token's kind:
-# LEAF (a variable or constant), NEG and POSTNEG, PROD, SUM and CLAW,
-# LPAREN and RPAREN, and BAD for a character that starts no token; the
-# relational lexer adds WORD, PI, SIGMA, COMMA and DOT.  A prefix negation
+# One loop reads the algebraic notations and the relational grammar by
+# operator precedence (Dijkstra's shunting yard), with explicit stacks, so no
+# nesting depth exhausts the interpreter's.  A grammar is a pattern that
+# matches one token, never whitespace, and a table of kinds: NEG and
+# POSTNEG, PROD, SUM and CLAW, LPAREN and RPAREN for the operators and
+# brackets, LEAF for #t and #f; the relational grammar adds PI, SIGMA, COMMA
+# and DOT.  A token the table does not list is a name: LEAF (a variable) in
+# an algebraic notation, WORD (a predicate or an index) in the relational
+# grammar.  Or it is spelled as no token is, a character that starts no
+# token or a word with a capital, and the loop rejects it where it first
+# meets it.  `findall` gives the token strings a slice of the text at a
+# time, so the reader holds no list of every token and makes no `Match` per
+# token.  It counts the tokens, and only an error lexes the text again, with
+# `finditer`, to find the offset of the token it names.  A prefix negation
 # waits on the operator stack until its operand is complete; a quantifier
 # prefix waits there until its bracket closes or the text ends, so its scope
 # reaches as far right as it can.
@@ -121,38 +127,53 @@ _TAKES = {Prod: _PROD_LEVEL, Sum: _SUM_LEVEL, Claw: _SUM_LEVEL}
 _QUANTIFIERS = {"PI": PI, "SIGMA": SIGMA}
 _OPEN = "("  # an open bracket on the operator stack
 
+# The text is lexed in slices of about this many characters, each cut just
+# after a whitespace character or a bracket, which no token contains.
+_SLICE = 4096
+
 
 @cache
 def _grammar(style: _Style) -> tuple:
-    """The lexer and the expected-token lists of an algebraic notation,
-    compiled on its first use."""
+    """The reader's arguments for an algebraic notation, made on its first use."""
     ops = [(style.claw, "CLAW"), (style.prod, "PROD"), (style.sum, "SUM"),
            (style.neg_prefix, "NEG"), (style.neg_postfix, "POSTNEG")]
     ops = sorted((pair for pair in ops if pair[0]), key=lambda pair: -len(pair[0]))  # maximal munch
-    lexer = re.compile(
-        r"\s*(?:(?P<LEAF>#[tf]|[a-z](?:[a-z0-9]*(?:_[0-9]+)+)?)|"  # the longest valid name
-        + "".join(f"(?P<{kind}>{re.escape(literal)})|" for literal, kind in ops)
-        + r"(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<BAD>\S))"
+    pattern = re.compile(
+        r"#[tf]|[a-z](?:[a-z0-9]*(?:_[0-9]+)+)?|"  # the longest valid name
+        + "".join(re.escape(literal) + "|" for literal, _ in ops) + r"\S"
     )
+    kinds = dict(ops) | {"(": "LPAREN", ")": "RPAREN", "#t": "LEAF", "#f": "LEAF"}
     lexicon = tuple(literal for literal, _ in ops) + ("variable", "'('", "')'", "'#t'", "'#f'")
     operand = ("variable", "'#t'", "'#f'", "'('")
     if style.neg_prefix:
         operand += (repr(style.neg_prefix),)
     # with juxtaposition, a factor starts wherever an operand may
     juxtaposed = {"LEAF", "LPAREN", "NEG"} if style.juxtaposition else set()
-    return lexer, lexicon, operand, juxtaposed
+    return pattern, kinds, "LEAF", lexicon, operand, juxtaposed
 
 
-def _lexical_error(token, lexicon: tuple[str, ...]) -> Optional[ParseError]:
-    """The error of `token` if no token is spelled so, else None."""
-    kind = token.lastgroup
-    text = token[kind]
-    if kind == "BAD" or kind == "WORD" and not text[0].isalpha():
-        return ParseError("unexpected character", token.start(kind), lexicon, repr(text[0]))
-    if kind == "WORD" and not text.islower():
-        return ParseError("unexpected word", token.start(kind),
-                          ("'Pi'", "'Sum'", "lowercase name"), repr(text))
-    return None
+def _lexical_error(token: str, offset: int, kinds: dict, name_kind: str,
+                   lexicon: tuple[str, ...]) -> Optional[ParseError]:
+    """The error of `token` if no token is spelled so, else None.  A name
+    starts with a lowercase ASCII letter and has no capital; a relational
+    word that starts with a letter and is no name is a wrong word."""
+    if token in kinds or "a" <= token[0] <= "z" and token.islower():
+        return None
+    if name_kind == "WORD" and token[0].isascii() and token[0].isalpha():
+        return ParseError("unexpected word", offset, ("'Pi'", "'Sum'", "lowercase name"),
+                          repr(token))
+    return ParseError("unexpected character", offset, lexicon, repr(token[0]))
+
+
+def _tokens(text: str, pattern: re.Pattern) -> Iterator[str]:
+    """The token strings of `text`, lexed a slice at a time."""
+    cuts = re.compile(r"[\s()]").search  # compiled on first use, then cached by `re`
+    start, end = 0, len(text)
+    while start < end:
+        cut = cuts(text, start + _SLICE)
+        stop = cut.end() if cut else end
+        yield from pattern.findall(text, start, stop)
+        start = stop
 
 
 def _close(ops: list, operands: list) -> None:
@@ -168,33 +189,40 @@ def _close(ops: list, operands: list) -> None:
         op = ops.pop()
 
 
-def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
-          operand: tuple[str, ...], juxtaposed: set[str]) -> PropFormula | RelFormula:
-    """The formula spelled by `text`.  `lexicon` is what may stand where a
+def _read(text: str, pattern: re.Pattern, kinds: dict[str, str], name_kind: str,
+          lexicon: tuple[str, ...], operand: tuple[str, ...],
+          juxtaposed: set[str]) -> PropFormula | RelFormula:
+    """The formula spelled by `text`.  A token is of its kind in `kinds`,
+    else of the kind `name_kind`.  `lexicon` is what may stand where a
     character starts no token, `operand` what may stand where an operand is
     due, and `juxtaposed` the kinds of token that start a factor with no
     product sign before it."""
-    tokens = lexer.finditer(text)
+    tokens = enumerate(_tokens(text, pattern))
+    kind_of = kinds.get
 
-    def error(token, expected: tuple[str, ...]) -> ParseError:
-        """The error where `token` (None: the end) cannot stand.  A
-        character or word that no token spells is reported first, wherever
-        it stands.  The loop raises at each such token it reaches, so none
-        stands before `token`, and the first in the text is the one due."""
-        for each in lexer.finditer(text):
-            found = _lexical_error(each, lexicon)
+    def error(count: Optional[int], expected: tuple[str, ...]) -> ParseError:
+        """The error where the token counted `count` (None: the end) cannot
+        stand.  A character or word that no token spells is reported first,
+        wherever it stands.  The loop raises at each such token it reaches,
+        so none stands before that token, and the first in the text is the
+        one due."""
+        at = None
+        for i, each in enumerate(pattern.finditer(text)):
+            found = _lexical_error(each[0], each.start(), kinds, name_kind, lexicon)
             if found:
                 return found
-        if token is None:
+            if i == count:
+                at = each
+        if at is None:
             return ParseError("syntax error", len(text), expected, "end of input")
-        return ParseError("syntax error", token.start(token.lastgroup), expected,
-                          repr(token[token.lastgroup]))
+        return ParseError("syntax error", at.start(), expected, repr(at[0]))
 
     def expect(kind: str, expected: tuple[str, ...]) -> str:
-        token = next(tokens, None)
-        if token is None or token.lastgroup != kind or _lexical_error(token, lexicon):
-            raise error(token, expected)
-        return token[kind]
+        count, token = next(tokens, (None, None))
+        if count is None or kind_of(token, name_kind) != kind \
+                or _lexical_error(token, 0, kinds, name_kind, lexicon):
+            raise error(count, expected)
+        return token
 
     leaves: dict = {}  # one node per distinct variable or constant
     operands: list = []
@@ -202,8 +230,8 @@ def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
     depth = 0  # open brackets
     start = True  # a whole formula starts here, so a quantifier may
     due = True  # an operand is due
-    for token in tokens:
-        kind = token.lastgroup
+    for count, token in tokens:
+        kind = kind_of(token, name_kind)
         if not due:
             binary = _BINARY.get(kind)
             if binary or kind in juxtaposed:
@@ -227,12 +255,13 @@ def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
                     ops.pop()
                 continue
             else:
-                raise error(token, ("')'",) if depth else ("end of input",))
+                raise error(count, ("')'",) if depth else ("end of input",))
         if kind == "LEAF":
-            name = token["LEAF"]
-            leaf = leaves.get(name)
+            leaf = leaves.get(token)
             if leaf is None:
-                leaf = leaves[name] = Const(name == "#t") if name[0] == "#" else Var(name)
+                if _lexical_error(token, 0, kinds, name_kind, lexicon):
+                    raise error(count, operand)
+                leaf = leaves[token] = Const(token == "#t") if token[0] == "#" else Var(token)
         elif kind == "NEG":
             ops.append(Neg)
             start = False
@@ -243,24 +272,24 @@ def _read(text: str, lexer: re.Pattern, lexicon: tuple[str, ...],
             start = True
             continue
         elif kind == "WORD":  # a predicate atom
-            if _lexical_error(token, lexicon):
-                raise error(token, operand)
+            if _lexical_error(token, 0, kinds, name_kind, lexicon):
+                raise error(count, operand)
             expect("LPAREN", ("'('",))
             indices = [expect("WORD", ("index variable",))]
-            closing = next(tokens, None)
-            while closing is not None and closing.lastgroup == "COMMA":
+            at, mark = next(tokens, (None, None))
+            while mark == ",":
                 indices.append(expect("WORD", ("index variable",)))
-                closing = next(tokens, None)
-            if closing is None or closing.lastgroup != "RPAREN":
-                raise error(closing, ("')'",))
-            leaf = RAtom(token["WORD"], tuple(indices))
+                at, mark = next(tokens, (None, None))
+            if mark != ")":
+                raise error(at, ("')'",))
+            leaf = RAtom(token, tuple(indices))
         elif kind in _QUANTIFIERS and start:
             var = expect("WORD", ("index variable",))
             expect("DOT", ("'.'",))
             ops.append(partial(Quant, _QUANTIFIERS[kind], var))
             continue
         else:
-            raise error(token, operand)
+            raise error(count, operand)
         while ops[-1] is Neg:
             leaf = Neg(leaf)
             ops.pop()
@@ -280,7 +309,16 @@ _POLISH_EXPECTED = tuple(map(repr, _POLISH)) + ("variable",)
 
 
 def _parse_polish(text: str) -> PropFormula:
+    """The formula spelled by `text` in Polish notation, built in one pass
+    from the right.  Only a text that does not build is read again, from
+    the left, to find and word its first error."""
     stripped = text.strip()
+    # no entry for whitespace, '#' or a character that is no letter
+    lookup = _POLISH | {c: Var(c) for c in set(stripped) if "a" <= c <= "z"}
+    try:  # fails on a missing entry, an empty stack, or formulas left over
+        return from_prefix(map(lookup.__getitem__, reversed(stripped)))
+    except (KeyError, IndexError, ValueError):
+        pass
     base = len(text) - len(text.lstrip())
     for i, c in enumerate(stripped):
         if c.isspace():
@@ -303,13 +341,7 @@ def _parse_polish(text: str) -> PropFormula:
             need -= 1
         else:
             raise ParseError("syntax error", base + pos, _POLISH_EXPECTED, repr(c))
-    if need:
-        raise ParseError(
-            "syntax error", base + len(stripped), _POLISH_EXPECTED, "end of input"
-        )
-    # Built in one pass from the right, with no list of the tokens.
-    lookup = _POLISH | {c: Var(c) for c in set(stripped) - _POLISH.keys()}
-    return from_prefix(map(lookup.__getitem__, reversed(stripped)))
+    raise ParseError("syntax error", base + len(stripped), _POLISH_EXPECTED, "end of input")
 
 
 def parse(text: str, notation: Notation) -> PropFormula:

@@ -7,9 +7,11 @@ propositional connectives reuse the Peano-Russell spellings (~ > & |) with
 the usual precedence, and the claw associates right.  Predicate and index
 names are lowercase ASCII identifiers; parentheses group subformulas.
 
-The reading loop is the one of `notations`; this lexer's words and
-punctuation give it its two rules of its own: the quantifier prefix where a
-formula starts, and predicate atoms where a variable would stand.
+The reading loop is the one of `notations`.  This grammar's tokens are
+words (runs of ASCII letters and digits, `Pi` and `Sum` among them) and
+single characters, and its table of kinds gives the loop its two rules of
+its own: the quantifier prefix where a formula starts, and predicate atoms
+where a variable would stand.
 """
 
 from __future__ import annotations
@@ -21,18 +23,17 @@ from .formulas import RelFormula
 from .notations import _read
 
 _LEXICON = ("'Pi'", "'Sum'", "name", "'('", "')'", "','", "'.'", "'~'", "'>'", "'&'", "'|'")
+_KINDS = {"Pi": "PI", "Sum": "SIGMA", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT",
+          "~": "NEG", ">": "CLAW", "&": "PROD", "|": "SUM"}
 
 
 @cache
-def _lexer() -> re.Pattern:
+def _pattern() -> re.Pattern:
     # a word is a run of ASCII letters and digits (no other letter starts a
-    # token); the reader rejects one that starts with a digit or is not lowercase
-    return re.compile(
-        r"\s*(?:(?P<PI>Pi(?![A-Za-z0-9]))|(?P<SIGMA>Sum(?![A-Za-z0-9]))|(?P<WORD>[A-Za-z0-9]+)"
-        r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<DOT>\.)"
-        r"|(?P<NEG>~)|(?P<CLAW>>)|(?P<PROD>&)|(?P<SUM>\|)|(?P<BAD>\S))"
-    )
+    # token), so Pi and Sum are keywords only as whole words; the reader
+    # rejects a word that starts with a digit or is not lowercase
+    return re.compile(r"[A-Za-z0-9]+|\S")
 
 
 def parse_relational(text: str) -> RelFormula:
-    return _read(text, _lexer(), _LEXICON, ("predicate atom", "'('"), set())
+    return _read(text, _pattern(), _KINDS, "WORD", _LEXICON, ("predicate atom", "'('"), set())

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -404,6 +405,75 @@ def test_runs_are_deterministic():
         second = run(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+# Run in a fresh interpreter, so no other test's garbage is counted.  Every
+# line of output is one JSON value.
+COLLECTOR_SCRIPT = r"""
+import contextlib, gc, io, itertools, json, sys
+from illation import cli
+
+def run(*argv, stdin=""):
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(list(argv))
+        except SystemExit as exit:
+            return "SystemExit(%s)" % exit.code
+
+def chain(n):
+    return " | ".join("x_%d" % i for i in range(n))
+
+def conjuncts(k):
+    return " & ".join(["(Pi i . Sum j . r(i, j) > ~p(j))"] * k)
+
+minterms = " | ".join("(" + " & ".join(sign + v for sign, v in zip(signs, "abcd")) + ")"
+                      for signs in itertools.product(["", "~"], repeat=4))
+translate = ["translate", "--from", "peano-russell", "--to", "peirce", "-"]
+expand = ["expand", "--domain", "2", "-"]
+taut = ["taut", "--method", "indirect", "-"]
+gc.disable()
+gc.collect()
+left = []
+for argv, stdin in [(translate, chain(10)), (translate, chain(10_000)),
+                    (expand, conjuncts(1)), (expand, conjuncts(240)),
+                    (taut, "a | ~a"), (taut, minterms)]:
+    code = run(*argv, stdin=stdin)
+    left.append([argv[0], code, gc.collect()])
+print(json.dumps(left))
+during = []  # the collector's state while `taut` runs
+handler = cli._cmd_taut
+cli._cmd_taut = lambda args: during.append(gc.isenabled()) or handler(args)
+ends = []
+for enabled in (True, False):
+    for argv in (["taut", "a | ~a"], ["taut", "a"], ["taut", "a &"],
+                 ["table", chain(17)], ["table", "--values", "4", "a"]):
+        (gc.enable if enabled else gc.disable)()
+        code = run(*argv)
+        ends.append([enabled, code, gc.isenabled()])
+print(json.dumps(ends))
+print(json.dumps(during))
+"""
+
+
+def test_main_pauses_the_collector_and_leaves_it_as_it_was():
+    """`main` runs a command with the cyclic collector off.  Its premise: a
+    command leaves no more cyclic garbage on a long input than on a short
+    one (what it leaves is argparse's own), as the trees it builds hold no
+    cycle.  And the collector is as the caller left it on every exit:
+    0, 1, 2 (a parse error), 3 (a limit) and argparse's `SystemExit`."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-c", COLLECTOR_SCRIPT], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert r.returncode == 0, r.stderr
+    left, ends, during = map(json.loads, r.stdout.splitlines())
+    assert [code for _, code, _ in left] == [0] * 6
+    for (command, _, short), (_, _, long) in zip(left[::2], left[1::2]):
+        assert short == long, (command, short, long)
+    codes = [0, 1, 2, 3, "SystemExit(2)"]
+    assert ends == [[True, code, True] for code in codes] + [[False, code, False]
+                                                            for code in codes]
+    assert during == [False] * 6  # the three `taut` runs, from each state
 
 
 def test_sat_cell_limit_exits_3_before_building_cells():

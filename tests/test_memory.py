@@ -5,10 +5,14 @@ hash slot), the Polish reader builds the tree from the right with no list of
 the tokens, and the printer joins its fragments a batch at a time.  With a
 `__dict__` per node, a list of every token and a list of every fragment,
 the same parse peaked at ~104 bytes per node and printing added 0.4-0.6 MB.
+The algebraic reader lexes a slice of the text at a time; a list of every
+token string of the whole text peaked at 78-90 bytes per node.
 """
 
 import random
 import tracemalloc
+
+import pytest
 
 from illation.formulas import PROPOSITIONAL, walk
 from illation.notations import Notation, parse, print_formula
@@ -52,3 +56,20 @@ def test_polish_parse_and_print_hold_little_beyond_the_tree():
     assert nodes > LEAVES
     assert parse_peak / nodes <= 64, parse_peak / nodes
     assert max(added.values()) < 0.3 * 2**20, added
+
+
+@pytest.mark.parametrize("notation", [Notation.PEANO_RUSSELL, Notation.PEIRCE,
+                                      Notation.SCHROEDER], ids=lambda n: n.value)
+def test_algebraic_parse_holds_little_beyond_the_tree(notation):
+    f = parse(random_polish(random.Random(22), LEAVES), Notation.POLISH)
+    text = print_formula(f, notation)
+    tracemalloc.start()
+    try:
+        g = parse(text, notation)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == f
+    nodes = len({id(h) for h in walk(g, PROPOSITIONAL)})  # 16 shared leaves
+    assert nodes > LEAVES
+    assert parse_peak / nodes <= 64, parse_peak / nodes

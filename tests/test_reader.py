@@ -7,7 +7,13 @@ it built the tree; each is kept as it was.  On strings over each grammar's alpha
 slightly broken, or random, the loop must build the same tree, or raise the
 same error with the same text.  The strings come from hypothesis with a
 fixed seed (derandomize), so a run is repeatable.
+
+The reader lexes a long text a slice at a time, and finds the offset of an
+error by counting tokens, so long texts with one late defect are read too:
+several thousand tokens, flat enough for the recursive parsers.
 """
+
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -156,3 +162,72 @@ POLISH_PIECES = ["C", "K", "A", "E", "N", "a", "z", "B", "X", "O", "1", "é", "#
 def test_polish_reading_matches_the_token_list_reader(text):
     assert polish_outcome(lambda t: parse(t, Notation.POLISH), text) \
         == polish_outcome(ref_parse_polish, text)
+
+
+def full_outcome(read, *args):
+    """The tree read, or every part of the error raised."""
+    try:
+        return read(*args)
+    except ParseError as err:
+        return str(err), err.message, err.offset, err.expected, err.found
+
+
+def long_algebraic(notation, groups=900):
+    """A sum of bracketed claws over products and negations: ~9 tokens a
+    group, with every kind of whitespace between them."""
+    claw, prod, sum_, neg, postneg = SPELLING[notation]
+    rng = random.Random(23)
+    joints = [prod] + ([" "] if notation is not Notation.PEANO_RUSSELL else [])
+    space = lambda: rng.choice(WHITESPACE)  # noqa: E731
+
+    def operand():
+        leaf = rng.choice(["a", "b", "l_0_1", "x9_2", "#t", "#f"])
+        if rng.random() < 0.3:
+            return neg + leaf if neg else leaf + postneg
+        return leaf
+
+    pieces = ["(" + operand() + space() + rng.choice(joints) + space() + operand() + space()
+              + claw + space() + operand() + ")" for _ in range(groups)]
+    return "".join(piece + space() + sum_ + space() for piece in pieces[:-1]) + pieces[-1]
+
+
+def long_relational(groups=480):
+    """Bracketed quantified claws joined by `&` or by `|`: ~20 tokens a
+    group."""
+    rng = random.Random(23)
+    space = lambda: rng.choice(WHITESPACE[2:])  # noqa: E731
+    return (space() + rng.choice("&|") + space()).join(
+        f"(Pi i .{space()}Sum j . l(i,{space()}j) > ~p(j))" for _ in range(groups))
+
+
+def defects(text, operator):
+    """`text` and the text broken late in one place each: a stray
+    character, a missing ')', an operator at the end, and an operator
+    doubled."""
+    late = len(text) - 200
+    close = text.rindex(")", 0, late)
+    twice = text.index(operator, late)
+    return {
+        "well-formed": text,
+        "stray-character": text[:late] + "$" + text[late:],
+        "missing-bracket": text[:close] + text[close + 1:],
+        "operator-at-the-end": text + operator,
+        "operator-doubled": text[:twice] + operator + text[twice:],
+    }
+
+
+@pytest.mark.parametrize("notation", list(SPELLING), ids=lambda n: n.value)
+def test_long_algebraic_texts_read_as_the_recursive_descent_reads_them(notation):
+    text = long_algebraic(notation)
+    assert len(text) > 3 * 4096
+    for case, broken in defects(text, SPELLING[notation][2]).items():
+        assert full_outcome(parse, broken, notation) \
+            == full_outcome(ref_parse, broken, notation), case
+
+
+def test_long_relational_texts_read_as_the_recursive_descent_reads_them():
+    text = long_relational()
+    assert len(text) > 3 * 4096
+    for case, broken in defects(text, ">").items():
+        assert full_outcome(parse_relational, broken) \
+            == full_outcome(ref_parse_relational, broken), case
