@@ -16,7 +16,6 @@ indiscernibility of two elements.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from itertools import islice, product
 from typing import Optional
@@ -44,22 +43,6 @@ from .formulas import (
     predicate_signature,
     walk,
 )
-
-DEFAULT_MAX_ATOMS = 16
-MAX_ATOMS_ENV = "ILLATION_MAX_ATOMS"
-
-
-def max_atoms_limit() -> int:
-    raw = os.environ.get(MAX_ATOMS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ATOMS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_ATOMS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{MAX_ATOMS_ENV} must be positive, got {value}")
-    return value
 
 
 class Structure(metaclass=record):
@@ -124,14 +107,15 @@ def _check_leaves(depths: dict[int, int], n: int) -> None:
 def _cells(formula: RelFormula, n: int) -> tuple[tuple, ...]:
     """The cells (predicate, elements) the expansion over a domain of size n
     reads, listed from the formula's atoms after every check, this one of the
-    atom budget (at most `max_atoms_limit()` cells) last.  Each index of an
-    atom is bound by its own quantifier, which takes every element, so an
-    atom reads one cell per assignment of elements to its distinct indices:
-    l(i,i) reads (l, (d, d)) for each d."""
+    table limit last: the searches tabulate these cells, so at most
+    `truth.MAX_TABLE_VARS` of them.  Each index of an atom is bound by its
+    own quantifier, which takes every element, so an atom reads one cell per
+    assignment of elements to its distinct indices: l(i,i) reads (l, (d, d))
+    for each d."""
     if n < 1:
         raise ValueError("domain must have at least one element")
     depths = ensure_closed(formula)
-    limit = max_atoms_limit()
+    limit = truth.MAX_TABLE_VARS
     cells: dict[tuple, None] = {}
     if n <= limit:  # each atom's index is bound, so it reads n or more cells
         _check_leaves(depths, n)

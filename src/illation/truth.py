@@ -521,14 +521,18 @@ def semantic_difference(
 def congruence_check(
     s: PropFormula, t: PropFormula, context: PropFormula, hole: str
 ) -> CongruenceReport:
-    """Check Boole's rule: from s = t derive context(s) = context(t)."""
+    """Check Boole's rule: from s = t derive context(s) = context(t).
+
+    The plugged contexts hold every variable of s and t, so the table limit
+    on their merged variables is checked before either scan."""
     if hole not in free_vars(context):
         raise ValueError(f"hole {hole!r} does not occur in the context")
-    operands_witness = semantic_difference(s, t)
     plugged_s = substitute(context, hole, s)
     plugged_t = substitute(context, hole, t)
-    contexts_witness = semantic_difference(plugged_s, plugged_t)
     shared = merged_vars(plugged_s, plugged_t)
+    _check_table_limit(len(shared))
+    operands_witness = semantic_difference(s, t)
+    contexts_witness = semantic_difference(plugged_s, plugged_t)
     return CongruenceReport(
         operands_equal=operands_witness is None,
         operands_witness=operands_witness,

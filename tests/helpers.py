@@ -44,8 +44,8 @@ from illation.formulas import (
 )
 from illation.frege import _CELL_H, _CELL_W, _NUB_DEPTH, _STROKE
 from illation.notations import _POLISH, _POLISH_EXPECTED, Notation, ParseError
-from illation import quantifiers
-from illation.quantifiers import Structure, atom_name, max_atoms_limit
+from illation import quantifiers, truth
+from illation.quantifiers import Structure, atom_name
 from illation.trivalent import UnsupportedConnectiveError, tri_and, tri_neg, tri_or
 from illation.truth import (
     _DECIDING,
@@ -188,15 +188,15 @@ def ref_ensure_closed(formula):
     return depths
 
 
-def ref_expand(formula, n, max_atoms=None):
+def ref_expand(formula, n):
     """Quantifiers eliminated over a domain of size n, each body copy with
     its own dict of index bindings and each atom named per occurrence: the
-    expansion before one shared dict.  The atom budget is `max_atoms`, or
-    the library's when it is None."""
+    expansion before one shared dict.  The atom budget is the table limit,
+    read when it is called."""
     if n < 1:
         raise ValueError("domain must have at least one element")
     depths = ref_ensure_closed(formula)
-    limit = max_atoms_limit() if max_atoms is None else max_atoms
+    limit = truth.MAX_TABLE_VARS
     if n > limit:  # each atom's index is bound, so it expands to n or more atoms
         raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
     # an atom under k quantifiers occurs n^k times

@@ -14,13 +14,8 @@ from illation import cli, truth
 CMD = [sys.executable, "-m", "illation.cli"]
 
 
-def run(*args, stdin=None, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CMD + list(args), input=stdin, capture_output=True, text=True, env=env
-    )
+def run(*args, stdin=None):
+    return subprocess.run(CMD + list(args), input=stdin, capture_output=True, text=True)
 
 
 def test_translate_table4_golden():
@@ -178,19 +173,24 @@ def test_expand_to_peano_russell():
 
 
 def test_expand_limit_exit_3():
-    r = run("expand", "Pi i . Sum j . l(i,j)", "--domain", "2",
-            env_extra={"ILLATION_MAX_ATOMS": "3"})
+    r = run("expand", "Pi i . Sum j . l(i,j)", "--domain", "5")  # 25 atoms
     assert r.returncode == 3
     assert r.stdout == ""
     assert "limit" in r.stderr
 
 
-@pytest.mark.parametrize("value, message", [
-    ("0", "must be positive, got 0"), ("many", "must be an integer, got 'many'")])
-def test_a_bad_atom_budget_exits_2(value, message):
-    r = run("sat", "Pi i . p(i)", "--domain", "1", env_extra={"ILLATION_MAX_ATOMS": value})
-    assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr == f"error: ILLATION_MAX_ATOMS {message}\n"
+def test_the_atom_budget_variable_is_ignored(monkeypatch):
+    """The cell budget is the table limit, which no environment variable
+    moves: a model over 5 cells is printed and a search over 25 exits 3,
+    whatever `ILLATION_MAX_ATOMS` says."""
+    searches = (["sat", "--domain", "5", "Sum i . l(i,i)"],
+                ["sat", "--domain", "5", "Pi i . Sum j . l(i,j) > l(i,j)"])
+    monkeypatch.delenv("ILLATION_MAX_ATOMS", raising=False)
+    unset = [in_process(cli.main, argv) for argv in searches]
+    assert [code for code, _, _ in unset] == [0, 3]
+    for value in ("0", "many", "3", "100"):
+        monkeypatch.setenv("ILLATION_MAX_ATOMS", value)
+        assert [in_process(cli.main, argv) for argv in searches] == unset, value
 
 
 def test_sat_witness_json():
@@ -326,7 +326,7 @@ def _address_space_cap():
 SIX_QUANTIFIERS = "Pi i . Pi j . Pi k . Pi l . Pi m . Pi o . p(i)"
 # Each E prints as its expansion, which repeats both sides: 3 * 2^40 - 2 leaves.
 FORTY_NESTED_E = "E" * 40 + "".join(chr(ord("a") + i % 26) for i in range(41))
-# With the atom budget raised, its negation has 24 cells at size 4 and 35 at 5.
+# Its negation has 24 cells at size 4 and 35 at 5, past the 16-cell table limit.
 HERBRAND_35_CELLS = "(Sum i . (((Sum o . (t(i,o,i) > q(o))) > s(i,i,i)) > s(i,i,i)))"
 # A tautology over 40 variables that no row scan of 2^26 rows decides.
 FORTY_VARIABLE_TAUTOLOGY = "a | ~a | " + " | ".join(f"b_{i}" for i in range(1, 40))
@@ -336,31 +336,30 @@ FORTY_VARIABLE_TAUTOLOGY = "a | ~a | " + " | ".join(f"b_{i}" for i in range(1, 4
 # after the first 2^26 rows: the run ends at once, or within seconds, with one
 # line on stderr, where a late check would exhaust time or memory first (the
 # run's address space is capped at 1 GiB).
-@pytest.mark.parametrize("argv, stdin, code, env", [
-    (["expand", "--domain", str(10**9), "Pi i . p(i)"], None, 3, {}),
-    (["sat", "--domain", str(10**9), "Pi i . p(i)"], None, 3, {}),
-    (["scan", "--herbrand", "--max-size", str(10**9), "Pi i . p(i)"], None, 3, {}),
-    (["scan", "--max-size", "0", "Pi i . p(i)"], None, 2, {}),
-    (["scan", "--herbrand", "--max-size", "0", "Pi i . p(i)"], None, 2, {}),
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["expand", "--domain", str(10**9), "Pi i . p(i)"], None, 3),
+    (["sat", "--domain", str(10**9), "Pi i . p(i)"], None, 3),
+    (["scan", "--herbrand", "--max-size", str(10**9), "Pi i . p(i)"], None, 3),
+    (["scan", "--max-size", "0", "Pi i . p(i)"], None, 2),
+    (["scan", "--herbrand", "--max-size", "0", "Pi i . p(i)"], None, 2),
     (["axioms", "-"], json.dumps({"carrier": [str(i) for i in range(13)], "one": "0", "R": []}),
-     3, {}),
-    (["pair-check", "--atoms", "5"], None, 2, {}),
-    (["table", "&".join(chr(ord("a") + i) for i in range(17))], None, 3, {}),
-    (["expand", "--domain", "16", SIX_QUANTIFIERS], None, 3, {}),
-    (["sat", "--domain", "16", SIX_QUANTIFIERS], None, 3, {}),
-    (["translate", "--from", "polish", "--to", "peirce", FORTY_NESTED_E], None, 3, {}),
+     3),
+    (["pair-check", "--atoms", "5"], None, 2),
+    (["table", "&".join(chr(ord("a") + i) for i in range(17))], None, 3),
+    (["expand", "--domain", "16", SIX_QUANTIFIERS], None, 3),
+    (["sat", "--domain", "16", SIX_QUANTIFIERS], None, 3),
+    (["translate", "--from", "polish", "--to", "peirce", FORTY_NESTED_E], None, 3),
     (["translate", "--from", "polish", "--to", "frege", "--format", "svg", FORTY_NESTED_E],
-     None, 3, {}),
-    (["scan", "--herbrand", "--max-size", "5", HERBRAND_35_CELLS], None, 3,
-     {"ILLATION_MAX_ATOMS": "100"}),
-    (["taut", FORTY_VARIABLE_TAUTOLOGY], None, 3, {}),
+     None, 3),
+    (["scan", "--herbrand", "--max-size", "5", HERBRAND_35_CELLS], None, 3),
+    (["taut", FORTY_VARIABLE_TAUTOLOGY], None, 3),
 ], ids=["expand-domain-1e9", "sat-domain-1e9", "herbrand-max-size-1e9", "scan-max-size-0",
         "herbrand-max-size-0", "axioms-13-elements", "pair-check-5-atoms", "table-17-variables",
         "expand-16-to-the-6-leaves", "sat-16-to-the-6-leaves", "peirce-40-nested-E",
         "frege-svg-40-nested-E", "herbrand-35-cells", "taut-40-variables"])
-def test_limits_fail_before_enumeration(argv, stdin, code, env):
+def test_limits_fail_before_enumeration(argv, stdin, code):
     done = subprocess.run(CMD + argv, input=stdin, capture_output=True, text=True, timeout=20,
-                          env={**os.environ, **env}, preexec_fn=_address_space_cap)
+                          preexec_fn=_address_space_cap)
     assert (done.returncode, done.stdout) == (code, "")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert done.stderr.startswith("limit exceeded: " if code == 3 else "error: ")

@@ -26,9 +26,6 @@ EXAMPLES = {
     "sat-25-cells-over-the-limit": (
         ["sat", "--domain", "5", REFLEXIVE], f"sat --domain 5 '{REFLEXIVE}'", 3,
         "limit exceeded: expansion needs more than 16 distinct atoms"),
-    "sat-25-cells-with-the-variable": (
-        ["sat", "--domain", "5", REFLEXIVE], "With `ILLATION_MAX_ATOMS=25` it prints", 0,
-        '{"domain": 5, "predicates": {"l": {"arity": 2, "true": []}}}'),
     "herbrand-arity-clash": (
         ["scan", "--herbrand", "--max-size", "2", "Sum i . l(i) | ~l(i,i)"],
         "scan --herbrand --max-size 2 'Sum i . l(i) | ~l(i,i)'", 2,
@@ -48,8 +45,6 @@ EXAMPLES = {
         "`EEEEEEEEEEEEEEEabcdefghijklmnop`", 3,
         "limit exceeded: connective expansions add more than 65,536 atom occurrences"),
 }
-# The atom budget an example runs under, where it is not the default.
-MAX_ATOMS = {"sat-25-cells-with-the-variable": "25"}
 
 
 def limits_paragraph():
@@ -59,11 +54,7 @@ def limits_paragraph():
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-def test_limits_paragraph_examples_run_as_documented(name, monkeypatch):
-    if name in MAX_ATOMS:
-        monkeypatch.setenv("ILLATION_MAX_ATOMS", MAX_ATOMS[name])
-    else:
-        monkeypatch.delenv("ILLATION_MAX_ATOMS", raising=False)
+def test_limits_paragraph_examples_run_as_documented(name):
     argv, spelled, code, line = EXAMPLES[name]
     paragraph = limits_paragraph()
     assert spelled in paragraph and line in paragraph

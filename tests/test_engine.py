@@ -216,9 +216,9 @@ def test_no_variable_cap_on_counterexample_search():
 
 def test_herbrand_scan_follows_the_atom_budget_past_sixteen(monkeypatch):
     some_p = parse_relational("Sum i . p(i)")
-    monkeypatch.setenv("ILLATION_MAX_ATOMS", "18")
+    monkeypatch.setattr(truth, "MAX_TABLE_VARS", 18)
     assert herbrand_scan(some_p, 18) is None
-    monkeypatch.setenv("ILLATION_MAX_ATOMS", "16")
+    monkeypatch.setattr(truth, "MAX_TABLE_VARS", 16)
     with pytest.raises(LimitExceededError):
         herbrand_scan(some_p, 18)
 

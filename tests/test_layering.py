@@ -6,6 +6,7 @@ draw formulas.  Evaluating them is the work of `truth`, `trivalent`,
 syntax module imports, directly or through another module of the package,
 is one of those.  The check is syntactic: it reads every import statement
 of a module, at any depth, so an import inside a function counts too.
+Nor does any module read the environment: every limit is fixed in the source.
 """
 
 import ast
@@ -64,3 +65,25 @@ from functools import cache
 '''
     assert imported(source) == {"truth", "quantifiers", "formulas", "trivalent", "arithmetic",
                                 "cli", "errors"}
+
+
+def test_no_module_reads_the_environment():
+    """No module of the package imports `os`, or names `environ` or
+    `getenv`, so no variable can move a bound."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "os" or name in ("environ", "getenv"):
+                    found.setdefault(path.name, []).append(name)
+    assert found == {}

@@ -25,7 +25,6 @@ from illation.formulas import (
 )
 from illation.notations import ParseError
 from illation.quantifiers import (
-    DEFAULT_MAX_ATOMS,
     Structure,
     aeio,
     atom_name,
@@ -34,7 +33,6 @@ from illation.quantifiers import (
     extend_model,
     herbrand_scan,
     indiscernible,
-    max_atoms_limit,
     mitchell,
     sat_scan,
     sat_search,
@@ -106,16 +104,6 @@ def test_expand_connectives_and_negation():
 def test_expand_atom_limit():
     with pytest.raises(LimitExceededError):
         expand(LOVES, 5)  # 25 atoms > 16
-    assert max_atoms_limit() == DEFAULT_MAX_ATOMS
-
-
-def test_expand_atom_limit_env(monkeypatch):
-    monkeypatch.setenv("ILLATION_MAX_ATOMS", "30")
-    assert max_atoms_limit() == 30
-    expand(LOVES, 5)
-    monkeypatch.setenv("ILLATION_MAX_ATOMS", "3")
-    with pytest.raises(LimitExceededError):
-        expand(LOVES, 2)
 
 
 def test_expand_bounds_its_atom_occurrences_before_the_walk(monkeypatch):

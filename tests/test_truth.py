@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -440,6 +441,18 @@ def test_congruence_plugged_tables_cover_merged_variables():
 def test_congruence_requires_hole():
     with pytest.raises(ValueError):
         congruence_check(A, B, Claw(A, B), "x")
+
+
+def test_congruence_checks_the_table_limit_before_any_scan(monkeypatch):
+    """24 merged variables are refused before either difference scan runs."""
+    def no_scan(*args):
+        raise AssertionError("a row scan ran before the table limit was checked")
+
+    monkeypatch.setattr(truth, "_first_row", no_scan)
+    s, t = (reduce(Sum, [Var(f"{name}_{i}") for i in range(12)]) for name in "st")
+    with pytest.raises(LimitExceededError,
+                       match=r"^24 variables exceed the 16-variable table limit$"):
+        congruence_check(s, t, Var("x"), "x")
 
 
 def test_congruence_preserved_under_any_context():
