@@ -1,17 +1,19 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 semantic negative (not a tautology, no model, not
-all axioms hold), 2 usage or parse errors (stdout stays empty), 3 an
-enumeration limit was exceeded.  Formulas are taken from the positional
-argument, or from stdin when the argument is `-`.  Output is deterministic:
-the same argv and stdin always produce byte-identical stdout.
+Exit codes: 0 success (and `-h`, which prints help), 1 semantic negative
+(not a tautology, no model, not all axioms hold), 2 usage or parse errors
+(stdout stays empty, one `error:` line on stderr), 3 an enumeration limit
+was exceeded.  Formulas are taken from the positional argument, or from
+stdin when the argument is `-`.  Output is deterministic: the same argv and
+stdin always produce byte-identical stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
+import re
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import arithmetic, frege, quantifiers, relsyntax, trivalent, truth
@@ -44,8 +46,12 @@ _FORMULA = ("formula", {})
 _NOTATION = ("--notation", dict(choices=_NOTATION_NAMES, default="peano-russell"))
 _DOMAIN = ("--domain", dict(type=int, required=True))
 
-# Each subcommand's help line and `add_argument` specs, in help order.  The
-# handler of a command `x-y` is `_cmd_x_y`, looked up when `main` runs.
+# Each command's help line and its arguments in help order, each a flag or
+# a positional's name with argparse's `add_argument` keywords: dest, type,
+# choices, default, required, help, and action (only "store_true").
+# `build_parser` reads a command line from this table, and `_help` writes
+# the help text from it.  The handler of a command `x-y` is `_cmd_x_y`,
+# looked up when `main` runs.
 _COMMANDS = {
     "translate": ("reprint a formula in another notation", [
         ("--from", dict(dest="src", required=True, choices=_NOTATION_NAMES)),
@@ -70,32 +76,185 @@ _COMMANDS = {
         _FORMULA]),
     "axioms": ("check the 1881 number axioms on a structure", [
         ("structure", dict(help="path to a structure JSON file, or - for stdin")),
-        ("--json", dict(action="store_true", dest="as_json"))]),
+        ("--json", dict(action="store_true", dest="as_json", help="print the report as JSON"))]),
     "pair-check": ("Wiener pair injectivity sweep", [("--atoms", dict(type=int, default=3))]),
 }
 
 
-def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
-    """The argument parser for `argv`.  When `argv[0]` names a command, only
-    that command's subparser is built, and the usage line lists every
-    command as before.  Otherwise (`-h`, no command, an unknown one) the
-    whole tree is built, so argparse's own messages name `command`."""
-    parser = argparse.ArgumentParser(
-        prog="illation",
-        description="Peirce's logic workbench: notations, truth tables, "
-        "quantifier expansion, and the 1881 number axioms.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = list(_COMMANDS)
-    if argv and argv[0] in _COMMANDS:
-        sub.metavar = "{" + ",".join(names) + "}"
-        names = argv[:1]
-    for name in names:
+_DESCRIPTION = ("Peirce's logic workbench: notations, truth tables, quantifier expansion,\n"
+                "and the 1881 number axioms.")
+_HELP_FLAGS = ("-h", "--help")
+
+
+def _option(word: str, flags) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """How `word` reads against the option strings `flags`: None for a
+    positional word, else (the option string, the value after its `=`, or
+    None), with None for the option string of an unknown option.  A long
+    option may be cut to a unique prefix, and `-h` may run on into more
+    `h`s; a word such as `-5`, `-.5` or one with a space is positional."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in flags:
+        return word, None
+    name, equals, value = word.partition("=")
+    if equals and name in flags:
+        return name, value
+    if word[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        value = value if equals else None
+    else:
+        matches = [flag for flag in flags if flag == word[:2]]
+        value = word[2:]
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous option: {word!r} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if " " in word or re.match(r"-\d+$|-\d*\.\d+$", word):
+        return None
+    return None, None
+
+
+def _check_help(flag: str, value: Optional[str]) -> None:
+    """Refuse a value given to `-h` or `--help`; only `-h` may run on, into
+    more `h`s (`-hh`)."""
+    more_hs = flag == "-h" and value and not value.strip("h")
+    if value is not None and not more_hs:
+        raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _value(flag: str, options: dict, word: str):
+    kind, choices = options.get("type"), options.get("choices")
+    try:
+        value = kind(word) if kind else word
+    except ValueError:
+        raise ValueError(f"argument {flag}: invalid {kind.__name__} value: {word!r}") from None
+    if choices is not None and value not in choices:
+        raise ValueError(f"argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _read_command(name: str, words: list[str]) -> Optional[tuple[dict, list[str]]]:
+    """The values of command `name` read from `words`, and the words it
+    does not take; None when they ask for help.  The words are read as
+    argparse reads them: options and the positional in any order, `--`
+    ending the options, the last of a repeated option winning, and the
+    first help request or bad value, in order, deciding the answer."""
+    flags: dict = dict.fromkeys(_HELP_FLAGS)  # option string -> (dest, options)
+    values, positional = {}, []
+    for flag, options in _COMMANDS[name][1]:
+        dest = options.get("dest", flag.lstrip("-").replace("-", "_"))
+        if flag[0] == "-":
+            flags[flag] = dest, options
+            values[dest] = options.get("default", False if "action" in options else None)
+        else:
+            positional.append((flag, dest))
+            values[dest] = None
+    # argparse's pattern of the words: O an option, A a positional, - the `--`
+    found, marks = {}, ""
+    for i, word in enumerate(words):
+        if word == "--":
+            marks += "-" + "A" * (len(words) - i - 1)
+            break
+        option = _option(word, flags)
+        marks += "A" if option is None else "O"
+        if option is not None:
+            found[i] = option
+    extras, given, start = [], set(), 0
+    last = max(found, default=-1)
+    while True:
+        dashes = marks.startswith("-", start)
+        if positional and marks.startswith("A", start + dashes):  # one word, and a `--` around it
+            flag, dest = positional.pop()
+            values[dest] = words[start + dashes]
+            given.add(flag)
+            start += dashes + 1 + marks.startswith("-", start + dashes + 1)
+            continue
+        if start > last:
+            break
+        at = min(i for i in found if i >= start)
+        extras += words[start:at]
+        (flag, value), start = found[at], at + 1
+        if flag is None:
+            extras.append(words[at])
+            continue
+        if flags[flag] is None:
+            _check_help(flag, value)
+            return None
+        dest, options = flags[flag]
+        if "action" in options:  # store_true
+            if value is not None:
+                raise ValueError(f"argument {flag}: ignored explicit argument {value!r}")
+            values[dest] = True
+        else:
+            if value is None:
+                if not marks.startswith("A", start):
+                    raise ValueError(f"argument {flag}: expected one argument")
+                value, start = words[start], start + 1
+            values[dest] = _value(flag, options, value)
+        given.add(flag)
+    missing = [flag for flag, options in _COMMANDS[name][1]
+               if (flag[0] != "-" or options.get("required")) and flag not in given]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return values, extras + words[start:]
+
+
+def _help(name: Optional[str]) -> str:
+    """The help text of command `name`, or of the program for None.  It is
+    fixed: no terminal width enters it."""
+    if name is None:
+        usage = "usage: illation [-h] {" + ",".join(_COMMANDS) + "} ..."
+        head = [usage, "", _DESCRIPTION, "", "commands:"]
+        rows = [(command, help_line) for command, (help_line, _) in _COMMANDS.items()]
+        rows.append(("-h, --help", "print this help and exit; after a command, its help"))
+    else:
         help_line, specs = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
+        usage, rows = ["usage: illation", name, "[-h]"], []
         for flag, options in specs:
-            p.add_argument(flag, **options)
-    return parser
+            shown, notes = flag, [options.get("help")]
+            if flag[0] == "-" and "action" not in options:
+                choices = options.get("choices")
+                shown += " " + ("{" + ",".join(map(str, choices)) + "}" if choices
+                                else flag[2:].upper().replace("-", "_"))
+                notes.append("required" if options.get("required") else None)
+                if options.get("default") is not None:
+                    notes.append(f"default {options['default']}")
+            usage.append(shown if flag[0] != "-" or options.get("required") else f"[{shown}]")
+            rows.append((shown, "; ".join(filter(None, notes))))
+        rows.append(("-h, --help", "print this help and exit"))
+        head = [" ".join(usage), "", help_line, "", "arguments:"]
+    width = max(len(shown) for shown, _ in rows)
+    return "\n".join(head + [f"  {shown:<{width}}  {note}".rstrip() for shown, note in rows]) + "\n"
+
+
+def build_parser(argv: list[str]) -> SimpleNamespace:
+    """The arguments `argv` gives: the command and its values, or, for
+    `-h`, no command and the help text.  Options before the command are
+    the program's own; a usage error raises `ValueError`."""
+    extras = []
+    for i, word in enumerate(argv):
+        option = None if word == "--" else _option(word, _HELP_FLAGS)
+        if option is None:
+            if word == "--" and i + 1 == len(argv):
+                break
+            if word not in _COMMANDS:
+                raise ValueError(f"argument command: invalid choice: {word!r} "
+                                 f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            read = _read_command(word, argv[i + 1:])
+            if read is None:
+                return SimpleNamespace(command=None, help=_help(word))
+            values, more = read
+            if extras + more:
+                raise ValueError(f"unrecognized arguments: {' '.join(map(repr, extras + more))}")
+            return SimpleNamespace(command=word, **values)
+        flag, value = option
+        if flag is None:
+            extras.append(word)
+        else:
+            _check_help(flag, value)
+            return SimpleNamespace(command=None, help=_help(None))
+    raise ValueError("the following arguments are required: command")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -107,7 +266,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser(argv)
+        if args.command is None:  # -h or --help
+            _out(args.help)
+            return 0
         handler = globals()["_cmd_" + args.command.replace("-", "_")]
         return handler(args)
     except LimitExceededError as err:

@@ -128,7 +128,8 @@ _QUANTIFIERS = {"PI": PI, "SIGMA": SIGMA}
 _OPEN = "("  # an open bracket on the operator stack
 
 # The text is lexed in slices of about this many characters, each cut just
-# after a whitespace character or a bracket, which no token contains.
+# after a character that ends every token it is in: whitespace, a bracket, or
+# a one-character operator that begins no longer one (`-` begins `-<`).
 _SLICE = 4096
 
 
@@ -142,6 +143,9 @@ def _grammar(style: _Style) -> tuple:
         r"#[tf]|[a-z](?:[a-z0-9]*(?:_[0-9]+)+)?|"  # the longest valid name
         + "".join(re.escape(literal) + "|" for literal, _ in ops) + r"\S"
     )
+    ends = [literal for literal, _ in ops
+            if len(literal) == 1 and not any(o != literal and o.startswith(literal) for o, _ in ops)]
+    cuts = re.compile(r"[\s()" + re.escape("".join(ends)) + "]")
     kinds = dict(ops) | {"(": "LPAREN", ")": "RPAREN", "#t": "LEAF", "#f": "LEAF"}
     lexicon = tuple(literal for literal, _ in ops) + ("variable", "'('", "')'", "'#t'", "'#f'")
     operand = ("variable", "'#t'", "'#f'", "'('")
@@ -149,7 +153,7 @@ def _grammar(style: _Style) -> tuple:
         operand += (repr(style.neg_prefix),)
     # with juxtaposition, a factor starts wherever an operand may
     juxtaposed = {"LEAF", "LPAREN", "NEG"} if style.juxtaposition else set()
-    return pattern, kinds, "LEAF", lexicon, operand, juxtaposed
+    return pattern, cuts, kinds, "LEAF", lexicon, operand, juxtaposed
 
 
 def _lexical_error(token: str, offset: int, kinds: dict, name_kind: str,
@@ -165,12 +169,12 @@ def _lexical_error(token: str, offset: int, kinds: dict, name_kind: str,
     return ParseError("unexpected character", offset, lexicon, repr(token[0]))
 
 
-def _tokens(text: str, pattern: re.Pattern) -> Iterator[str]:
-    """The token strings of `text`, lexed a slice at a time."""
-    cuts = re.compile(r"[\s()]").search  # compiled on first use, then cached by `re`
+def _tokens(text: str, pattern: re.Pattern, cuts: re.Pattern) -> Iterator[str]:
+    """The token strings of `text`, lexed a slice at a time; a slice ends
+    just after a match of `cuts`."""
     start, end = 0, len(text)
     while start < end:
-        cut = cuts(text, start + _SLICE)
+        cut = cuts.search(text, start + _SLICE)
         stop = cut.end() if cut else end
         yield from pattern.findall(text, start, stop)
         start = stop
@@ -189,15 +193,16 @@ def _close(ops: list, operands: list) -> None:
         op = ops.pop()
 
 
-def _read(text: str, pattern: re.Pattern, kinds: dict[str, str], name_kind: str,
-          lexicon: tuple[str, ...], operand: tuple[str, ...],
+def _read(text: str, pattern: re.Pattern, cuts: re.Pattern, kinds: dict[str, str],
+          name_kind: str, lexicon: tuple[str, ...], operand: tuple[str, ...],
           juxtaposed: set[str]) -> PropFormula | RelFormula:
-    """The formula spelled by `text`.  A token is of its kind in `kinds`,
-    else of the kind `name_kind`.  `lexicon` is what may stand where a
+    """The formula spelled by `text`, lexed by `pattern` in slices that end
+    after a match of `cuts`.  A token is of its kind in `kinds`, else of
+    the kind `name_kind`.  `lexicon` is what may stand where a
     character starts no token, `operand` what may stand where an operand is
     due, and `juxtaposed` the kinds of token that start a factor with no
     product sign before it."""
-    tokens = enumerate(_tokens(text, pattern))
+    tokens = enumerate(_tokens(text, pattern, cuts))
     kind_of = kinds.get
 
     def error(count: Optional[int], expected: tuple[str, ...]) -> ParseError:

@@ -28,12 +28,13 @@ _KINDS = {"Pi": "PI", "Sum": "SIGMA", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"
 
 
 @cache
-def _pattern() -> re.Pattern:
+def _patterns() -> tuple[re.Pattern, re.Pattern]:
     # a word is a run of ASCII letters and digits (no other letter starts a
     # token), so Pi and Sum are keywords only as whole words; the reader
-    # rejects a word that starts with a digit or is not lowercase
-    return re.compile(r"[A-Za-z0-9]+|\S")
+    # rejects a word that starts with a digit or is not lowercase.  Every
+    # other token is one character, so a slice may end after any of them.
+    return re.compile(r"[A-Za-z0-9]+|\S"), re.compile(r"[\s(),.~>&|]")
 
 
 def parse_relational(text: str) -> RelFormula:
-    return _read(text, _pattern(), _KINDS, "WORD", _LEXICON, ("predicate atom", "'('"), set())
+    return _read(text, *_patterns(), _KINDS, "WORD", _LEXICON, ("predicate atom", "'('"), set())

@@ -5,11 +5,14 @@ different style from the library internals, so tests that compare against
 these helpers are genuine cross-checks rather than mirrors.
 """
 
+import argparse
+import functools
+import io
 import itertools
 import re
 import sys
 from collections import deque, namedtuple
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from xml.sax.saxutils import escape
 
 from illation.arithmetic import HFAtom
@@ -44,7 +47,7 @@ from illation.formulas import (
 )
 from illation.frege import _CELL_H, _CELL_W, _NUB_DEPTH, _STROKE
 from illation.notations import _POLISH, _POLISH_EXPECTED, Notation, ParseError
-from illation import quantifiers, truth
+from illation import cli, quantifiers, truth
 from illation.quantifiers import Structure, atom_name
 from illation.trivalent import UnsupportedConnectiveError, tri_and, tri_neg, tri_or
 from illation.truth import (
@@ -904,3 +907,37 @@ def ref_svg_rows(lines):
         yield "\n".join([f'<line x1="{x}" y1="{y}" x2="{u}" y2="{v}"/>'
                           for x, y, u, v in strokes] + label)
     yield "</g>\n</svg>"
+
+
+class _RefParser(argparse.ArgumentParser):
+    """argparse, but an option spelled `--option=--` is refused: argparse
+    drops the `--` and stores an empty list that no type or choice check
+    sees (so `table --values=-- a` printed a three-valued table)."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
+@functools.cache
+def _ref_parser():
+    """argparse's tree of every command in `cli._COMMANDS`."""
+    parser = _RefParser(prog="illation")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, specs) in cli._COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, options in specs:
+            command.add_argument(flag, **options)
+    return parser
+
+
+def ref_parse_args(argv):
+    """What argparse makes of `argv`: ("args", the values by name), ("help",
+    None) when it prints help, or ("error", None) when it refuses."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return "args", vars(_ref_parser().parse_args(list(argv)))
+    except SystemExit as stop:
+        return ("help" if stop.code == 0 else "error"), None

@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import os
@@ -10,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from illation import cli, truth
+
+from helpers import ref_parse_args
 
 CMD = [sys.executable, "-m", "illation.cli"]
 
@@ -415,10 +416,7 @@ from illation import cli
 def run(*argv, stdin=""):
     sys.stdin = io.StringIO(stdin)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return cli.main(list(argv))
-        except SystemExit as exit:
-            return "SystemExit(%s)" % exit.code
+        return cli.main(list(argv))
 
 def chain(n):
     return " | ".join("x_%d" % i for i in range(n))
@@ -458,9 +456,9 @@ print(json.dumps(during))
 def test_main_pauses_the_collector_and_leaves_it_as_it_was():
     """`main` runs a command with the cyclic collector off.  Its premise: a
     command leaves no more cyclic garbage on a long input than on a short
-    one (what it leaves is argparse's own), as the trees it builds hold no
-    cycle.  And the collector is as the caller left it on every exit:
-    0, 1, 2 (a parse error), 3 (a limit) and argparse's `SystemExit`."""
+    one, as the trees it builds hold no cycle.  And the collector is as the
+    caller left it on every exit: 0, 1, 2 (a parse error), 3 (a limit) and
+    2 (a usage error)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     r = subprocess.run([sys.executable, "-c", COLLECTOR_SCRIPT], capture_output=True,
                        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
@@ -469,7 +467,7 @@ def test_main_pauses_the_collector_and_leaves_it_as_it_was():
     assert [code for _, code, _ in left] == [0] * 6
     for (command, _, short), (_, _, long) in zip(left[::2], left[1::2]):
         assert short == long, (command, short, long)
-    codes = [0, 1, 2, 3, "SystemExit(2)"]
+    codes = [0, 1, 2, 3, 2]
     assert ends == [[True, code, True] for code in codes] + [[False, code, False]
                                                             for code in codes]
     assert during == [False] * 6  # the three `taut` runs, from each state
@@ -527,18 +525,11 @@ def in_process(call, argv):
     """(exit code, stdout, stderr) of `call(argv)` in this process."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = call(list(argv))
-        except SystemExit as stop:
-            code = stop.code
+        code = call(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
-def full_tree(argv):
-    return cli.build_parser().parse_args(argv)
-
-
-# Every argument list argparse itself answers (help, or a usage error), from
+# Every argument list argparse itself answered (help, or a usage error), from
 # the top-level parser and from each command's.
 ARGPARSE_ANSWERS = [
     [], ["-h"], ["frobnicate", "a"], ["--"],
@@ -549,18 +540,22 @@ ARGPARSE_ANSWERS = [
 
 
 @pytest.mark.parametrize("argv", ARGPARSE_ANSWERS, ids=" ".join)
-def test_one_subparser_answers_as_the_full_tree(argv):
-    code, out, err = in_process(cli.main, argv)
-    assert (code, out, err) == in_process(full_tree, argv)
-    assert code in (0, 2) and (out if code == 0 else err).startswith("usage: illation")
-
-
-def test_only_the_named_subparser_is_built():
-    built = [a for a in cli.build_parser(["taut", "a"])._actions
-             if isinstance(a, argparse._SubParsersAction)]
-    assert [list(a.choices) for a in built] == [["taut"]]
-    full = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert [list(a.choices) for a in full] == [list(cli._COMMANDS)]
+def test_one_subparser_answers_as_the_full_tree(argv, monkeypatch):
+    """Where argparse's command tree printed help, `main` prints help on
+    stdout and exits 0; where it refused, `main` exits 2 with one `error:`
+    line and no usage block.  Help does not depend on the terminal width."""
+    kind, _ = ref_parse_args(argv)
+    answers = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        answers.append(in_process(cli.main, argv))
+    code, out, err = answers[0]
+    if kind == "help":
+        assert (code, err) == (0, "") and out.startswith("usage: illation")
+        assert answers[1] == answers[0]
+    else:
+        assert (kind, code, out) == ("error", 2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("argv, line", [

@@ -191,6 +191,27 @@ def long_algebraic(notation, groups=900):
     return "".join(piece + space() + sum_ + space() for piece in pieces[:-1]) + pieces[-1]
 
 
+def long_flat(notation, terms=4000):
+    """A text with no whitespace and a bracket only at its start: operands
+    (negated about one in four) joined by the sum and product signs, by
+    juxtaposition where the notation has it, and by a claw about one time
+    in fifty, so every slice is cut after an operator, and `-<` and `=<`
+    meet the slice ends too."""
+    claw, prod, sum_, neg, postneg = SPELLING[notation]
+    rng = random.Random(25)
+    joints = [sum_, sum_, prod] + (["", ""] if notation is not Notation.PEANO_RUSSELL else [])
+
+    def operand():
+        leaf = rng.choice(["a", "b", "l_0_1", "x9_2", "#t"])
+        if rng.random() < 0.25:
+            return neg + leaf if neg else leaf + postneg
+        return leaf
+
+    pieces = [operand() + (claw if rng.random() < 0.02 else rng.choice(joints))
+              for _ in range(terms)]
+    return "(a" + sum_ + "b)" + prod + "".join(pieces) + operand()
+
+
 def long_relational(groups=480):
     """Bracketed quantified claws joined by `&` or by `|`: ~20 tokens a
     group."""
@@ -223,6 +244,32 @@ def test_long_algebraic_texts_read_as_the_recursive_descent_reads_them(notation)
     for case, broken in defects(text, SPELLING[notation][2]).items():
         assert full_outcome(parse, broken, notation) \
             == full_outcome(ref_parse, broken, notation), case
+
+
+@pytest.mark.parametrize("notation", list(SPELLING), ids=lambda n: n.value)
+def test_long_flat_texts_read_as_the_recursive_descent_reads_them(notation):
+    text = long_flat(notation)
+    assert len(text) > 3 * 4096 and not any(c.isspace() for c in text)
+    for case, broken in defects(text, SPELLING[notation][2]).items():
+        assert full_outcome(parse, broken, notation) \
+            == full_outcome(ref_parse, broken, notation), case
+
+
+@pytest.mark.parametrize("notation", list(SPELLING), ids=lambda n: n.value)
+def test_no_slice_ends_inside_a_token(notation):
+    """The first slice ends after the first cut character at or past offset
+    4,096.  Each operator, and a name and a constant, is moved across that
+    offset one character at a time (leading spaces shift it), so a cut
+    after a character that begins a longer token (`-` of `-<`, `=` of `=<`)
+    would split it."""
+    claw, prod, sum_, neg, postneg = SPELLING[notation]
+    name = "l" + "0" * 40 + "_1"
+    body = name + (sum_ + name) * 90
+    for tail in (claw + "b", prod + "b", sum_ + neg + "b", sum_ + "x9_2" + postneg, sum_ + "#t"):
+        expected = ref_parse(body + tail, notation)
+        for start in range(4090, 4100):
+            text = " " * (start - len(body)) + body + tail
+            assert full_outcome(parse, text, notation) == expected, (tail, start)
 
 
 def test_long_relational_texts_read_as_the_recursive_descent_reads_them():

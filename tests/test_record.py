@@ -238,10 +238,11 @@ def test_record_rejects_unsupported_shapes():
 # Modules the benchmark's import probe and its traced run look up under
 # `import illation.cli`, and the heavy standard-library packages the CLI used
 # to load (the XML escape pulled in urllib/http/email/ssl, dataclasses pulled
-# in inspect).
+# in inspect, and argparse pulled in gettext and, when it ran, locale).
 PROBED = ["illation.cli", "illation.formulas", "illation.notations", "illation.frege",
           "illation.truth", "illation.quantifiers", "illation.arithmetic"]
-UNWANTED = ["dataclasses", "inspect", "xml", "urllib", "http", "email", "ssl"]
+UNWANTED = ["dataclasses", "inspect", "xml", "urllib", "http", "email", "ssl",
+            "argparse", "gettext", "locale"]
 
 
 def test_cli_import_stays_light():
