@@ -11,7 +11,6 @@ stdin always produce byte-identical stdout.
 from __future__ import annotations
 
 import gc
-import re
 import sys
 from types import SimpleNamespace
 from typing import Optional
@@ -47,11 +46,12 @@ _NOTATION = ("--notation", dict(choices=_NOTATION_NAMES, default="peano-russell"
 _DOMAIN = ("--domain", dict(type=int, required=True))
 
 # Each command's help line and its arguments in help order, each a flag or
-# a positional's name with argparse's `add_argument` keywords: dest, type,
-# choices, default, required, help, and action (only "store_true").
-# `build_parser` reads a command line from this table, and `_help` writes
-# the help text from it.  The handler of a command `x-y` is `_cmd_x_y`,
-# looked up when `main` runs.
+# a positional's name with its keywords: dest, type, choices, default,
+# required, help, and action (only "store_true").  `build_parser` reads a
+# command line from this table, and `_help` writes the help text from it.
+# The keywords stay argparse's `add_argument` keywords because the tests
+# build argparse's parser from this table as the reference reader.  The
+# handler of a command `x-y` is `_cmd_x_y`, looked up when `main` runs.
 _COMMANDS = {
     "translate": ("reprint a formula in another notation", [
         ("--from", dict(dest="src", required=True, choices=_NOTATION_NAMES)),
@@ -86,42 +86,6 @@ _DESCRIPTION = ("Peirce's logic workbench: notations, truth tables, quantifier e
 _HELP_FLAGS = ("-h", "--help")
 
 
-def _option(word: str, flags) -> Optional[tuple[Optional[str], Optional[str]]]:
-    """How `word` reads against the option strings `flags`: None for a
-    positional word, else (the option string, the value after its `=`, or
-    None), with None for the option string of an unknown option.  A long
-    option may be cut to a unique prefix, and `-h` may run on into more
-    `h`s; a word such as `-5`, `-.5` or one with a space is positional."""
-    if word[:1] != "-" or word == "-":
-        return None
-    if word in flags:
-        return word, None
-    name, equals, value = word.partition("=")
-    if equals and name in flags:
-        return name, value
-    if word[1] == "-":
-        matches = [flag for flag in flags if flag.startswith(name)]
-        value = value if equals else None
-    else:
-        matches = [flag for flag in flags if flag == word[:2]]
-        value = word[2:]
-    if len(matches) > 1:
-        raise ValueError(f"ambiguous option: {word!r} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
-    if " " in word or re.match(r"-\d+$|-\d*\.\d+$", word):
-        return None
-    return None, None
-
-
-def _check_help(flag: str, value: Optional[str]) -> None:
-    """Refuse a value given to `-h` or `--help`; only `-h` may run on, into
-    more `h`s (`-hh`)."""
-    more_hs = flag == "-h" and value and not value.strip("h")
-    if value is not None and not more_hs:
-        raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
-
-
 def _value(flag: str, options: dict, word: str):
     kind, choices = options.get("type"), options.get("choices")
     try:
@@ -132,72 +96,6 @@ def _value(flag: str, options: dict, word: str):
         raise ValueError(f"argument {flag}: invalid choice: {value!r} "
                          f"(choose from {', '.join(map(repr, choices))})")
     return value
-
-
-def _read_command(name: str, words: list[str]) -> Optional[tuple[dict, list[str]]]:
-    """The values of command `name` read from `words`, and the words it
-    does not take; None when they ask for help.  The words are read as
-    argparse reads them: options and the positional in any order, `--`
-    ending the options, the last of a repeated option winning, and the
-    first help request or bad value, in order, deciding the answer."""
-    flags: dict = dict.fromkeys(_HELP_FLAGS)  # option string -> (dest, options)
-    values, positional = {}, []
-    for flag, options in _COMMANDS[name][1]:
-        dest = options.get("dest", flag.lstrip("-").replace("-", "_"))
-        if flag[0] == "-":
-            flags[flag] = dest, options
-            values[dest] = options.get("default", False if "action" in options else None)
-        else:
-            positional.append((flag, dest))
-            values[dest] = None
-    # argparse's pattern of the words: O an option, A a positional, - the `--`
-    found, marks = {}, ""
-    for i, word in enumerate(words):
-        if word == "--":
-            marks += "-" + "A" * (len(words) - i - 1)
-            break
-        option = _option(word, flags)
-        marks += "A" if option is None else "O"
-        if option is not None:
-            found[i] = option
-    extras, given, start = [], set(), 0
-    last = max(found, default=-1)
-    while True:
-        dashes = marks.startswith("-", start)
-        if positional and marks.startswith("A", start + dashes):  # one word, and a `--` around it
-            flag, dest = positional.pop()
-            values[dest] = words[start + dashes]
-            given.add(flag)
-            start += dashes + 1 + marks.startswith("-", start + dashes + 1)
-            continue
-        if start > last:
-            break
-        at = min(i for i in found if i >= start)
-        extras += words[start:at]
-        (flag, value), start = found[at], at + 1
-        if flag is None:
-            extras.append(words[at])
-            continue
-        if flags[flag] is None:
-            _check_help(flag, value)
-            return None
-        dest, options = flags[flag]
-        if "action" in options:  # store_true
-            if value is not None:
-                raise ValueError(f"argument {flag}: ignored explicit argument {value!r}")
-            values[dest] = True
-        else:
-            if value is None:
-                if not marks.startswith("A", start):
-                    raise ValueError(f"argument {flag}: expected one argument")
-                value, start = words[start], start + 1
-            values[dest] = _value(flag, options, value)
-        given.add(flag)
-    missing = [flag for flag, options in _COMMANDS[name][1]
-               if (flag[0] != "-" or options.get("required")) and flag not in given]
-    if missing:
-        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
-    return values, extras + words[start:]
 
 
 def _help(name: Optional[str]) -> str:
@@ -228,33 +126,65 @@ def _help(name: Optional[str]) -> str:
     return "\n".join(head + [f"  {shown:<{width}}  {note}".rstrip() for shown, note in rows]) + "\n"
 
 
+def _is_option(word: str) -> bool:
+    return word == "-h" or (word[:2] == "--" and word != "--")
+
+
 def build_parser(argv: list[str]) -> SimpleNamespace:
     """The arguments `argv` gives: the command and its values, or, for
-    `-h`, no command and the help text.  Options before the command are
-    the program's own; a usage error raises `ValueError`."""
-    extras = []
-    for i, word in enumerate(argv):
-        option = None if word == "--" else _option(word, _HELP_FLAGS)
-        if option is None:
-            if word == "--" and i + 1 == len(argv):
-                break
-            if word not in _COMMANDS:
-                raise ValueError(f"argument command: invalid choice: {word!r} "
-                                 f"(choose from {', '.join(map(repr, _COMMANDS))})")
-            read = _read_command(word, argv[i + 1:])
-            if read is None:
-                return SimpleNamespace(command=None, help=_help(word))
-            values, more = read
-            if extras + more:
-                raise ValueError(f"unrecognized arguments: {' '.join(map(repr, extras + more))}")
-            return SimpleNamespace(command=word, **values)
-        flag, value = option
-        if flag is None:
-            extras.append(word)
+    `-h`, no command and the help text.  `argv[0]` is `-h`, `--help` or a
+    command, whose words are read left to right: a word that is `-h` or
+    starts with `--` is an option, spelled in full, and every other word,
+    and every word after the first `--`, is a value.  The first word
+    refused raises `ValueError`."""
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    name = argv[0]
+    if name in _HELP_FLAGS:
+        return SimpleNamespace(command=None, help=_help(None))
+    if name not in _COMMANDS:
+        raise ValueError(f"argument command: invalid choice: {name!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    values, positionals, required = {"command": name}, [], []
+    flags = dict.fromkeys(_HELP_FLAGS, (None, {}))  # option -> (dest, options); None for help
+    for flag, options in _COMMANDS[name][1]:
+        dest = options.get("dest", flag.lstrip("-").replace("-", "_"))
+        values[dest] = options.get("default", False if "action" in options else None)
+        if flag[0] == "-":
+            flags[flag] = dest, options
         else:
-            _check_help(flag, value)
-            return SimpleNamespace(command=None, help=_help(None))
-    raise ValueError("the following arguments are required: command")
+            positionals.append(dest)
+        if flag[0] != "-" or options.get("required"):
+            required.append((flag, dest))
+    words, ended = iter(argv[1:]), False
+    for word in words:
+        if word == "--" and not ended:
+            ended = True
+        elif ended or not _is_option(word):
+            if not positionals:
+                raise ValueError(f"unexpected value: {word!r}")
+            values[positionals.pop(0)] = word
+        else:
+            flag, equals, value = word.partition("=")
+            if flag not in flags:
+                raise ValueError(f"unknown option: {word!r}")
+            dest, options = flags[flag]
+            if dest is None or "action" in options:  # help and store_true take no value
+                if equals:
+                    raise ValueError(f"argument {flag}: takes no value, given {value!r}")
+                if dest is None:
+                    return SimpleNamespace(command=None, help=_help(name))
+                values[dest] = True
+                continue
+            if not equals:
+                value = next(words, "--")
+                if value == "--" or _is_option(value):
+                    raise ValueError(f"argument {flag}: expected one argument")
+            values[dest] = _value(flag, options, value)
+    missing = [flag for flag, dest in required if values[dest] is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

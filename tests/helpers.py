@@ -922,11 +922,12 @@ class _RefParser(argparse.ArgumentParser):
 
 @functools.cache
 def _ref_parser():
-    """argparse's tree of every command in `cli._COMMANDS`."""
-    parser = _RefParser(prog="illation")
+    """argparse's tree of every command in `cli._COMMANDS`, with options
+    spelled in full only (`allow_abbrev=False`)."""
+    parser = _RefParser(prog="illation", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, specs) in cli._COMMANDS.items():
-        command = sub.add_parser(name, help=help_line)
+        command = sub.add_parser(name, help=help_line, allow_abbrev=False)
         for flag, options in specs:
             command.add_argument(flag, **options)
     return parser

@@ -1,25 +1,38 @@
 """The command line read from `cli._COMMANDS`, against argparse.
 
 `helpers.ref_parse_args` builds argparse's tree of every command from the
-same table, as the CLI did before it read the table itself.  On argument
-lists of option spellings (in full, cut to a prefix, unique or not, with
-`=`), values, `--`, `-`, negative numbers, words that start with `-`, help
-requests and unknown words, in any order, the CLI must give the same values
-wherever argparse accepts, help exactly where argparse prints help, and a
-usage error everywhere else.  The one departure, `--option=--`, is refused
-by the reference too (see `helpers._RefParser`).
+same table, with options spelled in full only (`allow_abbrev=False`).  On
+argument lists of option spellings (in full, cut to a prefix, with `=`),
+values, `--`, `-`, negative numbers, words that start with `-`, help
+requests and unknown words, in any order:
+
+- where the reference accepts a list with no help word (one that starts
+  with `-h` or `--help`), the CLI gives the same values;
+- where the CLI accepts and the reference refuses, the list holds a word
+  that starts with a single `-`, which the CLI reads as a value (Peirce's
+  negation `-a`), or ends in a `--`, which the CLI reads as ending the
+  options and argparse may leave over;
+- everything else is help or a one-line usage error.
+
+The help cases, where argparse's order differs from reading left to right,
+and the refused prefixes are pinned by a table.  Every list drawn is also run
+through `main`, which must end in exit 0-3 with at most one stderr line.
 """
 
+import re
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from illation import cli
 
 from helpers import ref_parse_args
+from test_deep import run
 
 # words that stand where a positional may, and words that are seldom valid
 POSITIONALS = [["a"], ["a|b"], ["-"], ["-5"], ["-.5"], ["-a b"], [""], ["a\nb"], ["--", "-a"],
-               ["--", "--"], ["a", "--"]]
+               ["--", "--"], ["a", "--"], ["-a"], ["-a", "b"]]
 ODD = ["--", "-h", "--help", "--he", "--h", "-hh", "-hx", "-h=h", "-h=", "--help=x", "--bogus",
        "--bogus=1", "-z", "-a", "-5x", "-5\n", "--=x", "---", "a", "3", "full"]
 
@@ -57,24 +70,72 @@ def argvs(draw):
     return before + ([name] if name else []) + words
 
 
+def departs(argv):
+    """Whether `argv` holds a word that argparse and the CLI read apart: one
+    that starts with a single `-` (the CLI's value, argparse's option, unless
+    it is `-`, a negative number or holds a space), or a trailing `--`."""
+    return argv[-1:] == ["--"] or any(
+        w[:1] == "-" and w[:2] != "--" and " " not in w
+        and not re.fullmatch(r"-|-\d+|-\d*\.\d+", w) for w in argv)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(argvs())
-@example(["taut", "--bogus", "-h"])  # help: an unknown option waits for the end
-@example(["taut", "--method", "bogus", "-h"])  # an error: a bad value is seen first
-@example(["taut", "--method", "-h", "a"])  # an error: `-h` is no value
-@example(["scan", "-h", "--he", "a"])  # an error: an ambiguous prefix is seen before all else
-@example(["taut", "a", "--method", "full", "--"])  # an error: the `--` is left over
+@example(["taut", "a", "--method", "full", "--"])  # the CLI's: the `--` ends the options
 @example(["taut", "--method", "full", "a", "--"])
+@example(["taut", "--notation", "peirce", "-a"])  # the CLI's: `-a` is a value
 @example(["sat", "--domain", "-5", "--", "-a"])
 @example(["table", "--values=--", "a"])
-def test_the_command_table_reads_argv_as_argparse_did(argv):
+@example(["taut", "-hh"])
+def test_the_command_table_reads_argv_as_exact_option_argparse(argv):
     kind, values = ref_parse_args(argv)
     try:
         args = cli.build_parser(list(argv))
     except ValueError as err:
-        assert kind == "error" and "\n" not in str(err), err
-        return
-    if args.command is None:
-        assert kind == "help" and args.help.startswith("usage: illation")
+        assert "\n" not in str(err), err
+        assert kind != "args" or any(w.startswith(("-h", "--help")) for w in argv), values
+        answer = "error"
     else:
-        assert ("args", vars(args)) == (kind, values)
+        if args.command is None:
+            assert args.help.startswith("usage: illation")
+            assert kind == "help" or departs(argv), kind
+            answer = "help"
+        else:
+            assert kind == "args" or departs(argv), kind
+            if kind == "args":
+                assert vars(args) == values
+            answer = "args"
+    code, out, err = run(*argv)
+    assert code in (0, 1, 2, 3) and err.count("\n") <= 1, (code, err)
+    assert code == {"help": 0, "error": 2}.get(answer, code)
+
+
+# Where reading left to right answers otherwise than argparse's order did,
+# and the prefixes argparse took: (argv, "help", "error", or some values).
+PINNED = [
+    (["taut", "--bogus", "-h"], "error"),  # argparse printed help: it refused unknown words last
+    (["taut", "--method", "bogus", "-h"], "error"),
+    (["taut", "--method", "-h", "a"], "error"),  # `-h` is an option, so no value
+    (["taut", "a", "-h"], "help"),
+    (["taut", "--help=x"], "error"),
+    (["scan", "--herbrand=x", "a"], "error"),
+    (["-hh"], "error"),  # argparse read `-hh` as `-h -h`; the CLI only as a value
+    (["taut", "-hh"], {"formula": "-hh"}),
+    (["taut", "--", "-h"], {"formula": "-h"}),
+    (["taut", "--meth", "indirect", "a"], "error"),  # argparse took a unique prefix
+    (["scan", "-h", "--he", "a"], "help"),  # argparse refused an ambiguous prefix anywhere
+    (["scan", "--he", "-h", "a"], "error"),
+    (["taut", "--notation", "peirce", "-a"], {"notation": "peirce", "formula": "-a"}),
+]
+
+
+@pytest.mark.parametrize("argv, answer", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+def test_help_and_prefixes_read_left_to_right(argv, answer):
+    try:
+        args = cli.build_parser(argv)
+    except ValueError as err:
+        assert "\n" not in str(err)
+        got = "error"
+    else:
+        got = "help" if args.command is None else {key: vars(args)[key] for key in answer}
+    assert got == answer

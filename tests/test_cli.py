@@ -10,7 +10,6 @@ import pytest
 
 from illation import cli, truth
 
-from helpers import ref_parse_args
 
 CMD = [sys.executable, "-m", "illation.cli"]
 
@@ -529,33 +528,71 @@ def in_process(call, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# Every argument list argparse itself answered (help, or a usage error), from
-# the top-level parser and from each command's.
-ARGPARSE_ANSWERS = [
-    [], ["-h"], ["frobnicate", "a"], ["--"],
-    *([name, "-h"] for name in cli._COMMANDS),
-    ["taut", "--method", "bogus", "a"], ["taut"], ["sat", "--domain", "x", "a"],
-    ["taut", "--bogus", "a"],
+# Argument lists that `main` answers with help or with a usage error, from
+# before the command and after it, as docs/grammars.md reads the command line.
+USAGE_ANSWERS = [
+    ([], "error"), (["-h"], "help"), (["--help"], "help"), (["frobnicate", "a"], "error"),
+    (["--"], "error"), (["-hh"], "error"), (["-x", "taut", "a"], "error"),
+    *(([name, "-h"], "help") for name in cli._COMMANDS),
+    (["taut", "a", "--help"], "help"), (["scan", "-h", "--he"], "help"),
+    (["taut", "--method", "bogus", "a"], "error"), (["taut"], "error"),
+    (["sat", "--domain", "x", "a"], "error"), (["taut", "--bogus", "a"], "error"),
+    (["taut", "--bogus", "-h"], "error"), (["taut", "--meth", "indirect", "a"], "error"),
+    (["taut", "a", "b"], "error"), (["scan", "--herbrand=1", "a"], "error"),
 ]
 
 
-@pytest.mark.parametrize("argv", ARGPARSE_ANSWERS, ids=" ".join)
-def test_one_subparser_answers_as_the_full_tree(argv, monkeypatch):
-    """Where argparse's command tree printed help, `main` prints help on
-    stdout and exits 0; where it refused, `main` exits 2 with one `error:`
-    line and no usage block.  Help does not depend on the terminal width."""
-    kind, _ = ref_parse_args(argv)
+@pytest.mark.parametrize("argv, answer", USAGE_ANSWERS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ANSWERS])
+def test_one_subparser_answers_as_the_full_tree(argv, answer, monkeypatch):
+    """Help is printed on stdout with exit 0, and is the same at any
+    terminal width; a usage error exits 2 with one `error:` line and no
+    usage block.  Only the named command's table is read, and it answers
+    as the whole command line would."""
     answers = []
     for columns in ("40", "200"):
         monkeypatch.setenv("COLUMNS", columns)
         answers.append(in_process(cli.main, argv))
     code, out, err = answers[0]
-    if kind == "help":
+    if answer == "help":
         assert (code, err) == (0, "") and out.startswith("usage: illation")
         assert answers[1] == answers[0]
     else:
-        assert (kind, code, out) == ("error", 2, "")
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_peirce_formulas_that_start_with_a_minus_need_no_double_dash():
+    """Peirce's negation is a leading `-`, and a word that starts with one
+    `-` is a value, so the formula needs no `--` before it."""
+    assert in_process(cli.main, ["taut", "--notation", "peirce", "-a"]) == (
+        1, "counterexample: a=v\n", "")
+    table = in_process(cli.main, ["table", "--notation", "peirce", "-a b"])
+    assert table == in_process(cli.main, ["table", "--notation", "peirce", "--", "-a b"])
+    assert table[0] == 0 and table[1].startswith("a\tb\tvalue\n")
+    assert in_process(cli.main, ["sat", "--domain", "-5", "Sum i . l(i,i)"]) == (
+        2, "", "error: domain must have at least one element\n")
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_every_option_the_help_shows_is_read(name):
+    """Each argument of `name`'s help, spelled as shown there and given its
+    first choice (or 1 where it shows a metavariable; `a` for the
+    positional), is read, and its value kept."""
+    argv, given = [name], []
+    for row in cli._help(name).split("arguments:\n")[1].splitlines():
+        shown = row.split("  ")[1]
+        flag, _, value = shown.partition(" ")
+        if flag[0] != "-":
+            argv.append("a")
+            given.append("a")
+        elif flag != "-h,":
+            value = value and (value.strip("{}").split(",")[0] if value[0] == "{" else "1")
+            argv += [flag, value] if value else [flag]
+            given.append(value or "True")
+    read = cli.build_parser(argv)
+    assert read.command == name
+    assert set(given) <= {str(value) for value in vars(read).values()}
 
 
 @pytest.mark.parametrize("argv, line", [

@@ -1,8 +1,9 @@
-"""The examples of the limits paragraph of docs/grammars.md, run in process.
+"""The examples of the command-line and limits paragraphs of
+docs/grammars.md, run in process.
 
-Each example's exit code is checked, and so is its one line of output,
-which must also appear word for word in the paragraph, so the contract and
-its description cannot drift apart.
+Each example's exit code is checked, and so is its one line of output (the
+first line, for help), which must also appear word for word in the
+paragraph, so the contract and its description cannot drift apart.
 """
 
 from pathlib import Path
@@ -47,16 +48,44 @@ EXAMPLES = {
 }
 
 
-def limits_paragraph():
+# (argv, exit code, the first line of output); the paragraph spells each argv
+COMMAND_LINE = {
+    "peirce-negation-is-a-value": (["taut", "--notation", "peirce", "-a"], 1,
+                                   "counterexample: a=v"),
+    "double-dash-ends-the-options": (["taut", "--notation", "peirce", "--", "-a"], 1,
+                                     "counterexample: a=v"),
+    "help-after-the-command": (["pair-check", "-h"], 0,
+                               "usage: illation pair-check [-h] [--atoms ATOMS]"),
+    "help-after-a-refused-word": (["taut", "--bogus", "-h"], 2,
+                                  "error: unknown option: '--bogus'"),
+    "prefix-refused": (["taut", "--meth", "indirect", "a"], 2, "error: unknown option: '--meth'"),
+    "bad-choice": (["taut", "--method", "bogus", "a"], 2,
+                   "error: argument --method: invalid choice: 'bogus' (choose from 'full', "
+                   "'indirect')"),
+}
+
+
+def paragraph(head):
     text = GRAMMARS.read_text()
-    start = text.index("Limits:")
+    start = text.index(head)
     return " ".join(text[start:text.index("\n\n", start)].split())
+
+
+@pytest.mark.parametrize("name", COMMAND_LINE)
+def test_command_line_paragraph_examples_run_as_documented(name):
+    argv, code, line = COMMAND_LINE[name]
+    text = paragraph("Command line:")
+    assert " ".join(argv) in text and line in text
+    status, out, err = run(*argv)
+    assert status == code
+    shown, other = (err, out) if code == 2 else (out, err)
+    assert shown.startswith(line + "\n") and other == ""
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_limits_paragraph_examples_run_as_documented(name):
     argv, spelled, code, line = EXAMPLES[name]
-    paragraph = limits_paragraph()
-    assert spelled in paragraph and line in paragraph
+    text = paragraph("Limits:")
+    assert spelled in text and line in text
     out, err = ("", line + "\n") if code else (line + "\n", "")
     assert run(*argv) == (code, out, err)
