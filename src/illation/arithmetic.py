@@ -27,10 +27,8 @@ from collections import Counter
 from itertools import combinations
 from typing import Optional
 
+from . import errors
 from ._record import record
-from .errors import LimitExceededError
-
-MAX_CARRIER = 12  # part of the CLI's exit-3 contract; induction no longer needs it
 
 
 class NumberStructure(metaclass=record):
@@ -41,10 +39,9 @@ class NumberStructure(metaclass=record):
     def __post_init__(self) -> None:
         if not self.carrier:
             raise ValueError("carrier must be nonempty")
-        if len(self.carrier) > MAX_CARRIER:
-            raise LimitExceededError(
-                f"carrier of {len(self.carrier)} elements exceeds the {MAX_CARRIER}-element limit"
-            )
+        if len(self.carrier) > errors.MAX_CARRIER:
+            raise errors.LimitExceededError(f"carrier of {len(self.carrier)} elements exceeds "
+                                            f"the {errors.MAX_CARRIER}-element limit")
         if len(set(self.carrier)) != len(self.carrier):
             raise ValueError("carrier elements must be distinct")
         members = set(self.carrier)

@@ -23,8 +23,8 @@ from functools import partial, reduce
 from operator import attrgetter
 from typing import Iterable, Iterator
 
+from . import errors
 from ._record import record
-from .errors import LimitExceededError
 
 # Single letter, or an expansion atom such as l_0_1 produced by quantifier
 # elimination (predicate name + underscore-joined element indices).  The four
@@ -32,11 +32,6 @@ from .errors import LimitExceededError
 _VAR_NAME = re.compile(r"[a-z]|[a-z][a-z0-9]*(?:_[0-9]+)+")
 
 _PREDICATE_NAME = re.compile(r"[a-z][a-z0-9]*")
-
-# The most atom occurrences an expansion may have, or a search's evaluation
-# read (2^16 take ~0.6 s and ~37 MB to expand, and each quantifier multiplies
-# them by n), or printing each Conn16 as its expansion add.
-MAX_EXPANSION_LEAVES = 1 << 16
 
 
 class PropFormula:
@@ -186,9 +181,9 @@ def check_expansions(formula: PropFormula) -> None:
         cls = type(f)
         if cls is Var or cls is Const:
             added += copies - 1
-            if added > MAX_EXPANSION_LEAVES:
-                raise LimitExceededError(f"connective expansions add more than "
-                                         f"{MAX_EXPANSION_LEAVES:,} atom occurrences")
+            if added > errors.MAX_EXPANSION_LEAVES:
+                raise errors.LimitExceededError(f"connective expansions add more than "
+                                                f"{errors.MAX_EXPANSION_LEAVES:,} atom occurrences")
         elif f is _RESUME:
             copies = todo.pop()
         elif cls not in PROPOSITIONAL:

@@ -20,11 +20,10 @@ from collections import defaultdict
 from itertools import islice, product
 from typing import Optional
 
-from . import truth
+from . import errors, truth
 from ._record import record
 from .errors import LimitExceededError
 from .formulas import (
-    MAX_EXPANSION_LEAVES,
     PI,
     RELATIONAL,
     SIGMA,
@@ -87,20 +86,24 @@ def atom_name(predicate: str, elements: tuple[int, ...]) -> str:
     return predicate + "".join(f"_{e}" for e in elements)
 
 
-def _check_leaves(depths: dict[int, int], n: int) -> None:
-    """Refuse an expansion over n elements of more than MAX_EXPANSION_LEAVES
-    atom occurrences; the row engine reads as many, so it bounds it too.
+def _check_expansion(formula: RelFormula, n: int) -> None:
+    """Refuse a domain of no elements, an open formula, and an expansion over
+    n elements of more than MAX_EXPANSION_LEAVES atom occurrences; the row
+    engine reads as many, so it bounds it too.
 
-    `depths` is `ensure_closed`'s count of the atoms under k quantifiers,
-    each of which occurs n^k times.  Summed in ascending k, the sum stops at
-    the first k that passes the bound: no deeper atom is raised to its power.
+    `ensure_closed` counts the atoms under k quantifiers, each of which
+    occurs n^k times.  Summed in ascending k, the sum stops at the first k
+    that passes the bound: no deeper atom is raised to its power.
     """
+    if n < 1:
+        raise ValueError("domain must have at least one element")
+    depths = ensure_closed(formula)
     leaves = 0
     for k in sorted(depths):
         leaves += depths[k] * n**k
-        if leaves > MAX_EXPANSION_LEAVES:
+        if leaves > errors.MAX_EXPANSION_LEAVES:
             raise LimitExceededError(
-                f"expansion needs more than {MAX_EXPANSION_LEAVES:,} atom occurrences"
+                f"expansion needs more than {errors.MAX_EXPANSION_LEAVES:,} atom occurrences"
             )
 
 
@@ -108,17 +111,16 @@ def _cells(formula: RelFormula, n: int) -> tuple[tuple, ...]:
     """The cells (predicate, elements) the expansion over a domain of size n
     reads, listed from the formula's atoms after every check, this one of the
     table limit last: the searches tabulate these cells, so at most
-    `truth.MAX_TABLE_VARS` of them.  Each index of an atom is bound by its
-    own quantifier, which takes every element, so an atom reads one cell per
+    MAX_TABLE_VARS of them.  Each index of an atom is bound by its own
+    quantifier, which takes every element, so an atom reads one cell per
     assignment of elements to its distinct indices: l(i,i) reads (l, (d, d))
     for each d."""
-    if n < 1:
-        raise ValueError("domain must have at least one element")
-    depths = ensure_closed(formula)
-    limit = truth.MAX_TABLE_VARS
+    limit = errors.MAX_TABLE_VARS
     cells: dict[tuple, None] = {}
-    if n <= limit:  # each atom's index is bound, so it reads n or more cells
-        _check_leaves(depths, n)
+    if n > limit:  # each atom's index is bound, so it reads n or more cells
+        ensure_closed(formula)
+    else:
+        _check_expansion(formula, n)
         shapes: dict[tuple, None] = {}  # (predicate, where each index first stands)
         for f in walk(formula, RELATIONAL):
             if type(f) is RAtom:
@@ -136,7 +138,8 @@ def _cells(formula: RelFormula, n: int) -> tuple[tuple, ...]:
 
 def expand(formula: RelFormula, n: int) -> PropFormula:
     """Eliminate quantifiers over a domain of size n by sum/product folding."""
-    atoms = {cell: Var(atom_name(*cell)) for cell in _cells(formula, n)}
+    _check_expansion(formula, n)
+    atoms: dict[tuple, Var] = {}  # each cell's variable, named on its first read
     # The expansion in prefix order: each atom as its cell's variable, each
     # quantifier as the n - 1 sums or products of its left fold, then its body
     # once per element in index order, under a `(var, element)` pair binding
@@ -147,7 +150,10 @@ def expand(formula: RelFormula, n: int) -> PropFormula:
         f = todo.pop()
         cls = type(f)
         if cls is RAtom:
-            tokens.append(atoms[f.predicate, tuple(map(binds.__getitem__, f.indices))])
+            cell = f.predicate, tuple(map(binds.__getitem__, f.indices))
+            if cell not in atoms:
+                atoms[cell] = Var(atom_name(*cell))
+            tokens.append(atoms[cell])
         elif cls is tuple:
             binds[f[0]] = f[1]
         elif cls is Quant:
@@ -223,7 +229,7 @@ def extend_model(formula: RelFormula, s: Structure) -> Structure:
     The check at n + 1 elements is bounded as a search there would be.
     """
     try:
-        _check_leaves(ensure_closed(formula), s.domain_size + 1)
+        _check_expansion(formula, s.domain_size + 1)
     except LimitExceededError as err:
         raise LimitExceededError(f"extension to size {s.domain_size + 1}: {err}") from None
     if not eval_in(formula, s):

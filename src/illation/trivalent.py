@@ -14,12 +14,10 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator
 
+from . import errors
 from ._record import record
-from .errors import LimitExceededError
 from .formulas import PROPOSITIONAL, Neg, Prod, PropFormula, Sum, Var, free_vars, walk
 from .truth import render_tsv, row_bits
-
-MAX_TRI_VARS = 10  # 3^10 rows is the ceiling for a printable table
 
 
 class TriValue(enum.Enum):
@@ -121,9 +119,9 @@ def tri_table(formula: PropFormula) -> TriTable:
         if type(f) not in (Var, Neg, Sum, Prod):
             raise UnsupportedConnectiveError(f)
     names = tuple(free_vars(formula))
-    if len(names) > MAX_TRI_VARS:
-        raise LimitExceededError(
-            f"{len(names)} variables exceed the {MAX_TRI_VARS}-variable trivalent limit"
+    if len(names) > errors.MAX_TRI_VARS:
+        raise errors.LimitExceededError(
+            f"{len(names)} variables exceed the {errors.MAX_TRI_VARS}-variable trivalent limit"
         )
     size = 3 ** len(names)
     full = (1 << size) - 1

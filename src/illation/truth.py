@@ -14,6 +14,7 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
+from . import errors
 from ._record import record
 from .errors import LimitExceededError, MissingVariableError
 from .formulas import (
@@ -38,18 +39,9 @@ from .formulas import (
     substitute,
 )
 
-MAX_TABLE_VARS = 16
-
 # Counterexample and difference searches scan rows in blocks of 2^BLOCK_BITS,
 # so a formula falsified early costs one block rather than the whole table.
 BLOCK_BITS = 10
-
-# A row scan reads at most 2^MAX_SCAN_BITS rows.  No table limit bounds the
-# scans over more variables or cells, so such a scan answers when a row early
-# on decides and exits 3 otherwise.  On a 2-vCPU host, 2^26 rows of a 40-leaf
-# tautology take ~2 s, and a 24-cell model search with no model (2^24 rows)
-# ~0.4 s.
-MAX_SCAN_BITS = 26
 
 
 def spell(value: bool) -> str:
@@ -66,9 +58,9 @@ def eval2(formula: PropFormula, assignment: Mapping[str, bool]) -> bool:
 
 
 def _check_table_limit(count: int) -> None:
-    if count > MAX_TABLE_VARS:
+    if count > errors.MAX_TABLE_VARS:
         raise LimitExceededError(
-            f"{count} variables exceed the {MAX_TABLE_VARS}-variable table limit"
+            f"{count} variables exceed the {errors.MAX_TABLE_VARS}-variable table limit"
         )
 
 
@@ -179,24 +171,24 @@ def _first_row(names: tuple, hits: Callable[[dict, int], int]) -> Optional[dict]
 
     Rows go in blocks of 2^BLOCK_BITS: the fastest-varying variables are row
     masks within a block and the others are constant across it, so the scan
-    stops at the first block with a hit.  Past 2^MAX_SCAN_BITS rows with no
-    hit it raises LimitExceededError.
+    stops at the first block with a hit, and needs no table limit: past
+    2^MAX_SCAN_BITS rows with no hit it raises LimitExceededError.
     """
     low = min(len(names), BLOCK_BITS)
     high = len(names) - low
     full = (1 << (1 << low)) - 1
     env = dict(zip(names[high:], row_masks(low)))
-    for block in range(1 << min(high, MAX_SCAN_BITS - low)):
+    for block in range(1 << min(high, errors.MAX_SCAN_BITS - low)):
         for i, name in enumerate(names[:high]):
             env[name] = 0 if block >> (high - 1 - i) & 1 else full
         found = hits(env, full)
         if found:
             row = (block << low) + (found & -found).bit_length() - 1
             return _row_assignment(names, row)
-    if len(names) > MAX_SCAN_BITS:
+    if len(names) > errors.MAX_SCAN_BITS:
         raise LimitExceededError(
-            f"row scan stopped after clearing {1 << MAX_SCAN_BITS:,} of the "
-            f"2^{len(names)} rows over {len(names)} variables or cells"
+            f"row scan stopped after clearing {1 << errors.MAX_SCAN_BITS:,} of the "
+            f"2^{len(names)} rows over {len(names)} variables"
         )
     return None
 
@@ -315,8 +307,6 @@ class Falsified(metaclass=record):
     counterexample: dict[str, bool]
 
 
-_INDIRECT_STATE_CAP = 200_000
-
 # For the claw, product and sum: the value of each side that alone decides
 # the node's value, which is then the second side's (a claw is v once its
 # antecedent is f or its consequent v).
@@ -343,7 +333,7 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
     """
     order = free_vars(formula)
     known_tautology = False
-    if len(order) <= MAX_TABLE_VARS:
+    if len(order) <= errors.MAX_TABLE_VARS:
         counterexample = find_counterexample(formula)
         if counterexample is not None:
             return Falsified(counterexample)
@@ -367,9 +357,9 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
         if known_tautology and (mark, level) >= best:
             continue  # every trace below here is longer, or as long and deeper
         states += 1
-        if states > _INDIRECT_STATE_CAP:
+        if states > errors.MAX_INDIRECT_STATES:
             raise LimitExceededError(
-                f"indirect search exceeded its state cap of {_INDIRECT_STATE_CAP:,} states"
+                f"indirect search exceeded its state cap of {errors.MAX_INDIRECT_STATES:,} states"
             )
         while len(trail) > mark:
             del assignment[trail.pop()]

@@ -47,12 +47,11 @@ from illation.formulas import (
 )
 from illation.frege import _CELL_H, _CELL_W, _NUB_DEPTH, _STROKE
 from illation.notations import _POLISH, _POLISH_EXPECTED, Notation, ParseError
-from illation import cli, quantifiers, truth
+from illation import cli, errors
 from illation.quantifiers import Structure, atom_name
 from illation.trivalent import UnsupportedConnectiveError, tri_and, tri_neg, tri_or
 from illation.truth import (
     _DECIDING,
-    _INDIRECT_STATE_CAP,
     Falsified,
     Tautology,
     _eval_masks,
@@ -194,16 +193,13 @@ def ref_ensure_closed(formula):
 def ref_expand(formula, n):
     """Quantifiers eliminated over a domain of size n, each body copy with
     its own dict of index bindings and each atom named per occurrence: the
-    expansion before one shared dict.  The atom budget is the table limit,
+    expansion before one shared dict.  Its one bound is on atom occurrences,
     read when it is called."""
     if n < 1:
         raise ValueError("domain must have at least one element")
     depths = ref_ensure_closed(formula)
-    limit = truth.MAX_TABLE_VARS
-    if n > limit:  # each atom's index is bound, so it expands to n or more atoms
-        raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
     # an atom under k quantifiers occurs n^k times
-    bound = quantifiers.MAX_EXPANSION_LEAVES
+    bound = errors.MAX_EXPANSION_LEAVES
     if sum(count * n**k for k, count in depths.items()) > bound:
         raise LimitExceededError(f"expansion needs more than {bound:,} atom occurrences")
     seen = {}  # one Var per atom name
@@ -219,10 +215,6 @@ def ref_expand(formula, n):
             name = atom_name(f.predicate, tuple(env[ix] for ix in f.indices))
             if name not in seen:
                 seen[name] = Var(name)
-                if len(seen) > limit:
-                    raise LimitExceededError(
-                        f"expansion needs more than {limit} distinct atoms"
-                    )
             tokens.append(seen[name])
         elif cls is Quant:
             (body,) = SUBFORMULAS[cls](f)
@@ -237,13 +229,18 @@ def ref_expand(formula, n):
 def ref_herbrand_scan(formula, max_size):
     """Least domain size whose expansion is a tautology, each size expanded
     and every row of its expansion evaluated: the scan before it searched
-    the negation's models over the cells it reads."""
+    the negation's models over the cells it reads.  Like that search, it
+    refuses a size whose expansion has more atoms than the table limit."""
     for size in range(1, max_size + 1):
         try:
             expansion = ref_expand(formula, size)
+            names = free_vars(expansion)
+            if len(names) > errors.MAX_TABLE_VARS:
+                raise LimitExceededError(
+                    f"expansion needs more than {errors.MAX_TABLE_VARS} distinct atoms")
         except LimitExceededError as err:
             raise LimitExceededError(f"size {size}: {err}") from None
-        if all(ref_eval(expansion, env) for env in all_envs(free_vars(expansion))):
+        if all(ref_eval(expansion, env) for env in all_envs(names)):
             return size, expansion
     return None
 
@@ -386,7 +383,7 @@ def ref_indirect(formula):
     while queue:
         goals, assignment, trace = queue.popleft()
         states += 1
-        if states > _INDIRECT_STATE_CAP:
+        if states > errors.MAX_INDIRECT_STATES:
             raise LimitExceededError("indirect search exceeded its state cap")
         dead = False
         while goals and not dead:

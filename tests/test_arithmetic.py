@@ -5,13 +5,12 @@ import re
 
 import pytest
 
-from illation import arithmetic
+from illation import arithmetic, errors
 from illation.errors import LimitExceededError
 from illation.arithmetic import (
     EMPTY,
     HFAtom,
     HFNode,
-    MAX_CARRIER,
     NumberStructure,
     chain,
     check_axioms,
@@ -41,7 +40,7 @@ def test_chain_bounds():
     with pytest.raises(ValueError):
         chain(0)
     with pytest.raises(LimitExceededError):
-        chain(MAX_CARRIER + 1)
+        chain(errors.MAX_CARRIER + 1)
 
 
 def test_chain3_report():
@@ -117,7 +116,7 @@ def test_number_structure_validation():
     with pytest.raises(ValueError):
         NumberStructure(("a",), frozenset(), "z")  # one outside carrier
     with pytest.raises(LimitExceededError):
-        NumberStructure(tuple(f"e{i}" for i in range(MAX_CARRIER + 1)), frozenset(), "e0")
+        NumberStructure(tuple(f"e{i}" for i in range(errors.MAX_CARRIER + 1)), frozenset(), "e0")
 
 
 def test_no_finite_model_of_all_axioms():
@@ -159,7 +158,7 @@ def test_induction_matches_the_subset_enumeration():
     outcomes = {True: 0, False: 0}
     for k in range(600):
         make = near_order if k % 2 else random_relation
-        s = make(rng, rng.randint(1, MAX_CARRIER))
+        s = make(rng, rng.randint(1, errors.MAX_CARRIER))
         witness = arithmetic._check_induction(s)
         assert witness == ref_check_induction(s), s
         outcomes[witness is None] += 1

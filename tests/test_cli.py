@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from illation import cli, truth
+from illation import cli, errors
 
 
 CMD = [sys.executable, "-m", "illation.cli"]
@@ -173,10 +173,16 @@ def test_expand_to_peano_russell():
 
 
 def test_expand_limit_exit_3():
-    r = run("expand", "Pi i . Sum j . l(i,j)", "--domain", "5")  # 25 atoms
+    r = run("expand", "Pi i . Pi j . l(i,j)", "--domain", "257")  # 257^2 atom occurrences
     assert r.returncode == 3
     assert r.stdout == ""
-    assert "limit" in r.stderr
+    assert r.stderr == "limit exceeded: expansion needs more than 65,536 atom occurrences\n"
+
+
+def test_expand_answers_past_the_sixteen_cells_of_the_searches():
+    r = run("expand", "--domain", "17", "Pi i . p(i)")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == " ".join(f"p_{i}" for i in range(17)) + "\n"
 
 
 def test_the_atom_budget_variable_is_ignored(monkeypatch):
@@ -322,7 +328,7 @@ def _address_space_cap():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-# 16 distinct atoms, within the atom limit, but 16^6 atom occurrences.
+# 16 distinct cells, within the cell limit of the searches, but 16^6 atom occurrences.
 SIX_QUANTIFIERS = "Pi i . Pi j . Pi k . Pi l . Pi m . Pi o . p(i)"
 # Each E prints as its expansion, which repeats both sides: 3 * 2^40 - 2 leaves.
 FORTY_NESTED_E = "E" * 40 + "".join(chr(ord("a") + i % 26) for i in range(41))
@@ -369,22 +375,22 @@ def test_row_scans_name_the_rows_they_cleared(monkeypatch):
     """Past its budget, here cut to 2^12 rows, a row scan names the rows it
     cleared, and the tautology check names the method that needs no table.
     A row that decides within the budget is answered."""
-    monkeypatch.setattr(truth, "MAX_SCAN_BITS", 12)
+    monkeypatch.setattr(errors, "MAX_SCAN_BITS", 12)
     fourteen = "a | ~a | " + " | ".join(f"b_{i}" for i in range(1, 14))
     contradiction = "Pi i . Pi j . (l(i,j) & ~l(i,j))"  # n*n cells at size n, no model
     assert in_process(cli.main, ["taut", fourteen]) == (3, "", (
         "limit exceeded: row scan stopped after clearing 4,096 of the 2^14 rows over 14 "
-        "variables or cells; try --method indirect\n"))
+        "variables; try --method indirect\n"))
     assert in_process(cli.main, ["taut", f"~({fourteen})"]) == (1, "counterexample: " + " ".join(
         ["a=v"] + [f"b_{i}=v" for i in range(1, 14)]) + "\n", "")
     r = run("taut", "--method", "indirect", FORTY_VARIABLE_TAUTOLOGY)  # at the full budget
     assert (r.returncode, r.stdout) == (0, "tautology\nforce a=f\nforce a=v (contradiction)\n")
     assert in_process(cli.main, ["sat", "--domain", "4", contradiction]) == (3, "", (
         "limit exceeded: row scan stopped after clearing 4,096 of the 2^16 rows over 16 "
-        "variables or cells\n"))
+        "variables\n"))
     assert in_process(cli.main, ["scan", "--max-size", "4", contradiction])[::2] == (
         3, "limit exceeded: size 4: row scan stopped after clearing 4,096 of the 2^16 rows "
-           "over 16 variables or cells\n")
+           "over 16 variables\n")
 
 
 def test_unknown_subcommand():
@@ -478,7 +484,7 @@ def test_sat_cell_limit_exits_3_before_building_cells():
         capture_output=True, text=True, timeout=10,
     )
     assert (r.returncode, r.stdout) == (3, "")
-    # a domain over the atom limit is refused before the formula is walked
+    # a domain over the cell limit is refused before the formula is walked
     assert r.stderr == "limit exceeded: expansion needs more than 16 distinct atoms\n"
 
 

@@ -1,15 +1,18 @@
-"""The examples of the command-line and limits paragraphs of
-docs/grammars.md, run in process.
+"""The examples of the command-line paragraph and the limits section of
+docs/grammars.md, run in process, and the limits table's values.
 
 Each example's exit code is checked, and so is its one line of output (the
 first line, for help), which must also appear word for word in the
-paragraph, so the contract and its description cannot drift apart.
+paragraph, so the contract and its description cannot drift apart.  Each
+row of the limits table names a constant of `illation.errors`, and its
+value column must be that constant's value.
 """
 
 from pathlib import Path
 
 import pytest
 
+from illation import errors
 from test_deep import run
 
 GRAMMARS = Path(__file__).resolve().parent.parent / "docs" / "grammars.md"
@@ -22,8 +25,11 @@ EXAMPLES = {
         ["sat", "--domain", "5", "Sum i . l(i,i)"], "sat --domain 5 'Sum i . l(i,i)'", 0,
         '{"domain": 5, "predicates": {"l": {"arity": 2, "true": [[4, 4]]}}}'),
     "domain-over-the-atom-limit": (
-        ["sat", "--domain", "17", "Sum i . l(i,i)"], "a domain larger than the limit", 3,
+        ["sat", "--domain", "17", "Sum i . l(i,i)"], "sat --domain 17 'Sum i . l(i,i)'", 3,
         "limit exceeded: expansion needs more than 16 distinct atoms"),
+    "expand-past-the-cell-limit": (
+        ["expand", "--domain", "17", "Pi i . p(i)"], "expand --domain 17 'Pi i . p(i)'", 0,
+        " ".join(f"p_{i}" for i in range(17))),
     "sat-25-cells-over-the-limit": (
         ["sat", "--domain", "5", REFLEXIVE], f"sat --domain 5 '{REFLEXIVE}'", 3,
         "limit exceeded: expansion needs more than 16 distinct atoms"),
@@ -65,10 +71,14 @@ COMMAND_LINE = {
 }
 
 
-def paragraph(head):
+def paragraph(head, end="\n\n"):
+    """The text from `head` to `end`, whitespace runs read as one space."""
     text = GRAMMARS.read_text()
     start = text.index(head)
-    return " ".join(text[start:text.index("\n\n", start)].split())
+    return " ".join(text[start:text.index(end, start)].split())
+
+
+LIMITS = paragraph("Limits:", "\nDepth:")
 
 
 @pytest.mark.parametrize("name", COMMAND_LINE)
@@ -85,7 +95,14 @@ def test_command_line_paragraph_examples_run_as_documented(name):
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_limits_paragraph_examples_run_as_documented(name):
     argv, spelled, code, line = EXAMPLES[name]
-    text = paragraph("Limits:")
-    assert spelled in text and line in text
+    assert spelled in LIMITS and line in LIMITS
     out, err = ("", line + "\n") if code else (line + "\n", "")
     assert run(*argv) == (code, out, err)
+
+
+def test_limits_table_gives_each_bound_its_value():
+    text = GRAMMARS.read_text()
+    rows = [line.strip("|").split("|") for line in text.splitlines() if line.startswith("| `MAX_")]
+    table = {name.strip(" `"): int(value.strip().replace(",", "")) for name, value, *_ in rows}
+    assert table == {name: getattr(errors, name) for name in dir(errors)
+                     if name.startswith("MAX_")}

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from illation import truth
+from illation import errors, truth
 from illation.errors import LimitExceededError, MissingVariableError
 from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var, free_vars
 from illation.quantifiers import atom_name, expand, herbrand_scan
@@ -216,9 +216,9 @@ def test_no_variable_cap_on_counterexample_search():
 
 def test_herbrand_scan_follows_the_atom_budget_past_sixteen(monkeypatch):
     some_p = parse_relational("Sum i . p(i)")
-    monkeypatch.setattr(truth, "MAX_TABLE_VARS", 18)
+    monkeypatch.setattr(errors, "MAX_TABLE_VARS", 18)
     assert herbrand_scan(some_p, 18) is None
-    monkeypatch.setattr(truth, "MAX_TABLE_VARS", 16)
+    monkeypatch.setattr(errors, "MAX_TABLE_VARS", 16)
     with pytest.raises(LimitExceededError):
         herbrand_scan(some_p, 18)
 

@@ -6,17 +6,31 @@ draw formulas.  Evaluating them is the work of `truth`, `trivalent`,
 syntax module imports, directly or through another module of the package,
 is one of those.  The check is syntactic: it reads every import statement
 of a module, at any depth, so an import inside a function counts too.
-Nor does any module read the environment: every limit is fixed in the source.
+Nor does any module read the environment: every limit is fixed in the source,
+once, in `errors`, and each check reads it there when it runs.
 """
 
 import ast
+import re
 from pathlib import Path
 
+import pytest
+
 import illation
+from illation import errors
+from illation.arithmetic import chain
+from illation.formulas import check_expansions
+from illation.notations import Notation, parse
+from illation.quantifiers import expand, sat_search
+from illation.relsyntax import parse_relational
+from illation.trivalent import tri_table
+from illation.truth import find_counterexample, indirect_falsify, truth_table
 
 SYNTAX = ("formulas", "notations", "relsyntax", "frege")
 SEMANTICS = {"truth", "trivalent", "quantifiers", "arithmetic", "cli"}
 PACKAGE = Path(illation.__file__).parent
+TESTS = Path(__file__).resolve().parent
+BOUNDS = sorted(name for name in vars(errors) if name.startswith("MAX_"))
 
 
 def imported(source: str) -> set[str]:
@@ -87,3 +101,53 @@ def test_no_module_reads_the_environment():
                 if name.split(".")[0] == "os" or name in ("environ", "getenv"):
                     found.setdefault(path.name, []).append(name)
     assert found == {}
+
+
+def test_every_bound_is_set_once_in_errors():
+    """The six bounds are assigned in `errors` alone, and neither the package
+    nor its tests import one by name, so no module holds a copy that a
+    `monkeypatch.setattr(errors, ...)` would miss."""
+    assert BOUNDS == ["MAX_CARRIER", "MAX_EXPANSION_LEAVES", "MAX_INDIRECT_STATES",
+                      "MAX_SCAN_BITS", "MAX_TABLE_VARS", "MAX_TRI_VARS"]
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names if alias.name in BOUNDS]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and path.parent == PACKAGE:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [getattr(t, "id", getattr(t, "attr", "")) for t in targets]
+                names = [name for name in names if name.startswith("MAX_")]
+            else:
+                continue
+            found += [(path.name, name) for name in names]
+    assert found == [("errors.py", name) for name in vars(errors) if name in BOUNDS]
+
+
+TAUTOLOGY_12 = "a | ~a | " + " | ".join("bcdefghijkl")
+
+
+# One check of each kind that reads a bound: each follows a patch of `errors`.
+@pytest.mark.parametrize("bound, value, check, message", [
+    ("MAX_TABLE_VARS", 2, lambda: truth_table(parse("a & b & c", Notation.PEANO_RUSSELL)),
+     "3 variables exceed the 2-variable table limit"),
+    ("MAX_TABLE_VARS", 2, lambda: sat_search(parse_relational("Sum i . p(i)"), 3),
+     "expansion needs more than 2 distinct atoms"),
+    ("MAX_TRI_VARS", 2, lambda: tri_table(parse("a & b & c", Notation.PEANO_RUSSELL)),
+     "3 variables exceed the 2-variable trivalent limit"),
+    ("MAX_SCAN_BITS", 11, lambda: find_counterexample(parse(TAUTOLOGY_12, Notation.PEANO_RUSSELL)),
+     "row scan stopped after clearing 2,048 of the 2^12 rows over 12 variables"),
+    ("MAX_EXPANSION_LEAVES", 2, lambda: expand(parse_relational("Pi i . p(i)"), 3),
+     "expansion needs more than 2 atom occurrences"),
+    ("MAX_EXPANSION_LEAVES", 2, lambda: check_expansions(parse("EEabc", Notation.POLISH)),
+     "connective expansions add more than 2 atom occurrences"),
+    ("MAX_CARRIER", 2, lambda: chain(3), "carrier of 3 elements exceeds the 2-element limit"),
+    ("MAX_INDIRECT_STATES", 1,
+     lambda: indirect_falsify(parse("(a > b) | ~(a > b)", Notation.PEANO_RUSSELL)),
+     "indirect search exceeded its state cap of 1 states"),
+], ids=["table", "search-cells", "trivalent", "row-scan", "expansion", "connective-expansions",
+        "carrier", "indirect-states"])
+def test_one_patch_of_errors_moves_every_check(monkeypatch, bound, value, check, message):
+    monkeypatch.setattr(errors, bound, value)
+    with pytest.raises(errors.LimitExceededError, match=f"^{re.escape(message)}$"):
+        check()

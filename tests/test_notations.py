@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from illation import formulas
+from illation import errors
 from illation.errors import LimitExceededError
 from illation.formulas import (EQUIVALENCE_INDEX, PROPOSITIONAL, Claw, Conn16, Const, Neg, Prod,
                                RAtom, Sum, Var, check_expansions, free_vars, sop_expansion, walk)
@@ -275,11 +275,11 @@ def test_the_expansion_bound_counts_what_the_printers_repeat(monkeypatch):
         printed = sum(c.islower() for c in print_formula(f, Notation.POLISH))
         cases.append((f, printed - sum(type(node) is Var for node in walk(f, PROPOSITIONAL))))
     for f, added in cases:
-        monkeypatch.setattr(formulas, "MAX_EXPANSION_LEAVES", added)
+        monkeypatch.setattr(errors, "MAX_EXPANSION_LEAVES", added)
         check_expansions(f)
         if not added:
             continue
-        monkeypatch.setattr(formulas, "MAX_EXPANSION_LEAVES", added - 1)
+        monkeypatch.setattr(errors, "MAX_EXPANSION_LEAVES", added - 1)
         for print_it in [check_expansions, *PRINTERS]:
             with pytest.raises(LimitExceededError, match=f"more than {added - 1:,} atom"):
                 print_it(f)

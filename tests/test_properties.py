@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illation import frege, truth
+from illation import errors, frege
 from illation.errors import LimitExceededError
 from illation.formulas import PI, SIGMA, Claw, Conn16, Const, Neg, Prod, Quant, RAtom, Sum, Var
 from illation.formulas import ensure_closed, free_vars, substitute
@@ -173,13 +173,13 @@ def test_ensure_closed_raises_what_the_copying_check_raised(f):
 
 
 @PROPERTIES
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 30))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 60))
 def test_expand_matches_the_expansion_with_bindings_per_copy(seed, n, limit):
     """Random closed formulas, where sibling quantifiers often reuse an
-    index; a small table limit makes some expansions fail part way."""
+    index; a small bound on atom occurrences refuses some expansions."""
     f = random_closed_formula(random.Random(seed), 6, {"p": 1, "l": 2})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(truth, "MAX_TABLE_VARS", limit)
+        mp.setattr(errors, "MAX_EXPANSION_LEAVES", limit)
         with shallow_stack():
             got = _outcome(expand, f, n)
         assert got == _outcome(ref_expand, f, n)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from illation import quantifiers
+from illation import errors
 from illation.errors import LimitExceededError
 from illation.formulas import (
     PI,
@@ -102,12 +102,15 @@ def test_expand_connectives_and_negation():
 
 
 def test_expand_atom_limit():
-    with pytest.raises(LimitExceededError):
-        expand(LOVES, 5)  # 25 atoms > 16
+    """The one bound of `expand` is on atom occurrences, not distinct atoms:
+    25 atoms expand, and 257^2 occurrences of l are refused."""
+    assert len(free_vars(expand(LOVES, 5))) == 25
+    with pytest.raises(LimitExceededError, match="^expansion needs more than 65,536 atom occ"):
+        expand(parse_relational("Pi i . Pi j . l(i,j)"), 257)
 
 
 def test_expand_bounds_its_atom_occurrences_before_the_walk(monkeypatch):
-    monkeypatch.setattr(quantifiers, "MAX_EXPANSION_LEAVES", 8)
+    monkeypatch.setattr(errors, "MAX_EXPANSION_LEAVES", 8)
     # the occurrences are summed over the atoms: n^k for k quantifiers above
     expand(parse_relational("Pi i . Pi j . Pi k . p(i)"), 2)  # 2^3 = 8
     expand(parse_relational("Pi i . p(i) | q(i)"), 4)  # 4 + 4
@@ -212,7 +215,7 @@ def test_extension_is_bounded_before_it_is_built(monkeypatch):
     with pytest.raises(LimitExceededError, match=message):
         extend_model(deep, Structure(1, {"p": (1, frozenset({(0,)}))}))
     # the bound is the expansion's at n + 1: 2^3 = 8 occurrences pass, 3^3 do not
-    monkeypatch.setattr(quantifiers, "MAX_EXPANSION_LEAVES", 8)
+    monkeypatch.setattr(errors, "MAX_EXPANSION_LEAVES", 8)
     three = parse_relational("Pi i . Pi j . Pi k . p(i)")
     assert extend_model(three, sat_search(three, 1)).domain_size == 2
     with pytest.raises(LimitExceededError, match="^extension to size 3: .* more than 8 atom"):

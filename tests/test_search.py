@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from illation import quantifiers, truth
+from illation import errors, quantifiers
 from illation.errors import LimitExceededError
 from illation.formulas import free_vars
 from illation.quantifiers import (
@@ -90,8 +90,8 @@ def test_herbrand_scan_matches_the_scan_over_every_row(monkeypatch):
         if rng.random() < 0.5:  # valid at every size
             g = random_closed_formula(rng, 3, {"p": 1, "l": 2})
             f = rng.choice((RSum(f, RNeg(f)), RClaw(f, RSum(g, f))))
-        limit = rng.randint(2, 9)  # some scans pass the atom limit part way
-        monkeypatch.setattr(truth, "MAX_TABLE_VARS", limit)
+        limit = rng.randint(2, 9)  # some scans pass the cell limit part way
+        monkeypatch.setattr(errors, "MAX_TABLE_VARS", limit)
         got = _outcome(herbrand_scan, f, 3)
         assert got == _outcome(ref_herbrand_scan, f, 3), (f, limit)
         outcomes.add(type(got))
@@ -156,10 +156,10 @@ def test_cell_limit_message_is_unchanged(monkeypatch):
         sat_search(LOVES, 5)
     with pytest.raises(LimitExceededError, match=r"^size 5: expansion needs more than 16 distinct"):
         sat_scan(LOVES, 5)
-    monkeypatch.setattr(truth, "MAX_TABLE_VARS", 24)
+    monkeypatch.setattr(errors, "MAX_TABLE_VARS", 24)
     with pytest.raises(LimitExceededError, match=r"^expansion needs more than 24 distinct atoms$"):
         sat_search(LOVES, 5)
-    monkeypatch.setattr(truth, "MAX_TABLE_VARS", 3)
+    monkeypatch.setattr(errors, "MAX_TABLE_VARS", 3)
     with pytest.raises(LimitExceededError, match=r"^expansion needs more than 3 distinct atoms$"):
         sat_search(LOVES, 2)
 

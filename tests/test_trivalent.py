@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
+from illation import errors
 from illation.errors import LimitExceededError
 from illation.formulas import Claw, Conn16, Const, Neg, Prod, RAtom, Sum, Var
 from illation.trivalent import (
     F,
     L,
-    MAX_TRI_VARS,
     V,
     TriValue,
     UnsupportedConnectiveError,
@@ -151,7 +151,7 @@ def test_unsupported_is_a_value_error():
 
 def test_tri_var_limit():
     f = Var("a")
-    for i in range(MAX_TRI_VARS):
+    for i in range(errors.MAX_TRI_VARS):
         f = Sum(f, Var(chr(ord("b") + i)))
     with pytest.raises(LimitExceededError):
         tri_table(f)
@@ -159,7 +159,7 @@ def test_tri_var_limit():
 
 def test_unsupported_connective_wins_over_the_variable_limit():
     f = Claw(Var("a"), Var("b"))
-    for i in range(MAX_TRI_VARS - 1):
+    for i in range(errors.MAX_TRI_VARS - 1):
         f = Sum(f, Var(chr(ord("c") + i)))
     with pytest.raises(UnsupportedConnectiveError, match="for Claw nodes"):
         tri_table(f)

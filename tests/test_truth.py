@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from illation import truth
+from illation import errors, truth
 from illation.errors import LimitExceededError, MissingVariableError
 from illation.formulas import (
     CLAW_INDEX,
@@ -271,7 +271,7 @@ def test_indirect_prunes_the_trace_search(monkeypatch):
     parts = clauses(names)
     f = Claw(conjunction(parts), parts[9])
     expected = ref_indirect(f)
-    monkeypatch.setattr(truth, "_INDIRECT_STATE_CAP", 65_535)
+    monkeypatch.setattr(errors, "MAX_INDIRECT_STATES", 65_535)
     assert isinstance(expected, Tautology) and indirect_falsify(f) == expected
 
 

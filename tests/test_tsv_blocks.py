@@ -14,10 +14,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from illation import cli
+from illation import cli, errors
 from illation.formulas import Const
-from illation.trivalent import MAX_TRI_VARS, TriTable
-from illation.truth import BLOCK_BITS, MAX_TABLE_VARS, TruthTable, truth_table
+from illation.trivalent import TriTable
+from illation.truth import BLOCK_BITS, TruthTable, truth_table
 
 from helpers import ref_render_tsv
 
@@ -69,7 +69,7 @@ def check_blocks(table, cells, column):
         assert {line.count("\t") for line in block.splitlines()} == {count}
 
 
-@pytest.mark.parametrize("count", range(MAX_TABLE_VARS + 1))
+@pytest.mark.parametrize("count", range(errors.MAX_TABLE_VARS + 1))
 def test_two_valued_blocks_join_to_the_whole_table(count):
     for table in truth_tables(count):
         size = 1 << count
@@ -77,7 +77,7 @@ def test_two_valued_blocks_join_to_the_whole_table(count):
         check_blocks(table, ("v", "f"), column)
 
 
-@pytest.mark.parametrize("count", range(MAX_TRI_VARS + 1))
+@pytest.mark.parametrize("count", range(errors.MAX_TRI_VARS + 1))
 def test_three_valued_blocks_join_to_the_whole_table(count):
     for table in tri_tables(count):
         size = 3**count
