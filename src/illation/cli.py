@@ -5,12 +5,14 @@ Exit codes: 0 success (and `-h`, which prints help), 1 semantic negative
 (stdout stays empty, one `error:` line on stderr), 3 an enumeration limit
 was exceeded.  Formulas are taken from the positional argument, or from
 stdin when the argument is `-`.  Output is deterministic: the same argv and
-stdin always produce byte-identical stdout.
+stdin always produce byte-identical stdout.  A process ends as soon as its
+output is flushed (see `console_entry`).
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from types import SimpleNamespace
 from typing import Optional
@@ -188,20 +190,27 @@ def build_parser(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run the command `argv` names.  The cyclic collector is paused while
-    it runs: a command builds trees of frozen records, which hold no cycle,
-    so the collections their allocations set off would find nothing.  The
+    """Run the command `argv` names and return its exit code; the process
+    goes on.  Its output is flushed before it returns 0 or 1, so a write that
+    fails, to a pipe whose reader has gone or to a closed stdout, ends in the
+    one `error:` line and exit 2.  The cyclic collector is paused while it
+    runs: a command builds trees of frozen records, which hold no cycle, so
+    the collections their allocations set off would find nothing.  The
     collector is left as it was found, however `main` ends."""
     argv = sys.argv[1:] if argv is None else argv
     enabled = gc.isenabled()
     gc.disable()
     try:
         args = build_parser(argv)
+        if sys.stdout is None:  # the process started with no file descriptor 1
+            raise OSError("stdout is closed")
         if args.command is None:  # -h or --help
             _out(args.help)
-            return 0
-        handler = globals()["_cmd_" + args.command.replace("-", "_")]
-        return handler(args)
+            code = 0
+        else:
+            code = globals()["_cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()
+        return code
     except LimitExceededError as err:
         print(f"limit exceeded: {err}", file=sys.stderr)
         return 3
@@ -211,6 +220,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     finally:
         if enabled:
             gc.enable()
+
+
+def console_entry() -> None:
+    """The process entry of `python -m illation.cli` and of the `illation`
+    script.  It runs `main`, flushes stdout and stderr, and ends the process
+    at once with `os._exit`: the interpreter's teardown (unloading modules,
+    a last collection, freeing every object) has nothing left to write, and
+    takes several milliseconds, more than most commands' own work.  So
+    `atexit` handlers do not run.  A flush that fails here follows an exit 2 or 3 whose line is
+    already out, and keeps that code.  Under a tracer or profiler the
+    process exits through `sys.exit`, so that the tool writes its report."""
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+: where cProfile and coverage hook in
+    if (sys.gettrace() or sys.getprofile()
+            or monitoring and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
 
 
 def _cmd_translate(args) -> int:
@@ -357,4 +389,4 @@ def _cmd_pair_check(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

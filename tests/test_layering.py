@@ -7,7 +7,8 @@ syntax module imports, directly or through another module of the package,
 is one of those.  The check is syntactic: it reads every import statement
 of a module, at any depth, so an import inside a function counts too.
 Nor does any module read the environment: every limit is fixed in the source,
-once, in `errors`, and each check reads it there when it runs.
+once, in `errors`, and each check reads it there when it runs.  The one name
+any module takes from `os` is `_exit`, with which the CLI ends its process.
 """
 
 import ast
@@ -81,26 +82,57 @@ from functools import cache
                                 "cli", "errors"}
 
 
+# The names of `os` that read or write the environment.
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Each use in `source` of a name in `ENVIRONMENT`, and each thing it
+    takes from `os` other than `_exit`: another name, a submodule, an alias,
+    or `os` itself used other than by attribute (as in `getattr(os, ...)`)."""
+    found = []
+    names = attributes = 0  # the reads of the name `os`, and those as `os.X`
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "os" and (alias.name, alias.asname) != ("os", None)
+                   for alias in node.names):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom):
+            taken = [alias.name for alias in node.names]
+            from_os = (node.module or "").split(".")[0] == "os"
+            if (from_os and (node.module, taken) != ("os", ["_exit"])
+                    or ENVIRONMENT.intersection(taken)):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute):
+            from_os = isinstance(node.value, ast.Name) and node.value.id == "os"
+            attributes += from_os
+            if node.attr in ENVIRONMENT or from_os and node.attr != "_exit":
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name):
+            names += node.id == "os"
+            if node.id in ENVIRONMENT:
+                found.append(node.id)
+    return found + ["os"] * (names - attributes)
+
+
 def test_no_module_reads_the_environment():
-    """No module of the package imports `os`, or names `environ` or
-    `getenv`, so no variable can move a bound."""
-    found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            else:
-                continue
-            for name in names:
-                if name.split(".")[0] == "os" or name in ("environ", "getenv"):
-                    found.setdefault(path.name, []).append(name)
-    assert found == {}
+    """The one name any module of the package takes from `os` is `_exit`,
+    which ends the process, and none names a reader or writer of the
+    environment, so no variable can move a bound."""
+    found = {path.name: environment_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+@pytest.mark.parametrize("source", [
+    "import os.path", "import os as system", "from os import environ", "from os import _exit, sep",
+    "from os.path import join", "from posix import getenv", "os.environ['X']", "os.getenv('X')",
+    "os.putenv('X', '1')", "getattr(os, 'putenv')", "system.unsetenv('X')",
+    "sys.modules['os'].environb", "getenvb = 1"])
+def test_the_environment_check_sees_every_form_of_read(source):
+    allowed = "import os\nfrom os import _exit\nos._exit(0)\n"
+    assert environment_reads(allowed) == []
+    assert environment_reads(allowed + source) != []
 
 
 def test_every_bound_is_set_once_in_errors():
