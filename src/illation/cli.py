@@ -3,10 +3,11 @@
 Exit codes: 0 success (and `-h`, which prints help), 1 semantic negative
 (not a tautology, no model, not all axioms hold), 2 usage or parse errors
 (stdout stays empty, one `error:` line on stderr), 3 an enumeration limit
-was exceeded.  Formulas are taken from the positional argument, or from
-stdin when the argument is `-`.  Output is deterministic: the same argv and
-stdin always produce byte-identical stdout.  A process ends as soon as its
-output is flushed (see `console_entry`).
+was exceeded (one `limit exceeded:` line).  With stderr closed the line is
+lost and the code kept.  Formulas are taken from the positional argument,
+or from stdin when the argument is `-`.  Output is deterministic: the same
+argv and stdin always produce byte-identical stdout.  A process ends as
+soon as its output is flushed (see `console_entry`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from types import SimpleNamespace
 from typing import Optional
 
-from . import arithmetic, frege, quantifiers, relsyntax, trivalent, truth
+from . import arithmetic, frege, quantifiers, relsyntax, truth
 from .errors import LimitExceededError
 from .formulas import connective_vector, free_vars
 from .notations import Notation, ParseError, parse, print_formula
@@ -31,6 +32,28 @@ def _out(text: str) -> None:
 
 def _outline(text: str) -> None:
     sys.stdout.write(text + "\n")
+
+
+def __getattr__(name: str):
+    """`cli.trivalent`, imported when first read (PEP 562): only `table
+    --values 3` runs it, so no other command compiles it."""
+    if name != "trivalent":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import trivalent
+
+    globals()[name] = trivalent
+    return trivalent
+
+
+def _errline(line: str) -> None:
+    """Write `line` to stderr.  A stderr that is closed or missing loses
+    the line, never to stdout, and the exit code still tells what ended the
+    command."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(line + "\n")
+    except OSError:
+        pass
 
 
 def _read_source(value: str) -> str:
@@ -212,10 +235,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.flush()
         return code
     except LimitExceededError as err:
-        print(f"limit exceeded: {err}", file=sys.stderr)
+        _errline(f"limit exceeded: {err}")
         return 3
     except (ParseError, ValueError, OSError) as err:  # PrintError and JSONDecodeError too
-        print(f"error: {err}", file=sys.stderr)
+        _errline(f"error: {err}")
         return 2
     finally:
         if enabled:
@@ -259,7 +282,10 @@ def _cmd_translate(args) -> int:
 
 def _cmd_table(args) -> int:
     formula = parse(_read_source(args.formula), Notation(args.notation))
-    table = truth.truth_table(formula) if args.values == 2 else trivalent.tri_table(formula)
+    if args.values == 2:
+        table = truth.truth_table(formula)
+    else:  # read from the module, so that its `__getattr__` imports `trivalent`
+        table = sys.modules[__name__].trivalent.tri_table(formula)
     for block in table.tsv_blocks():
         _out(block)
     return 0

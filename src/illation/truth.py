@@ -1,9 +1,11 @@
-"""Bivalent truth-functional machinery.
+"""Bivalent truth-functional machinery: the row engine.
 
-Covers direct truth tables in Peirce's canonical row order, the indirect
-(falsification) method of MS 527 and MS 547, the X-frame icons of the
-sixteen binary connectives of MS 431 (whose table is in `formulas`),
-algebraic normal form over GF(2), and Boole's substitution-congruence check.
+Covers bivalent evaluation, direct truth tables in Peirce's canonical row
+order, and the first-row search behind counterexamples and model search,
+all on one bit-parallel engine.  The indirect method, the X-frame icons,
+ANF and Boole's congruence check run on this engine from `methods`, which
+only the commands that use them load; their names are still read from
+here (`truth.anf`, `from illation.truth import indirect_falsify`).
 
 Truth values are Python bools: True is v (verum), False is f (falsum).
 """
@@ -31,12 +33,8 @@ from .formulas import (
     PropFormula,
     Quant,
     RAtom,
-    Sum,
     Var,
-    _rows,
-    connective_vector,
     free_vars,
-    substitute,
 )
 
 # Counterexample and difference searches scan rows in blocks of 2^BLOCK_BITS,
@@ -293,241 +291,19 @@ def is_tautology(formula: PropFormula) -> bool:
     return find_counterexample(formula) is None
 
 
-# --- indirect method ------------------------------------------------------
+# --- the names defined in `methods` ---------------------------------------
+
+_METHODS = frozenset({
+    "Tautology", "Falsified", "_DECIDING", "indirect_falsify", "xframe", "AnfPoly", "anf",
+    "CongruenceReport", "merged_vars", "semantic_difference", "congruence_check",
+})
 
 
-class Tautology(metaclass=record):
-    """No falsifying assignment exists; trace is the forced-assignment run
-    that ends in a contradiction (last step re-forces an earlier variable)."""
+def __getattr__(name: str):
+    """Each name of `methods`, read from this module (PEP 562): `methods`
+    is imported when one is first read, not with `truth`."""
+    if name not in _METHODS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import methods
 
-    trace: tuple[tuple[str, bool], ...]
-
-
-class Falsified(metaclass=record):
-    counterexample: dict[str, bool]
-
-
-# For the claw, product and sum: the value of each side that alone decides
-# the node's value, which is then the second side's (a claw is v once its
-# antecedent is f or its consequent v).
-_DECIDING = {Claw: (False, True), Prod: (False, False), Sum: (True, True)}
-
-
-def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
-    """MS 527's indirect method: assume the formula false and propagate.
-
-    Claw false forces antecedent v and consequent f; Neg flips the goal;
-    Prod true / Sum false force both sides; the dual cases branch.  The
-    result is the lexicographically least falsifying completion (canonical
-    variable order, v before f, unforced variables defaulting to v), or a
-    Tautology carrying the shortest contradiction trace: among the shortest,
-    the one reached with the fewest branchings, then the first in branch
-    order.
-
-    Up to MAX_TABLE_VARS variables the bit-parallel row search decides.
-    Every falsifying row lies on an open branch whose completion is no
-    greater, so the first falsifying row is the answer without any search;
-    for a tautology the depth-first search only looks for the trace, and
-    skips any branch that can no longer beat the best trace found.  Above
-    that, the search runs over the whole tree.
-    """
-    order = free_vars(formula)
-    known_tautology = False
-    if len(order) <= errors.MAX_TABLE_VARS:
-        counterexample = find_counterexample(formula)
-        if counterexample is not None:
-            return Falsified(counterexample)
-        known_tautology = True
-    # One assignment, and the trail of the names it set, in order.  A state
-    # holds its goals as (node, want, rest) cells, the trail length it resumes
-    # at, and its branchings.  Marks only grow up the stack, so undoing down to
-    # a state's mark restores its assignment, and a pruned state needs no undo.
-    assignment: dict[str, bool] = {}
-    trail: list[str] = []
-    stack: list[tuple[Optional[tuple], int, int]] = [((formula, False, None), 0, 0)]
-    best, best_trace = (float("inf"), 0), ()  # (len(trace), branchings) of best_trace
-    least, least_assignment = None, {}  # the key and assignment of the least completion
-    # A completion's key has bit rank[name] set where it assigns f, the first
-    # variable highest, so keys order completions as their rows do.
-    rank = {name: i for i, name in enumerate(reversed(order))}
-    states = 0
-
-    while stack:
-        goals, mark, level = stack.pop()
-        if known_tautology and (mark, level) >= best:
-            continue  # every trace below here is longer, or as long and deeper
-        states += 1
-        if states > errors.MAX_INDIRECT_STATES:
-            raise LimitExceededError(
-                f"indirect search exceeded its state cap of {errors.MAX_INDIRECT_STATES:,} states"
-            )
-        while len(trail) > mark:
-            del assignment[trail.pop()]
-        alternatives: list = []
-        clash = None
-        while goals is not None:
-            node, want, goals = goals
-            cls = type(node)
-            if cls is Var or cls is Const:  # a constant is a variable assigned from the start
-                name = node.name
-                prior = assignment.get(name) if cls is Var else node.value
-                if prior is None:
-                    assignment[name] = want
-                    trail.append(name)
-                elif prior != want:
-                    clash = (name, want)
-                    break
-            elif cls is Neg:
-                goals = (node.inner, not want, goals)
-            elif cls in _DECIDING:
-                (left, right), (on_left, on_right) = SUBFORMULAS[cls](node), _DECIDING[cls]
-                if want == on_right:  # either side alone gives this value
-                    alternatives = [((left, on_left),), ((right, on_right),)]
-                    break
-                goals = (left, not on_left, (right, not on_right, goals))  # both are forced
-            else:  # a Conn16: `free_vars` above let no other class through
-                alternatives = [tuple(zip(SUBFORMULAS[cls](node), row))
-                                for row in _rows(node.index, want)]
-                if not alternatives:  # a constant connective asked for the other value
-                    clash = (Const(not want).name, want)
-                break
-        else:  # an open branch: its completion sets the unforced variables v
-            key = sum(1 << rank[name] for name, value in assignment.items() if not value)
-            if least is None or key < least:
-                least, least_assignment = key, dict(assignment)
-            continue
-        if not alternatives:  # the branch closed in a contradiction
-            if (len(trail) + 1, level) < best:
-                best = (len(trail) + 1, level)
-                best_trace = tuple((name, assignment[name]) for name in trail) + (clash,)
-            continue
-        for alt in reversed(alternatives):  # so that they pop in order
-            cell = goals
-            for node, want in reversed(alt):
-                cell = (node, want, cell)
-            stack.append((cell, len(trail), level + 1))
-
-    if least is not None:
-        complete = {name: least_assignment.get(name, True) for name in order}
-        if eval2(formula, complete):
-            raise RuntimeError("indirect method produced a non-falsifying leaf")
-        return Falsified(complete)
-    return Tautology(best_trace)
-
-
-# --- the X-frame icons of the sixteen connectives -------------------------
-
-
-def xframe(index: int) -> str:
-    """3x3 icon for connective `index`: the X is the frame, and a corner
-    stroke is drawn exactly where the truth vector is false (NW=(v,v),
-    NE=(v,f), SW=(f,v), SE=(f,f)).  Column 1 is fully closed, 16 fully open.
-    """
-    vec = connective_vector(index)
-    nw = " " if vec[0] else "\\"
-    ne = " " if vec[1] else "/"
-    sw = " " if vec[2] else "/"
-    se = " " if vec[3] else "\\"
-    return f"{nw} {ne}\n X \n{sw} {se}"
-
-
-# --- algebraic normal form -------------------------------------------------
-
-
-class AnfPoly(metaclass=record):
-    """XOR of AND-monomials over GF(2); the empty monomial is the constant 1.
-
-    The monomial set is unique for a given truth function (Zhegalkin form).
-    """
-
-    monomials: frozenset[frozenset[str]]
-
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        acc = False
-        for monomial in self.monomials:
-            acc ^= all(assignment[name] for name in monomial)
-        return acc
-
-    def __str__(self) -> str:
-        if not self.monomials:
-            return "0"
-        keyed = sorted(
-            (tuple(sorted(m)) for m in self.monomials), key=lambda t: (len(t), t)
-        )
-        return " + ".join("".join(m) if m else "1" for m in keyed)
-
-
-def anf(formula: PropFormula) -> AnfPoly:
-    """Zhegalkin polynomial via the Moebius (XOR) transform of the table."""
-    names = free_vars(formula)
-    n = len(names)
-    _check_table_limit(n)
-    size = 1 << n
-    full = (1 << size) - 1
-    # Here bit m of the table is the value where variable i is v iff bit i
-    # of m is set; lows[i] marks the positions m with bit i clear.  Step i
-    # xors each position with bit i set with its partner that has it clear.
-    lows = row_masks(n)[::-1]
-    coeff = _eval_masks(formula, {name: full ^ low for name, low in zip(names, lows)}, full)
-    for i, low in enumerate(lows):
-        coeff ^= (coeff & low) << (1 << i)
-    monomials = frozenset(
-        frozenset(name for i, name in enumerate(names) if m >> i & 1)
-        for m, bit in enumerate(row_bits(coeff, size))
-        if bit == "1"
-    )
-    return AnfPoly(monomials)
-
-
-# --- Boole's congruence rule ----------------------------------------------
-
-
-class CongruenceReport(metaclass=record):
-    """Evidence that semantically equal terms stay equal inside a context."""
-
-    operands_equal: bool
-    operands_witness: Optional[dict[str, bool]]
-    contexts_equal: bool
-    contexts_witness: Optional[dict[str, bool]]
-    plugged_s_table: TruthTable
-    plugged_t_table: TruthTable
-
-
-def merged_vars(first: PropFormula, second: PropFormula) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(free_vars(first) + free_vars(second)))
-
-
-def semantic_difference(
-    first: PropFormula, second: PropFormula
-) -> Optional[dict[str, bool]]:
-    """First assignment (canonical order, merged variables) where the two
-    formulas disagree, or None when they are semantically equal."""
-    return _first_row(
-        merged_vars(first, second),
-        lambda env, full: _eval_masks(first, env, full) ^ _eval_masks(second, env, full),
-    )
-
-
-def congruence_check(
-    s: PropFormula, t: PropFormula, context: PropFormula, hole: str
-) -> CongruenceReport:
-    """Check Boole's rule: from s = t derive context(s) = context(t).
-
-    The plugged contexts hold every variable of s and t, so the table limit
-    on their merged variables is checked before either scan."""
-    if hole not in free_vars(context):
-        raise ValueError(f"hole {hole!r} does not occur in the context")
-    plugged_s = substitute(context, hole, s)
-    plugged_t = substitute(context, hole, t)
-    shared = merged_vars(plugged_s, plugged_t)
-    _check_table_limit(len(shared))
-    operands_witness = semantic_difference(s, t)
-    contexts_witness = semantic_difference(plugged_s, plugged_t)
-    return CongruenceReport(
-        operands_equal=operands_witness is None,
-        operands_witness=operands_witness,
-        contexts_equal=contexts_witness is None,
-        contexts_witness=contexts_witness,
-        plugged_s_table=table_over(plugged_s, shared),
-        plugged_t_table=table_over(plugged_t, shared),
-    )
+    return getattr(methods, name)

@@ -1,8 +1,8 @@
 """The syntax modules import no semantics.
 
 `formulas`, `notations`, `relsyntax` and `frege` build, read, print and
-draw formulas.  Evaluating them is the work of `truth`, `trivalent`,
-`quantifiers` and `arithmetic`, and `cli` wraps them all.  So nothing a
+draw formulas.  Evaluating them is the work of `truth`, `methods`,
+`trivalent`, `quantifiers` and `arithmetic`, and `cli` wraps them all.  So nothing a
 syntax module imports, directly or through another module of the package,
 is one of those.  The check is syntactic: it reads every import statement
 of a module, at any depth, so an import inside a function counts too.
@@ -28,7 +28,7 @@ from illation.trivalent import tri_table
 from illation.truth import find_counterexample, indirect_falsify, truth_table
 
 SYNTAX = ("formulas", "notations", "relsyntax", "frege")
-SEMANTICS = {"truth", "trivalent", "quantifiers", "arithmetic", "cli"}
+SEMANTICS = {"truth", "methods", "trivalent", "quantifiers", "arithmetic", "cli"}
 PACKAGE = Path(illation.__file__).parent
 TESTS = Path(__file__).resolve().parent
 BOUNDS = sorted(name for name in vars(errors) if name.startswith("MAX_"))

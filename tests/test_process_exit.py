@@ -4,8 +4,9 @@
 process with `os._exit`, so the interpreter's teardown is skipped.  These
 tests run the CLI as a child process, with and without `PYTHONUNBUFFERED`
 (users normally run with stdout buffered), and check that every answer is
-written whole, that a write that fails is exit 2 with one line, and that a
-profiler still writes its report.  The lines a failed write prints are
+written whole, that a write that fails is exit 2 with one line, that a
+closed stderr keeps the exit code, and that a profiler still writes its
+report.  The lines a failed write prints are
 those the "Ending:" paragraph of docs/grammars.md shows.
 """
 
@@ -57,6 +58,28 @@ def test_a_closed_stdout_is_exit_2_with_one_line():
                        capture_output=True, text=True, env=child_env(False), timeout=60)
     assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: stdout is closed\n")
     assert "illation taut 'a|~a' >&-" in ENDING and "error: stdout is closed" in ENDING
+
+
+# A command that exits 2 (a parse error) and one that exits 3 (past the
+# 16-variable table limit).
+REFUSED = {2: ["taut", "a|"], 3: ["table", "&".join("abcdefghijklmnopq")]}
+
+
+@pytest.mark.parametrize("code", sorted(REFUSED))
+def test_a_closed_stderr_keeps_the_code_and_stdout_empty(code):
+    r = subprocess.run(["/bin/sh", "-c", '"$@" 2>&-', "sh", *CMD, *REFUSED[code]],
+                       capture_output=True, text=True, env=child_env(False), timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (code, "", "")
+    assert "illation taut 'a|' 2>&-" in ENDING
+
+
+@pytest.mark.parametrize("code", sorted(REFUSED))
+def test_no_stderr_keeps_the_line_off_stdout(code, monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", None)
+    with redirect_stdout(out):
+        assert cli.main(REFUSED[code]) == code
+    assert out.getvalue() == ""
 
 
 def test_an_answer_past_the_pipe_buffer_is_written_whole():

@@ -1,4 +1,4 @@
-"""The record decorator against the real dataclasses, and the CLI's import set.
+"""The record decorator against the real dataclasses, and the modules each command loads.
 
 Every record class in the package gets a frozen dataclass twin built from the
 same annotations and `__post_init__`; the two must agree on repr text,
@@ -9,6 +9,7 @@ validation errors.
 import copy
 import dataclasses
 import functools
+import importlib
 import json
 import os
 import pickle
@@ -20,7 +21,7 @@ import pytest
 
 import illation
 from illation import (
-    _record, arithmetic, formulas, notations, quantifiers, relsyntax, trivalent, truth,
+    _record, arithmetic, formulas, methods, notations, quantifiers, relsyntax, trivalent, truth,
 )
 from illation.formulas import PI, Claw, Const, Neg, Prod, RAtom, Sum, Var
 
@@ -40,10 +41,10 @@ SAMPLES = {
     formulas.RAtom: [("l", ("i", "j")), ("p", ("i",))],
     formulas.Quant: [(PI, "i", ATOM), ("Sigma", "i", ATOM)],
     truth.TruthTable: [(("a", "b"), 11), (("a", "b"), 7)],
-    truth.Tautology: [((("a", False),),)],
-    truth.Falsified: [({"a": True},)],
-    truth.AnfPoly: [(frozenset({frozenset({"a"})}),), (frozenset(),)],
-    truth.CongruenceReport: [(True, None, False, {"a": True}, TABLE, TABLE)],
+    methods.Tautology: [((("a", False),),)],
+    methods.Falsified: [({"a": True},)],
+    methods.AnfPoly: [(frozenset({frozenset({"a"})}),), (frozenset(),)],
+    methods.CongruenceReport: [(True, None, False, {"a": True}, TABLE, TABLE)],
     trivalent.TriTable: [(("a",), 3, 1), (("a",), 3, 3)],
     quantifiers.Structure: [(2, {"l": (2, frozenset({(0, 1)}))}), (3, {})],
     quantifiers.SatScanReport: [(((1, None),), ())],
@@ -55,7 +56,10 @@ SAMPLES = {
 
 
 def record_classes() -> list[type]:
-    modules = (formulas, truth, trivalent, quantifiers, arithmetic, notations, relsyntax)
+    """The record classes defined in every module of the package."""
+    package = Path(illation.__file__).parent
+    modules = [importlib.import_module(f"illation.{path.stem}")
+               for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
     return [
         c
         for m in modules
@@ -264,3 +268,64 @@ def test_cli_import_leaves_json_to_the_commands_that_use_it():
     r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+
+# What every command loads: `illation.cli` and the package modules it
+# imports.  `trivalent` and `methods` load only with the commands that run
+# them.
+LOADED_BY_CLI = {"illation", "illation._record", "illation.arithmetic", "illation.cli",
+                 "illation.errors", "illation.formulas", "illation.frege",
+                 "illation.notations", "illation.quantifiers", "illation.relsyntax",
+                 "illation.truth"}
+# Each command (argv, stdin), the modules it loads beyond those, and an upper
+# bound on the source bytes of all the package modules it loads: with no
+# bytecode written, each process compiles every one of them.
+COMMAND_LOADS = [
+    (["taut", "a|~a"], "", set(), 108_000),
+    (["table", "a&b"], "", set(), 108_000),
+    (["translate", "--from", "polish", "--to", "frege", "Cab"], "", set(), 108_000),
+    (["expand", "--domain", "2", "Pi i . p(i)"], "", set(), 108_000),
+    (["sat", "--domain", "1", "Pi i . p(i)"], "", set(), 108_000),
+    (["scan", "--herbrand", "Sum i . p(i)"], "", set(), 108_000),
+    (["axioms", "-"], '{"carrier": ["1"], "one": "1", "R": [["1", "1"]]}', set(), 108_000),
+    (["pair-check", "--atoms", "2"], "", set(), 108_000),
+    (["-h"], "", set(), 108_000),
+    (["table", "--values", "3", "a&b"], "", {"illation.trivalent"}, 113_000),
+    (["taut", "--method", "indirect", "a|~a"], "", {"illation.methods"}, 119_000),
+    (["anf", "a&b"], "", {"illation.methods"}, 119_000),
+    (["connectives"], "", {"illation.methods"}, 119_000),
+]
+RUN_AND_LIST = """import io, json, os, sys
+from contextlib import redirect_stdout
+from illation import cli
+with redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "illation")
+print(json.dumps([code, loaded, sum(os.path.getsize(sys.modules[m].__file__) for m in loaded)]))
+"""
+
+
+def run_light(code: str, *argv: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """`code` in a child under -S: no site hooks, so a module is present only
+    if the child's own imports loaded it."""
+    src = str(Path(illation.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-S", "-c", code, *argv], input=stdin,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+
+
+@pytest.mark.parametrize("argv, stdin, extra, bound", COMMAND_LOADS,
+                         ids=[" ".join(argv[:3]) for argv, *_ in COMMAND_LOADS])
+def test_each_command_loads_only_what_it_runs(argv, stdin, extra, bound):
+    r = run_light(RUN_AND_LIST, *argv, stdin=stdin)
+    assert r.returncode == 0, r.stderr
+    code, loaded, compiled = json.loads(r.stdout)
+    assert code in (0, 1)  # the command ran to its answer
+    assert set(loaded) == LOADED_BY_CLI | extra
+    assert compiled <= bound
+
+
+def test_the_package_import_loads_no_module():
+    r = run_light("import sys, illation; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'illation'))")
+    assert (r.returncode, r.stdout) == (0, "['illation']\n"), r.stderr
