@@ -18,16 +18,12 @@ metaclass=record)` makes a class whose annotations name its fields.
 Only the class's own annotations are fields; records do not inherit fields.
 
 A record has no instance `__dict__`: its `__slots__` are its fields and
-one more, `__record_hash__`, where the record keeps its hash once taken.  A
-formula is a record per node, tens of thousands of them for one long
-formula: with a dict per node, a parsed tree took ~87 bytes a node, and
-takes ~55 in slots.  The class is built once, with its slots, as `type`
-builds any class; a decorator would have to build it a second time, as
-slots cannot be added to a class made without them.  (Bases of records
-define `__slots__ = ()`, or every instance would get a `__dict__` from
-them.)  `functools.cached_property` writes the instance `__dict__`, so a
-class that has one keeps a `__dict__` slot as well, and its cached values
-live there.
+nothing else.  A formula is a record per node, tens of thousands of them for
+one long formula: with a dict per node, a parsed tree took ~87 bytes a node,
+and takes ~47 in slots.  The class is built once, with its slots, as `type`
+builds any class; a decorator would have to build it a second time, as slots
+cannot be added to a class made without them.  (Bases of records define
+`__slots__ = ()`, or every instance would get a `__dict__` from them.)
 
 No source is compiled per class.  `dataclasses` builds every class by
 `exec` of generated code (~0.8 ms a class) and imports `inspect` (~10 ms),
@@ -38,20 +34,18 @@ that keyword arguments take their names.  It fills each slot through the
 slot's own descriptor, taken once when the class is made: `object.__setattr__`
 by name looks the descriptor up again for every field, which made a binary
 node ~30% dearer to build, and the readers build a node for every token.
-`__eq__`, `__hash__` and
-`__repr__` are one function each, shared by every record.  Formulas are
-records nested one level per connective, thousands of levels deep in a
-folded chain, so each walks the nested records with an explicit stack
-instead of recursing through the fields' own methods.  As a record keeps
-its hash, hashing a tree is bottom-up and each node is hashed once.
+`__eq__`, `__hash__` and `__repr__` are one function each, shared by every
+record.  Formulas are records nested one level per connective, thousands of
+levels deep in a folded chain, so each walks the nested records with an
+explicit stack instead of recursing through the fields' own methods.  A
+record does not keep its hash, as a tuple does not: each `hash` walks the
+whole tree again, bottom-up (~0.3 s for a chain of 100,000 terms on CPython
+3.11), so a dict or set keyed by a large formula pays a walk per lookup.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
-_set = object.__setattr__
-_HASH = "__record_hash__"  # the slot of a record's hash
+_FOLD = object()  # on the stack of `_hash`: the fields above it are hashed
 
 
 class FrozenInstanceError(AttributeError):
@@ -143,24 +137,29 @@ def _eq(self, other):
     return True
 
 
+class _Hashed(int):
+    """A nested record's hash, in its place in the field tuple: `hash` of a
+    large int is not the int itself, so a plain int would not do."""
+
+    __slots__ = ()
+    __hash__ = int.__int__
+
+
 def _hash(self):
-    """`hash` of the field tuple, each nested record hashed (and its hash
-    kept) before the record holding it."""
-    stack = [self]
-    while stack:
-        item = stack[-1]
-        if hasattr(item, _HASH):
-            stack.pop()
-            continue
-        fields = _fields(item)
-        unhashed = [x for x in fields
-                    if x.__class__.__hash__ is _hash and not hasattr(x, _HASH)]
-        if unhashed:
-            stack.extend(unhashed)
+    """`hash` of the field tuple, each nested record hashed before the
+    record holding it and standing in for it by its hash."""
+    todo, done = [self], []
+    while todo:
+        item = todo.pop()
+        if item is _FOLD:
+            count = todo.pop()
+            done[-count:] = [_Hashed(hash(tuple(done[-count:])))]
+        elif item.__class__.__hash__ is _hash:
+            todo += (len(item.__record_fields__), _FOLD)
+            todo += reversed(_fields(item))
         else:
-            _set(item, _HASH, hash(tuple(fields)))
-            stack.pop()
-    return getattr(self, _HASH)
+            done.append(item)
+    return int(done[0])
 
 
 def _repr(self):
@@ -197,9 +196,8 @@ def _delattr(self, name):
 def record(name: str, bases: tuple, namespace: dict) -> type:
     """Metaclass of the record class `name`; see the module docstring."""
     names = tuple(namespace.get("__annotations__", {}))
-    cached = any(type(x) is cached_property for x in namespace.values())
     namespace.update(
-        __slots__=names + (_HASH,) + (("__dict__",) if cached else ()),
+        __slots__=names,
         __record_fields__=names,
         __repr__=_repr,
         __eq__=_eq,

@@ -12,8 +12,8 @@ nodes.
 
 All nodes are frozen records (`_record.record`): immutable, equal when they
 are of the same class with equal fields, and hashed by their field tuple.
-A node holds its fields and its hash in slots, with no `__dict__`, so a
-binary node is 56 bytes.
+A node holds its fields in slots, with no `__dict__`, so a binary node is
+48 bytes.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from . import errors
 from ._record import record
 
 # Single letter, or an expansion atom such as l_0_1 produced by quantifier
-# elimination (predicate name + underscore-joined element indices).  The four
-# concrete grammars only ever parse the single-letter form.
-_VAR_NAME = re.compile(r"[a-z]|[a-z][a-z0-9]*(?:_[0-9]+)+")
+# elimination (predicate name + underscore-joined element indices).  Written
+# so that a match is the longest name at its start: the algebraic readers lex
+# a name with this pattern.
+_VAR_NAME = re.compile(r"[a-z](?:[a-z0-9]*(?:_[0-9]+)+)?")
 
 _PREDICATE_NAME = re.compile(r"[a-z][a-z0-9]*")
 

@@ -25,6 +25,7 @@ from typing import Iterator, Optional
 
 from ._record import record
 from .formulas import (
+    _VAR_NAME,
     EQUIVALENCE_INDEX,
     PI,
     SIGMA,
@@ -134,13 +135,14 @@ _SLICE = 4096
 
 
 @cache
-def _grammar(style: _Style) -> tuple:
+def _grammar(notation: Notation) -> tuple:
     """The reader's arguments for an algebraic notation, made on its first use."""
+    style = _STYLES[notation]
     ops = [(style.claw, "CLAW"), (style.prod, "PROD"), (style.sum, "SUM"),
            (style.neg_prefix, "NEG"), (style.neg_postfix, "POSTNEG")]
     ops = sorted((pair for pair in ops if pair[0]), key=lambda pair: -len(pair[0]))  # maximal munch
     pattern = re.compile(
-        r"#[tf]|[a-z](?:[a-z0-9]*(?:_[0-9]+)+)?|"  # the longest valid name
+        r"#[tf]|" + _VAR_NAME.pattern + "|"  # the longest valid name
         + "".join(re.escape(literal) + "|" for literal, _ in ops) + r"\S"
     )
     ends = [literal for literal, _ in ops
@@ -352,7 +354,7 @@ def _parse_polish(text: str) -> PropFormula:
 def parse(text: str, notation: Notation) -> PropFormula:
     if notation is Notation.POLISH:
         return _parse_polish(text)
-    return _read(text, *_grammar(_STYLES[notation]))
+    return _read(text, *_grammar(notation))
 
 
 # --- printing ---------------------------------------------------------------

@@ -10,7 +10,6 @@ is no trivalent claw.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from itertools import product
 from typing import Iterator
 
@@ -89,7 +88,7 @@ class TriTable(metaclass=record):
     not_f: int
     is_v: int
 
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple[tuple[TriValue, ...], TriValue], ...]:
         cells = product((V, L, F), repeat=len(self.variables))
         return tuple(zip(cells, self.values()))

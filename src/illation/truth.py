@@ -12,7 +12,6 @@ Truth values are Python bools: True is v (verum), False is f (falsum).
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -236,7 +235,7 @@ class TruthTable(metaclass=record):
     variables: tuple[str, ...]
     mask: int
 
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple[tuple[bool, ...], bool], ...]:
         cells = product((True, False), repeat=len(self.variables))
         return tuple(zip(cells, self.values()))

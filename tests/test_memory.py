@@ -1,10 +1,12 @@
 """Memory held while a long formula is read and printed, traced by tracemalloc.
 
-A formula node is a slotted record (56 bytes for a binary node, with its
-hash slot), the Polish reader builds the tree from the right with no list of
-the tokens, and the printer joins its fragments a batch at a time.  With a
-`__dict__` per node, a list of every token and a list of every fragment,
-the same parse peaked at ~104 bytes per node and printing added 0.4-0.6 MB.
+A formula node is a slotted record (48 bytes for a binary node), the Polish
+reader builds the tree from the right with no list of the tokens, and the
+printer joins its fragments a batch at a time: the parses below peak at
+47-48 bytes per node.  With a slot that kept each node's hash, they peaked at
+54.7-56.3.  With a `__dict__` per node, a list of every token and a list of
+every fragment, the same parse peaked at ~104 bytes per node and printing
+added 0.4-0.6 MB.
 The algebraic reader lexes a slice of the text at a time; a list of every
 token string of the whole text peaked at 78-90 bytes per node.  A slice also
 ends after an operator, so a flat chain with no whitespace or bracket is not
@@ -56,7 +58,7 @@ def test_polish_parse_and_print_hold_little_beyond_the_tree():
     assert print_formula(f, Notation.POLISH) == text
     nodes = len({id(g) for g in walk(f, PROPOSITIONAL)})  # 16 shared leaves
     assert nodes > LEAVES
-    assert parse_peak / nodes <= 64, parse_peak / nodes
+    assert parse_peak / nodes <= 52, parse_peak / nodes
     assert max(added.values()) < 0.3 * 2**20, added
 
 
@@ -74,7 +76,7 @@ def test_algebraic_parse_holds_little_beyond_the_tree(notation):
     assert g == f
     nodes = len({id(h) for h in walk(g, PROPOSITIONAL)})  # 16 shared leaves
     assert nodes > LEAVES
-    assert parse_peak / nodes <= 64, parse_peak / nodes
+    assert parse_peak / nodes <= 52, parse_peak / nodes
 
 
 def test_a_flat_chain_is_lexed_a_slice_at_a_time():
@@ -88,4 +90,4 @@ def test_a_flat_chain_is_lexed_a_slice_at_a_time():
         tracemalloc.stop()
     nodes = len({id(h) for h in walk(g, PROPOSITIONAL)})  # 16 shared leaves
     assert nodes == 100_000 + 15
-    assert parse_peak / nodes <= 64, parse_peak / nodes
+    assert parse_peak / nodes <= 52, parse_peak / nodes

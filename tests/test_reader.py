@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from illation.notations import Notation, ParseError, parse
+from illation.formulas import Var
+from illation.notations import Notation, ParseError, _grammar, parse
 from illation.relsyntax import parse_relational
 
 from helpers import ref_parse, ref_parse_polish, ref_parse_relational
@@ -122,6 +123,33 @@ def test_algebraic_reading_matches_the_recursive_descent(notation):
 @example("é(i) & $")  # the first of two bad characters is reported
 def test_relational_reading_matches_the_recursive_descent(text):
     assert outcome(parse_relational, text) == outcome(ref_parse_relational, text)
+
+
+def is_variable_name(word):
+    try:
+        Var(word)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("notation", list(SPELLING), ids=lambda n: n.value)
+def test_a_word_lexes_as_one_name_iff_it_is_a_variable_name(notation):
+    """The readers lex a name by the pattern that `Var` checks names with."""
+    pattern = _grammar(notation)[0]
+
+    @ORACLE
+    @given(st.builds("{}{}".format, st.sampled_from(["a", "q", "z", "A", "_", "-", "#"]),
+                     st.lists(st.sampled_from(["a", "z", "0", "9", "_", "_1", "_09", "_09", "A"]),
+                              max_size=6).map("".join)))
+    @example("l_0_1")
+    @example("ab_1c")
+    @example("a1")
+    def check(word):
+        one_name = pattern.findall(word) == [word] and "a" <= word[0] <= "z"
+        assert one_name == is_variable_name(word)
+
+    check()
 
 
 @pytest.mark.parametrize("notation", list(SPELLING), ids=lambda n: n.value)

@@ -8,7 +8,6 @@ validation errors.
 
 import copy
 import dataclasses
-import functools
 import importlib
 import json
 import os
@@ -131,9 +130,20 @@ def test_equality_needs_the_same_class():
 
 
 def test_hash_is_the_hash_of_the_field_tuple():
+    """Nested records too, on either side and before a plain field.  A
+    nested record stands in its parent's tuple by its own hash, as the
+    tuple's call of its `__hash__` gives, not by `hash` of that int, which
+    differs for a large one."""
     assert hash(A) == hash(("a",))
     assert hash(Claw(A, B)) == hash((A, B))
     assert hash(formulas.Conn16(3, A, B)) == hash((3, A, B))
+    large = next(f for f in (Const(True), Const(False), A, B, Var("c"), Var("d"))
+                 if hash(hash(f)) != hash(f))
+    left, right = formulas.Conn16(3, Neg(A), Prod(B, A)), Sum(Neg(B), Const(False))
+    for f in (Neg(large), Claw(large, large), Neg(Neg(large)), Claw(left, right),
+              Claw(right, left), Neg(Claw(left, right)), formulas.Quant(PI, "i", Neg(ATOM))):
+        assert hash(f) == hash(tuple(getattr(f, n) for n in f.__record_fields__)), f
+    assert hash(Claw(A, B)) != hash(Claw(B, A))
 
 
 def test_repr_is_the_dataclass_text():
@@ -185,30 +195,31 @@ def test_structure_refuses_assignment():
     pytest.raises(TypeError, hash, s)  # its dict field is unhashable
 
 
-def test_cached_rows_on_frozen_tables():
+def test_table_rows_are_read_from_the_fields():
+    """`rows` is a plain property, the same on every read; the tables hold
+    only their fields."""
     table = truth.truth_table(Claw(A, B))
     fresh = truth.TruthTable(table.variables, table.mask)
-    rows = table.rows
-    assert rows is table.rows
-    assert [value for _, value in rows] == [True, False, True, True]
-    assert table == fresh and hash(table) == hash(fresh)  # the cache is not a field
-    assert "rows" in vars(table) and "rows" not in vars(fresh)
+    assert table.rows == table.rows == fresh.rows
+    assert [value for _, value in table.rows] == [True, False, True, True]
+    assert table == fresh and hash(table) == hash(fresh)
     with pytest.raises(AttributeError):
         table.mask = 0
     tri = trivalent.tri_table(Neg(A))
-    assert tri.rows is tri.rows and len(tri.rows) == 3
+    again = trivalent.TriTable(tri.variables, tri.not_f, tri.is_v)
+    assert tri.rows == tri.rows == again.rows and len(tri.rows) == 3
+    assert tri == again and hash(tri) == hash(again)
+    for x in (table, fresh, tri, again):
+        assert not hasattr(x, "__dict__"), x
 
 
 def test_records_hold_their_fields_in_slots():
-    """A record's slots are its fields and its hash's, and a cached
-    property's class keeps a `__dict__` for it: nothing else per instance."""
+    """A record's slots are its fields: nothing else per instance."""
     for cls in SAMPLES:
-        cached = any(isinstance(v, functools.cached_property) for v in vars(cls).values())
         fields = tuple(vars(cls)["__annotations__"])
-        assert cls.__slots__ == fields + ("__record_hash__",) + (("__dict__",) * cached)
-        assert cls.__record_fields__ == fields
-    assert {c for c in SAMPLES if "__dict__" in c.__slots__} == {truth.TruthTable,
-                                                                 trivalent.TriTable}
+        assert cls.__slots__ == cls.__record_fields__ == fields
+        for args in SAMPLES[cls]:
+            assert not hasattr(cls(*args), "__dict__"), cls
 
 
 def test_formula_nodes_have_no_dict():
@@ -219,8 +230,19 @@ def test_formula_nodes_have_no_dict():
     assert (len(samples), len(nodes)) == (18, 26)
     assert formulas.PropFormula.__slots__ == formulas.RelFormula.__slots__ == ()
     for f in nodes:
-        hash(f)  # the hash is kept in its slot
+        hash(f)  # a hash leaves nothing behind on the node
         assert not hasattr(f, "__dict__"), f
+
+
+def test_a_formula_node_is_the_size_of_its_fields():
+    """Each node takes what a bare object with the same slots takes: no
+    slot and no dict beyond its fields."""
+    for cls in SAMPLES:
+        if cls.__module__ != formulas.__name__:
+            continue
+        bare = type("Bare", (), {"__slots__": cls.__record_fields__})()
+        for args in SAMPLES[cls]:
+            assert sys.getsizeof(cls(*args)) == sys.getsizeof(bare), cls
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
