@@ -16,8 +16,10 @@ from . import errors
 from ._record import record
 from .errors import LimitExceededError
 from .formulas import (
+    EQUIVALENCE_INDEX,
     SUBFORMULAS,
     Claw,
+    Conn16,
     Const,
     Neg,
     Prod,
@@ -33,7 +35,6 @@ from .truth import (
     TruthTable,
     _check_table_limit,
     _eval_masks,
-    _first_row,
     eval2,
     find_counterexample,
     row_bits,
@@ -186,10 +187,11 @@ def xframe(index: int) -> str:
 class AnfPoly(metaclass=record):
     """XOR of AND-monomials over GF(2); the empty monomial is the constant 1.
 
-    The monomial set is unique for a given truth function (Zhegalkin form).
+    The monomial set is unique for a given truth function (Zhegalkin form),
+    and held in print order: names sorted, then monomials by (length, names).
     """
 
-    monomials: frozenset[frozenset[str]]
+    monomials: tuple[tuple[str, ...], ...]
 
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
         acc = False
@@ -198,12 +200,7 @@ class AnfPoly(metaclass=record):
         return acc
 
     def __str__(self) -> str:
-        if not self.monomials:
-            return "0"
-        keyed = sorted(
-            (tuple(sorted(m)) for m in self.monomials), key=lambda t: (len(t), t)
-        )
-        return " + ".join("".join(m) if m else "1" for m in keyed)
+        return " + ".join("".join(m) or "1" for m in self.monomials) or "0"
 
 
 def anf(formula: PropFormula) -> AnfPoly:
@@ -220,12 +217,12 @@ def anf(formula: PropFormula) -> AnfPoly:
     coeff = _eval_masks(formula, {name: full ^ low for name, low in zip(names, lows)}, full)
     for i, low in enumerate(lows):
         coeff ^= (coeff & low) << (1 << i)
-    monomials = frozenset(
-        frozenset(name for i, name in enumerate(names) if m >> i & 1)
-        for m, bit in enumerate(row_bits(coeff, size))
-        if bit == "1"
+    monomials = sorted(
+        (tuple(sorted(name for i, name in enumerate(names) if m >> i & 1))
+         for m, bit in enumerate(row_bits(coeff, size)) if bit == "1"),
+        key=lambda m: (len(m), m),
     )
-    return AnfPoly(monomials)
+    return AnfPoly(tuple(monomials))
 
 
 # --- Boole's congruence rule ----------------------------------------------
@@ -243,18 +240,15 @@ class CongruenceReport(metaclass=record):
 
 
 def merged_vars(first: PropFormula, second: PropFormula) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(free_vars(first) + free_vars(second)))
+    return tuple(free_vars(Conn16(EQUIVALENCE_INDEX, first, second)))
 
 
 def semantic_difference(
     first: PropFormula, second: PropFormula
 ) -> Optional[dict[str, bool]]:
     """First assignment (canonical order, merged variables) where the two
-    formulas disagree, or None when they are semantically equal."""
-    return _first_row(
-        merged_vars(first, second),
-        lambda env, full: _eval_masks(first, env, full) ^ _eval_masks(second, env, full),
-    )
+    formulas disagree (their equivalence is false), or None."""
+    return find_counterexample(Conn16(EQUIVALENCE_INDEX, first, second))
 
 
 def congruence_check(

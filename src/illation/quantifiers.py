@@ -17,7 +17,7 @@ indiscernibility of two elements.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice, product
+from itertools import product
 from typing import Optional
 
 from . import errors, truth
@@ -114,23 +114,21 @@ def _cells(formula: RelFormula, n: int) -> tuple[tuple, ...]:
     MAX_TABLE_VARS of them.  Each index of an atom is bound by its own
     quantifier, which takes every element, so an atom reads one cell per
     assignment of elements to its distinct indices: l(i,i) reads (l, (d, d))
-    for each d."""
+    for each d.  Those cells are distinct, so an atom takes at most
+    MAX_TABLE_VARS + 1 steps."""
     limit = errors.MAX_TABLE_VARS
     cells: dict[tuple, None] = {}
     if n > limit:  # each atom's index is bound, so it reads n or more cells
         ensure_closed(formula)
     else:
         _check_expansion(formula, n)
-        shapes: dict[tuple, None] = {}  # (predicate, where each index first stands)
         for f in walk(formula, RELATIONAL):
             if type(f) is RAtom:
                 names = list(dict.fromkeys(f.indices))
-                shapes[f.predicate, tuple(map(names.index, f.indices))] = None
-        for predicate, shape in shapes:
-            for elements in islice(product(range(n), repeat=max(shape) + 1), limit + 1):
-                cells[predicate, tuple(map(elements.__getitem__, shape))] = None
-            if len(cells) > limit:
-                break
+                for elements in product(range(n), repeat=len(names)):
+                    if len(cells) > limit:
+                        break
+                    cells[f.predicate, tuple(elements[names.index(x)] for x in f.indices)] = None
     if n > limit or len(cells) > limit:
         raise LimitExceededError(f"expansion needs more than {limit} distinct atoms")
     return tuple(cells)

@@ -16,7 +16,7 @@ from typing import Iterator
 from . import errors
 from ._record import record
 from .formulas import PROPOSITIONAL, Neg, Prod, PropFormula, Sum, Var, free_vars, walk
-from .truth import render_tsv, row_bits
+from .truth import _tile, render_tsv, row_bits
 
 
 class TriValue(enum.Enum):
@@ -62,15 +62,6 @@ class UnsupportedConnectiveError(ValueError):
             f"no trivalent matrix exists for {type(node).__name__} nodes"
         )
         self.node = node
-
-
-def _tile(unit: int, period: int, total: int) -> int:
-    """Repeat the `period`-bit pattern `unit` across `total` bits."""
-    mask = unit
-    while period < total:
-        mask |= mask << period
-        period *= 2
-    return mask & ((1 << total) - 1)
 
 
 # The letter of each row from its (>= L, = V) bits.

@@ -68,19 +68,20 @@ def _check_table_limit(count: int) -> None:
 # over the tree with & | ^ evaluates every row at once.
 
 
+def _tile(unit: int, period: int, total: int) -> int:
+    """Repeat the `period`-bit pattern `unit` across `total` bits."""
+    mask = unit
+    while period < total:
+        mask |= mask << period
+        period *= 2
+    return mask & ((1 << total) - 1)
+
+
 def row_masks(count: int) -> list[int]:
     """Row masks of `count` variables in canonical order: the first variable
     is v in the first half of the rows, the last in every other row.
-
-    Each mask follows from the one before by one shift and xor (Knuth's
-    magic masks, TAOCP 4A 7.1.3).
     """
-    full = (1 << (1 << count)) - 1
-    mask, masks = full, []
-    for k in reversed(range(count)):
-        mask = (mask ^ (mask << (1 << k))) & full
-        masks.append(mask)
-    return masks
+    return [_tile((1 << (1 << k)) - 1, 2 << k, 1 << count) for k in reversed(range(count))]
 
 
 def _eval_masks(formula, env: Mapping, full: int, domain: Optional[int] = None) -> int:

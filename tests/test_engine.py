@@ -132,6 +132,8 @@ def test_tri_table_matches_tri_eval_on_every_row():
             order = table.variables
             cells = itertools.product((V, L, F), repeat=len(order))
             assert table.values() == tuple(ref_tri_eval(f, dict(zip(order, c))) for c in cells)
+            # the bit-planes have no bit past the last row, and a V row is at least L
+            assert table.not_f >> 3 ** len(order) == 0 and table.is_v & ~table.not_f == 0
 
 
 def _strip_to_tri(f):

@@ -42,7 +42,7 @@ SAMPLES = {
     truth.TruthTable: [(("a", "b"), 11), (("a", "b"), 7)],
     methods.Tautology: [((("a", False),),)],
     methods.Falsified: [({"a": True},)],
-    methods.AnfPoly: [(frozenset({frozenset({"a"})}),), (frozenset(),)],
+    methods.AnfPoly: [((("a",),),), ((),)],
     methods.CongruenceReport: [(True, None, False, {"a": True}, TABLE, TABLE)],
     trivalent.TriTable: [(("a",), 3, 1), (("a",), 3, 3)],
     quantifiers.Structure: [(2, {"l": (2, frozenset({(0, 1)}))}), (3, {})],

@@ -16,7 +16,7 @@ from illation import errors, quantifiers
 from illation.errors import LimitExceededError
 from illation.formulas import free_vars
 from illation.quantifiers import (
-    Structure, extend_model, herbrand_scan, sat_scan, sat_search,
+    Structure, atom_name, extend_model, herbrand_scan, sat_scan, sat_search,
 )
 from illation.relsyntax import parse_relational
 from illation.truth import BLOCK_BITS
@@ -162,6 +162,26 @@ def test_cell_limit_message_is_unchanged(monkeypatch):
     monkeypatch.setattr(errors, "MAX_TABLE_VARS", 3)
     with pytest.raises(LimitExceededError, match=r"^expansion needs more than 3 distinct atoms$"):
         sat_search(LOVES, 2)
+
+
+def test_cells_are_the_distinct_atoms_of_the_expansion():
+    """The cells listed are the atoms of the expansion, each once; with more
+    than MAX_TABLE_VARS of them the listing refuses, in the same words."""
+    rng = random.Random(1903)
+    refused = 0
+    for _ in range(300):
+        f = random_closed_formula(rng, rng.randint(2, 6), {"p": 1, "l": 2, "r": 3})
+        n = rng.randint(1, 5)
+        names = free_vars(ref_expand(f, n))
+        if len(names) > errors.MAX_TABLE_VARS:
+            with pytest.raises(LimitExceededError,
+                               match=r"^expansion needs more than 16 distinct atoms$"):
+                quantifiers._cells(f, n)
+            refused += 1
+        else:
+            cells = quantifiers._cells(f, n)
+            assert sorted(atom_name(*cell) for cell in cells) == sorted(names), (f, n)
+    assert 0 < refused < 300
 
 
 def test_formula_errors_come_before_the_cell_limit():
