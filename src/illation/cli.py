@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import arithmetic, frege, quantifiers, relsyntax, truth
 from .errors import LimitExceededError
-from .formulas import connective_vector, free_vars
+from .formulas import connective_vector
 from .notations import Notation, ParseError, parse, print_formula
 
 _NOTATION_NAMES = [n.value for n in Notation]
@@ -62,8 +62,8 @@ def _read_source(value: str) -> str:
     return value
 
 
-def _assignment_line(assignment: dict[str, bool], order: list[str]) -> str:
-    return " ".join(f"{name}={truth.spell(assignment[name])}" for name in order)
+def _assignment_line(assignment: dict[str, bool]) -> str:
+    return " ".join(f"{name}={truth.spell(value)}" for name, value in assignment.items())
 
 
 _FORMULA = ("formula", {})
@@ -293,7 +293,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_taut(args) -> int:
     formula = parse(_read_source(args.formula), Notation(args.notation))
-    order = free_vars(formula)
     if args.method == "full":
         try:
             counterexample = truth.find_counterexample(formula)
@@ -302,7 +301,7 @@ def _cmd_taut(args) -> int:
         if counterexample is None:
             _outline("tautology")
             return 0
-        _outline("counterexample: " + _assignment_line(counterexample, order))
+        _outline("counterexample: " + _assignment_line(counterexample))
         return 1
     result = truth.indirect_falsify(formula)
     if isinstance(result, truth.Tautology):
@@ -311,7 +310,7 @@ def _cmd_taut(args) -> int:
             suffix = " (contradiction)" if i == len(result.trace) - 1 else ""
             _outline(f"force {name}={truth.spell(value)}{suffix}")
         return 0
-    _outline("counterexample: " + _assignment_line(result.counterexample, order))
+    _outline("counterexample: " + _assignment_line(result.counterexample))
     return 1
 
 

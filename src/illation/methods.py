@@ -33,13 +33,12 @@ from .formulas import (
 )
 from .truth import (
     TruthTable,
-    _check_table_limit,
-    _eval_masks,
     eval2,
     find_counterexample,
     row_bits,
     row_masks,
     table_over,
+    truth_table,
 )
 
 
@@ -204,22 +203,20 @@ class AnfPoly(metaclass=record):
 
 
 def anf(formula: PropFormula) -> AnfPoly:
-    """Zhegalkin polynomial via the Moebius (XOR) transform of the table."""
-    names = free_vars(formula)
+    """Zhegalkin polynomial: the Moebius (XOR) transform of `truth_table`'s
+    mask, in canonical row order.
+
+    Row r's v variables are those whose bit is clear in r, so step i xors
+    into each row where variable i is v its partner where it is f; bit r is
+    then the coefficient of the product of row r's v variables."""
+    table = truth_table(formula)
+    names, coeff = table.variables, table.mask
     n = len(names)
-    _check_table_limit(n)
-    size = 1 << n
-    full = (1 << size) - 1
-    # Here bit m of the table is the value where variable i is v iff bit i
-    # of m is set; lows[i] marks the positions m with bit i clear.  Step i
-    # xors each position with bit i set with its partner that has it clear.
-    lows = row_masks(n)[::-1]
-    coeff = _eval_masks(formula, {name: full ^ low for name, low in zip(names, lows)}, full)
-    for i, low in enumerate(lows):
-        coeff ^= (coeff & low) << (1 << i)
+    for i, v_rows in enumerate(row_masks(n)):
+        coeff ^= coeff >> (1 << (n - 1 - i)) & v_rows
     monomials = sorted(
-        (tuple(sorted(name for i, name in enumerate(names) if m >> i & 1))
-         for m, bit in enumerate(row_bits(coeff, size)) if bit == "1"),
+        (tuple(sorted(name for i, name in enumerate(names) if not r >> (n - 1 - i) & 1))
+         for r, bit in enumerate(row_bits(coeff, 1 << n)) if bit == "1"),
         key=lambda m: (len(m), m),
     )
     return AnfPoly(tuple(monomials))
@@ -256,14 +253,15 @@ def congruence_check(
 ) -> CongruenceReport:
     """Check Boole's rule: from s = t derive context(s) = context(t).
 
-    The plugged contexts hold every variable of s and t, so the table limit
-    on their merged variables is checked before either scan."""
+    The plugged contexts hold every variable of s and t, so their tables,
+    over the merged variables, check the table limit before either scan."""
     if hole not in free_vars(context):
         raise ValueError(f"hole {hole!r} does not occur in the context")
     plugged_s = substitute(context, hole, s)
     plugged_t = substitute(context, hole, t)
     shared = merged_vars(plugged_s, plugged_t)
-    _check_table_limit(len(shared))
+    plugged_s_table = table_over(plugged_s, shared)
+    plugged_t_table = table_over(plugged_t, shared)
     operands_witness = semantic_difference(s, t)
     contexts_witness = semantic_difference(plugged_s, plugged_t)
     return CongruenceReport(
@@ -271,6 +269,6 @@ def congruence_check(
         operands_witness=operands_witness,
         contexts_equal=contexts_witness is None,
         contexts_witness=contexts_witness,
-        plugged_s_table=table_over(plugged_s, shared),
-        plugged_t_table=table_over(plugged_t, shared),
+        plugged_s_table=plugged_s_table,
+        plugged_t_table=plugged_t_table,
     )

@@ -54,13 +54,6 @@ def eval2(formula: PropFormula, assignment: Mapping[str, bool]) -> bool:
     return bool(_eval_masks(formula, assignment, 1))
 
 
-def _check_table_limit(count: int) -> None:
-    if count > errors.MAX_TABLE_VARS:
-        raise LimitExceededError(
-            f"{count} variables exceed the {errors.MAX_TABLE_VARS}-variable table limit"
-        )
-
-
 # --- the bit-parallel engine ----------------------------------------------
 #
 # A truth table is one int: bit r holds the value in row r (Knuth, TAOCP 4A
@@ -270,7 +263,10 @@ def table_over(formula: PropFormula, variables: Iterable[str]) -> TruthTable:
     variables is allowed; used to compare formulas over merged variables).
     A name listed twice is a ValueError."""
     names = tuple(variables)
-    _check_table_limit(len(names))
+    if len(names) > errors.MAX_TABLE_VARS:
+        raise LimitExceededError(
+            f"{len(names)} variables exceed the {errors.MAX_TABLE_VARS}-variable table limit"
+        )
     for i, name in enumerate(names):
         if name in names[i + 1:]:
             raise ValueError(f"variable {name!r} is listed twice")
@@ -280,7 +276,8 @@ def table_over(formula: PropFormula, variables: Iterable[str]) -> TruthTable:
 
 
 def find_counterexample(formula: PropFormula) -> Optional[dict[str, bool]]:
-    """First falsifying assignment in canonical row order, or None."""
+    """First falsifying assignment in canonical row order, or None; its keys
+    run in `free_vars` order, as the row's bits do."""
     return _first_row(
         tuple(free_vars(formula)),
         lambda env, full: full ^ _eval_masks(formula, env, full),

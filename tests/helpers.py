@@ -38,7 +38,6 @@ from illation.formulas import (
     SUBFORMULAS,
     Sum,
     Var,
-    _rows,
     ensure_closed,
     expanded,
     free_vars,
@@ -46,16 +45,11 @@ from illation.formulas import (
     predicate_signature,
 )
 from illation.frege import _CELL_H, _CELL_W, _NUB_DEPTH, _STROKE
+from illation.methods import Falsified, Tautology
 from illation.notations import _POLISH, _POLISH_EXPECTED, Notation, ParseError
 from illation import cli, errors
 from illation.quantifiers import Structure, atom_name
 from illation.trivalent import UnsupportedConnectiveError, tri_and, tri_neg, tri_or
-from illation.truth import (
-    _DECIDING,
-    Falsified,
-    Tautology,
-    _eval_masks,
-)
 
 # The fixed 16-column connective table, rows (v,v),(v,f),(f,v),(f,f).
 # Frozen here independently of the library constant so the two can be
@@ -368,9 +362,24 @@ def ref_sat_search(formula, n):
     return None
 
 
+# The indirect method's rules, one per node class and wanted value: the
+# alternatives that the goal opens, each a tuple of (side, value) goals.  One
+# alternative forces its goals; two branch.
+REF_RULES = {
+    (Claw, False): [((0, True), (1, False))],  # a false claw forces v, then f
+    (Claw, True): [((0, False),), ((1, True),)],
+    (Prod, True): [((0, True), (1, True))],
+    (Prod, False): [((0, False),), ((1, False),)],
+    (Sum, False): [((0, False), (1, False))],
+    (Sum, True): [((0, True),), ((1, True),)],
+}
+# The (left, right) values of each quadrant of a Conn16 vector, in its order.
+REF_QUADRANTS = ((True, True), (True, False), (False, True), (False, False))
+
+
 def ref_indirect(formula):
     """The indirect method as an unpruned breadth-first search over every
-    branch: the oracle for `truth.indirect_falsify`, which decides by row
+    branch: the oracle for `methods.indirect_falsify`, which decides by row
     search and prunes its depth-first trace search.  Among the shortest
     contradiction traces it keeps the first in breadth-first order."""
     order = free_vars(formula)
@@ -404,16 +413,18 @@ def ref_indirect(formula):
                     dead = True
             elif cls is Neg:
                 goals = ((*SUBFORMULAS[cls](node), not want),) + rest
-            elif cls in _DECIDING:
-                (left, right), (on_left, on_right) = SUBFORMULAS[cls](node), _DECIDING[cls]
-                if want == on_right:  # either side alone gives this value
-                    _ref_branch(queue, rest, assignment, trace,
-                                [((left, on_left),), ((right, on_right),)])
+            elif (cls, want) in REF_RULES:
+                sides = SUBFORMULAS[cls](node)
+                alternatives = [tuple((sides[i], value) for i, value in alt)
+                                for alt in REF_RULES[cls, want]]
+                if len(alternatives) == 1:  # the goals are forced
+                    goals = alternatives[0] + rest
+                else:
+                    _ref_branch(queue, rest, assignment, trace, alternatives)
                     dead = True
-                else:  # both sides are forced
-                    goals = ((left, not on_left), (right, not on_right)) + rest
             elif cls is Conn16:
-                rows = _rows(node.index, want)
+                rows = [pair for pair, value in zip(REF_QUADRANTS, EXPECTED_VECTORS[node.index])
+                        if value == want]
                 _ref_branch(queue, rest, assignment, trace,
                             [tuple(zip(SUBFORMULAS[cls](node), row)) for row in rows])
                 if not rows:  # constant f asked v, or constant v asked f
@@ -423,7 +434,7 @@ def ref_indirect(formula):
                 raise TypeError(f"not a propositional formula: {node!r}")
         if not dead:
             complete = {name: assignment.get(name, True) for name in order}
-            if _eval_masks(formula, complete, 1):  # the completion as one row
+            if ref_eval(formula, complete):
                 raise RuntimeError("indirect method produced a non-falsifying leaf")
             completions.append(complete)
 

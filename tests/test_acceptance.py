@@ -28,6 +28,7 @@ from illation.formulas import (
     ensure_closed,
     free_vars,
 )
+from illation.methods import Falsified, Tautology, anf, indirect_falsify, xframe
 from illation.notations import Notation, parse
 from illation.quantifiers import (
     aeio,
@@ -38,16 +39,7 @@ from illation.quantifiers import (
     Structure,
 )
 from illation.trivalent import F, L, V, tri_and, tri_neg, tri_or
-from illation.truth import (
-    Falsified,
-    Tautology,
-    anf,
-    find_counterexample,
-    indirect_falsify,
-    is_tautology,
-    truth_table,
-    xframe,
-)
+from illation.truth import find_counterexample, is_tautology, truth_table
 
 from helpers import expansion_env, formulas_up_to_depth, ref_eval
 

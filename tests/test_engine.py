@@ -14,17 +14,11 @@ import pytest
 from illation import errors, truth
 from illation.errors import LimitExceededError, MissingVariableError
 from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var, free_vars
+from illation.methods import anf, semantic_difference
 from illation.quantifiers import atom_name, expand, herbrand_scan
 from illation.relsyntax import parse_relational
 from illation.trivalent import L, F, V, tri_table
-from illation.truth import (
-    BLOCK_BITS,
-    anf,
-    find_counterexample,
-    row_masks,
-    semantic_difference,
-    table_over,
-)
+from illation.truth import BLOCK_BITS, find_counterexample, row_masks, table_over
 
 from helpers import (
     all_envs, interpretation_cells, random_closed_formula, random_formula, ref_eval, ref_tri_eval,

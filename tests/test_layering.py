@@ -21,11 +21,12 @@ import illation
 from illation import errors
 from illation.arithmetic import chain
 from illation.formulas import check_expansions
+from illation.methods import indirect_falsify
 from illation.notations import Notation, parse
 from illation.quantifiers import expand, sat_search
 from illation.relsyntax import parse_relational
 from illation.trivalent import tri_table
-from illation.truth import find_counterexample, indirect_falsify, truth_table
+from illation.truth import find_counterexample, truth_table
 
 SYNTAX = ("formulas", "notations", "relsyntax", "frege")
 SEMANTICS = {"truth", "methods", "trivalent", "quantifiers", "arithmetic", "cli"}

@@ -22,21 +22,17 @@ from illation.formulas import (
     free_vars,
     sop_expansion,
 )
-from illation.notations import Notation, parse
-from illation.truth import (
+from illation.methods import (
     AnfPoly,
     Falsified,
     Tautology,
     anf,
     congruence_check,
-    eval2,
-    find_counterexample,
     indirect_falsify,
-    is_tautology,
-    table_over,
-    truth_table,
     xframe,
 )
+from illation.notations import Notation, parse
+from illation.truth import eval2, find_counterexample, is_tautology, table_over, truth_table
 
 from helpers import (
     EXPECTED_VECTORS,
@@ -301,6 +297,32 @@ def test_indirect_picks_the_least_open_branch_above_the_table_limit():
         assert result == ref_indirect(f), f
         falsified += isinstance(result, Falsified)
     assert falsified > 20
+
+
+def test_each_counterexample_names_the_free_variables_in_order():
+    """`taut` prints a counterexample in its dict's order, so each one that
+    `find_counterexample` and `indirect_falsify` return has exactly the
+    formula's free variables as its keys, in `free_vars` order: from the row
+    scan up to 16 variables, and from the tableau's completion above."""
+    rng = random.Random(431)
+    names = list("abcdefghijklmnopqrst")
+    checked = {False: 0, True: 0}  # counterexamples, by whether above the table limit
+    unsorted = 0
+    for i in range(240):
+        rng.shuffle(names)
+        if i % 4:
+            f = random_formula(rng, rng.randrange(2, 8), names[: rng.randrange(1, 17)],
+                               with_conn16=True)
+        else:  # over 18 or more variables, false where a clause and the rest are
+            f = Sum(conjunction(clauses(names[:18])), random_formula(rng, 4, names))
+        order = list(free_vars(f))
+        answers = (find_counterexample(f), getattr(indirect_falsify(f), "counterexample", None))
+        for answer in filter(None, answers):
+            assert list(answer) == order, f
+            checked[len(order) > errors.MAX_TABLE_VARS] += 1
+            unsorted += order != sorted(order)
+    assert checked[False] > 250 and checked[True] > 100
+    assert unsorted > 200  # most of these orders are not alphabetical
 
 
 def test_connective_vectors_match_frozen_table():
