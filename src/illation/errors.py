@@ -4,7 +4,7 @@
 MAX_TABLE_VARS = 16
 # Variables of a trivalent table: 3^10 rows is the ceiling for a printable table.
 MAX_TRI_VARS = 10
-# Rows a row scan reads, 2^26: ~2 s for a 40-leaf tautology on a 2-vCPU host.
+# Rows a row scan reads, 2^26: ~0.3 s for a 40-leaf tautology on a 2-vCPU host.
 MAX_SCAN_BITS = 26
 # Atom occurrences an expansion has, a search reads or Conn16 printing adds: 2^16 take ~0.6 s.
 MAX_EXPANSION_LEAVES = 1 << 16

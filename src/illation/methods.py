@@ -208,15 +208,19 @@ def anf(formula: PropFormula) -> AnfPoly:
 
     Row r's v variables are those whose bit is clear in r, so step i xors
     into each row where variable i is v its partner where it is f; bit r is
-    then the coefficient of the product of row r's v variables."""
+    then the coefficient of the product of row r's v variables, and the set
+    bits are found by `str.find` over the coefficients' text."""
     table = truth_table(formula)
     names, coeff = table.variables, table.mask
     n = len(names)
     for i, v_rows in enumerate(row_masks(n)):
         coeff ^= coeff >> (1 << (n - 1 - i)) & v_rows
+    bits, rows = row_bits(coeff, 1 << n), [-1]
+    while (r := bits.find("1", rows[-1] + 1)) >= 0:
+        rows.append(r)
     monomials = sorted(
         (tuple(sorted(name for i, name in enumerate(names) if not r >> (n - 1 - i) & 1))
-         for r, bit in enumerate(row_bits(coeff, 1 << n)) if bit == "1"),
+         for r in rows[1:]),
         key=lambda m: (len(m), m),
     )
     return AnfPoly(tuple(monomials))

@@ -64,8 +64,8 @@ class UnsupportedConnectiveError(ValueError):
         self.node = node
 
 
-# The letter of each row from its (>= L, = V) bits.
-_LETTERS = {("1", "1"): "V", ("1", "0"): "L", ("0", "0"): "F"}
+# The letter of each row from the byte 2 * (>= L) + (= V) of its '0'/'1' bits.
+_LETTERS = bytes.maketrans(b"\x90\x92\x93", b"FLV")
 
 
 class TriTable(metaclass=record):
@@ -85,11 +85,14 @@ class TriTable(metaclass=record):
         return tuple(zip(cells, self.values()))
 
     def _letters(self, start: int, size: int) -> str:
-        """'V'/'L'/'F' for the `size` rows from row `start`."""
+        """'V'/'L'/'F' for the `size` rows from row `start`.  Each plane's
+        `row_bits`, read as a big-endian int, has a byte per row, so one sum
+        makes every row's byte (no byte carries); a V row that is not at
+        least L makes a non-ASCII byte, which fails to decode."""
         rows = (1 << size) - 1
-        at_least_l = row_bits(self.not_f >> start & rows, size)
-        v = row_bits(self.is_v >> start & rows, size)
-        return "".join(map(_LETTERS.__getitem__, zip(at_least_l, v)))
+        at_least_l, v = (int.from_bytes(row_bits(plane >> start & rows, size).encode(), "big")
+                         for plane in (self.not_f, self.is_v))
+        return (2 * at_least_l + v).to_bytes(size, "big").translate(_LETTERS).decode("ascii")
 
     def values(self) -> tuple[TriValue, ...]:
         return tuple(map(TriValue, self._letters(0, 3 ** len(self.variables))))

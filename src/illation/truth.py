@@ -36,8 +36,8 @@ from .formulas import (
     free_vars,
 )
 
-# Counterexample and difference searches scan rows in blocks of 2^BLOCK_BITS,
-# so a formula falsified early costs one block rather than the whole table.
+# A row scan's first block has 2^BLOCK_BITS rows, so a formula falsified early
+# costs one small block; each later block doubles up to a whole table's rows.
 BLOCK_BITS = 10
 
 
@@ -77,6 +77,13 @@ def row_masks(count: int) -> list[int]:
     return [_tile((1 << (1 << k)) - 1, 2 << k, 1 << count) for k in reversed(range(count))]
 
 
+# A chain of sides each the last of its node, as in a | (b & ~(c > d)), folds
+# into one entry (_FOLD, x, c) below its last side, so a deep chain holds two
+# masks, not one per level: its value is x off the c rows, and on them the
+# last side's value, flipped where x is set.
+_FOLD = object()
+
+
 def _eval_masks(formula, env: Mapping, full: int, domain: Optional[int] = None) -> int:
     """The formula on every row at once: `env` maps each variable to its row
     mask and `full` is the mask of all rows.
@@ -103,6 +110,8 @@ def _eval_masks(formula, env: Mapping, full: int, domain: Optional[int] = None) 
             if f.name not in env:
                 raise MissingVariableError(f.name)
             values.append(env[f.name])
+        elif f is _FOLD:  # (_FOLD, x, c): the chain's last side is done
+            values[-1] = care ^ (values[-1] & done)
         elif cls is Const:
             values.append(full if f.value else 0)
         elif cls not in kinds:
@@ -120,29 +129,34 @@ def _eval_masks(formula, env: Mapping, full: int, domain: Optional[int] = None) 
                 continue
             binds[f.var] = done
             todo += ((f, care, done + 1), (f.body, care, 0))
-        elif done == 0:
-            todo += ((f, care, 1), (SUBFORMULAS[cls](f)[0], care, 0))
-        elif cls is Neg:
+        elif cls is Neg and done:
             values[-1] ^= full
-        elif done == 1:
-            if cls is Claw:  # a -< b is the sum of not-a and b
-                values[-1] ^= full
-            if cls is not Conn16:
-                # the second side counts only where the first does not decide
-                care &= values[-1] if cls is Prod else full ^ values[-1]
+        elif done == 0 and not (cls is Neg and todo and todo[-1][0] is _FOLD):
+            todo += ((f, care, 1), (SUBFORMULAS[cls](f)[0], care, 0))
+        else:  # all but the last side are done: fold f into the chain it ends
+            _, x, c = todo.pop() if todo and todo[-1][0] is _FOLD else (_FOLD, 0, care)
+            if cls is Neg:
+                x ^= c
+            elif cls is Conn16:  # both sides count on every row it reaches
+                vv, vf, fv, ff = CONNECTIVE_VECTORS[f.index]
+                on_v = c & values.pop()
+                for rows, right_v, right_f in ((on_v, vv, vf), (c ^ on_v, fv, ff)):
+                    x ^= rows if right_f else 0  # v, or the right side's negation, on these rows
+                    c ^= rows if right_v == right_f else 0  # decided on these rows
+            else:  # the right side counts only where the left does not decide
+                left, same = values.pop(), c is care
+                if cls is Claw:  # a -< b is the sum of not-a and b
+                    left ^= full
+                if cls is Prod:  # f where the left is f
+                    c &= left
+                else:  # v where the left is v
+                    decided = c & left
+                    x, c = x ^ decided, c ^ decided
+                care = c if same else care & (left if cls is Prod else full ^ left)
                 if not care:
-                    values[-1] = 0 if cls is Prod else full
+                    values.append(x)
                     continue
-            todo += ((f, care, 2), (SUBFORMULAS[cls](f)[1], care, 0))
-        else:
-            right, left = values.pop(), values.pop()
-            if cls is Conn16:  # the union of the disjoint quadrants where it is v
-                quadrants = (left & right, left & (full ^ right), right & (full ^ left),
-                             full ^ (left | right))
-                truths = CONNECTIVE_VECTORS[f.index]
-                values.append(sum(q for q, true in zip(quadrants, truths) if true))
-            else:  # a product, or a sum: a claw is one by now
-                values.append(left & right if cls is Prod else left | right)
+            todo += ((_FOLD, x, c), (SUBFORMULAS[cls](f)[-1], care, 0))
     return values[0]
 
 
@@ -160,22 +174,26 @@ def _first_row(names: tuple, hits: Callable[[dict, int], int]) -> Optional[dict]
     """Assignment of the first row (canonical order) set in `hits(env, full)`
     over `names`, variables or the cells of a model search.
 
-    Rows go in blocks of 2^BLOCK_BITS: the fastest-varying variables are row
-    masks within a block and the others are constant across it, so the scan
-    stops at the first block with a hit, and needs no table limit: past
+    Rows go in blocks: the fastest-varying variables are row masks within a
+    block and the others are constant across it, so the scan stops at the
+    first block with a hit.  The first block has 2^BLOCK_BITS rows and each
+    later one as many as all before it, up to 2^MAX_TABLE_VARS (doubling
+    search, Bentley and Yao 1976).  It needs no table limit: past
     2^MAX_SCAN_BITS rows with no hit it raises LimitExceededError.
     """
-    low = min(len(names), BLOCK_BITS)
-    high = len(names) - low
-    full = (1 << (1 << low)) - 1
-    env = dict(zip(names[high:], row_masks(low)))
-    for block in range(1 << min(high, errors.MAX_SCAN_BITS - low)):
+    count, start, low, masks = len(names), 0, min(len(names), BLOCK_BITS), []
+    while start < 1 << min(count, errors.MAX_SCAN_BITS):
+        high = count - low
+        full = (1 << (1 << low)) - 1
+        masks = masks if len(masks) == low else row_masks(low)
+        env = dict(zip(names[high:], masks))
         for i, name in enumerate(names[:high]):
-            env[name] = 0 if block >> (high - 1 - i) & 1 else full
+            env[name] = 0 if start >> (count - 1 - i) & 1 else full
         found = hits(env, full)
         if found:
-            row = (block << low) + (found & -found).bit_length() - 1
-            return _row_assignment(names, row)
+            return _row_assignment(names, start + (found & -found).bit_length() - 1)
+        start += 1 << low
+        low = min(start.bit_length() - 1, errors.MAX_TABLE_VARS)
     if len(names) > errors.MAX_SCAN_BITS:
         raise LimitExceededError(
             f"row scan stopped after clearing {1 << errors.MAX_SCAN_BITS:,} of the "

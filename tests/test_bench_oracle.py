@@ -197,3 +197,13 @@ def three_valued(rng, names, size):
     left = rng.randint(1, max(1, size - 2))
     return (rng.choice(("and", "or")), three_valued(rng, names, left),
             three_valued(rng, names, size - 1 - left))
+
+
+def test_a_dense_anf_matches_the_oracle():
+    """`a_1 | ... | a_16` has every nonempty product as a monomial: 65,535."""
+    f = ("var", "a_1")
+    for i in range(2, 17):
+        f = ("or", f, ("var", f"a_{i}"))
+    code, out, err = run("anf", "-", stdin=O.render(f, "peano-russell"))
+    assert (code, out, err) == (0, O.anf_text(f) + "\n", "")
+    assert out.count(" + ") == 2**16 - 2

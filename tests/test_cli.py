@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -336,6 +337,13 @@ FORTY_NESTED_E = "E" * 40 + "".join(chr(ord("a") + i % 26) for i in range(41))
 HERBRAND_35_CELLS = "(Sum i . (((Sum o . (t(i,o,i) > q(o))) > s(i,i,i)) > s(i,i,i)))"
 # A tautology over 40 variables that no row scan of 2^26 rows decides.
 FORTY_VARIABLE_TAUTOLOGY = "a | ~a | " + " | ".join(f"b_{i}" for i in range(1, 40))
+# The same, with 400 seeded products of 5 literals over its 40 variables after
+# `a | ~a`: ~2,000 leaves, and each block of the scan walks the formula.
+_FORTY = random.Random(40)
+FORTY_VARIABLES_400_PRODUCTS = "a | ~a | " + " | ".join(
+    " & ".join(_FORTY.choice(("", "~")) + name
+               for name in _FORTY.sample(["a"] + [f"b_{i}" for i in range(1, 40)], 5))
+    for _ in range(400))
 
 
 # Each limit is checked before its enumeration starts, or in the row scans
@@ -359,10 +367,12 @@ FORTY_VARIABLE_TAUTOLOGY = "a | ~a | " + " | ".join(f"b_{i}" for i in range(1, 4
      None, 3),
     (["scan", "--herbrand", "--max-size", "5", HERBRAND_35_CELLS], None, 3),
     (["taut", FORTY_VARIABLE_TAUTOLOGY], None, 3),
+    (["taut", FORTY_VARIABLES_400_PRODUCTS], None, 3),
 ], ids=["expand-domain-1e9", "sat-domain-1e9", "herbrand-max-size-1e9", "scan-max-size-0",
         "herbrand-max-size-0", "axioms-13-elements", "pair-check-5-atoms", "table-17-variables",
         "expand-16-to-the-6-leaves", "sat-16-to-the-6-leaves", "peirce-40-nested-E",
-        "frege-svg-40-nested-E", "herbrand-35-cells", "taut-40-variables"])
+        "frege-svg-40-nested-E", "herbrand-35-cells", "taut-40-variables",
+        "taut-40-variables-400-products"])
 def test_limits_fail_before_enumeration(argv, stdin, code):
     done = subprocess.run(CMD + argv, input=stdin, capture_output=True, text=True, timeout=20,
                           preexec_fn=_address_space_cap)

@@ -2,8 +2,14 @@
 
 Every fast path is checked row by row against tests/helpers.ref_eval or
 ref_tri_eval.  The wide cases have 11-13 variables, so they cross the
-2^BLOCK_BITS-row blocks the counterexample search scans in.  On relational
-formulas the engine is checked against itself on the formula's expansion.
+blocks the counterexample search scans in: the first of 2^BLOCK_BITS rows,
+then each as large as all before it, up to 2^MAX_TABLE_VARS.  The engine is
+checked on each row of each block a scan walks, over 12, 14 and (with the
+budget cut) 18 variables.  Chains of last sides, as a | (b & ~(c > d)),
+which the engine folds into one stack entry, are checked on every row,
+and for where a missing variable raises.  On relational formulas the
+engine is checked against itself on the formula's expansion, on the
+blocks the model search walks.
 """
 
 import itertools
@@ -17,8 +23,8 @@ from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var, free_var
 from illation.methods import anf, semantic_difference
 from illation.quantifiers import atom_name, expand, herbrand_scan
 from illation.relsyntax import parse_relational
-from illation.trivalent import L, F, V, tri_table
-from illation.truth import BLOCK_BITS, find_counterexample, row_masks, table_over
+from illation.trivalent import L, F, V, TriTable, tri_table
+from illation.truth import BLOCK_BITS, find_counterexample, table_over
 
 from helpers import (
     all_envs, interpretation_cells, random_closed_formula, random_formula, ref_eval, ref_tri_eval,
@@ -130,6 +136,25 @@ def test_tri_table_matches_tri_eval_on_every_row():
             assert table.not_f >> 3 ** len(order) == 0 and table.is_v & ~table.not_f == 0
 
 
+def test_tri_letters_match_each_row_at_every_block_boundary():
+    """`_letters` against the letter read off the planes row by row, on
+    windows that start, end on or cross each boundary of the 729-row blocks
+    `tsv_blocks` takes from a 7-variable table."""
+    rng = random.Random(1910)
+    table = tri_table(_strip_to_tri(wide_formula(rng, NAMES[:7], extra=0)))
+    total = 3**7
+    want = "".join("V" if table.is_v >> r & 1 else "L" if table.not_f >> r & 1 else "F"
+                   for r in range(total))
+    assert set(want) == {"V", "L", "F"}
+    for edge in range(0, total + 1, 3**6):
+        for start in (edge - 1, edge, edge + 1):
+            for size in (1, 2, 3**6 - 1, 3**6, 3**6 + 1):
+                if 0 <= start <= total - size:
+                    assert table._letters(start, size) == want[start:start + size]
+    with pytest.raises(ValueError):  # row 2 is V but not at least L; tri_table makes no such row
+        TriTable(("a",), 0b011, 0b101)._letters(0, 3)
+
+
 def _strip_to_tri(f):
     """The same tree with every claw and Conn16 node made a Sum or Prod."""
     if isinstance(f, Var):
@@ -142,21 +167,37 @@ def _strip_to_tri(f):
     return shape(_strip_to_tri(f.left), _strip_to_tri(f.right))
 
 
+def random_chain(rng, names, links):
+    """A chain of `links` last sides, as a | (b & ~(c > d)): each link a
+    negation, or a product, sum, claw or any of the 16 columns with a small
+    random left side."""
+    f = Var(rng.choice(names))
+    for _ in range(links):
+        kind = rng.choice(["neg", "claw", "prod", "sum", "conn"])
+        if kind == "neg":
+            f = Neg(f)
+            continue
+        left = random_formula(rng, 3, names, with_conn16=True)
+        shape = {"claw": Claw, "prod": Prod, "sum": Sum}.get(kind)
+        f = shape(left, f) if shape else Conn16(rng.randrange(1, 17), left, f)
+    return f
+
+
 def test_missing_variable_raises_exactly_when_some_row_does():
+    """Random formulas, and chains of 40 last sides, which the engine folds
+    into one stack entry, over a and b and a missing variable: the table
+    raises when some row's evaluation does, else matches ref_eval."""
     rng = random.Random(547)
-    for _ in range(300):
-        f = random_formula(rng, 5, "abcd", with_conn16=True)
-        raised = False
-        for env in all_envs("ab"):
-            try:
-                ref_eval(f, env)
-            except KeyError:
-                raised = True
-        if raised:
+    formulas = [random_formula(rng, 5, "abcd", with_conn16=True) for _ in range(300)]
+    formulas += [random_chain(rng, "aabbx", 40) for _ in range(300)]
+    for f in formulas:
+        try:
+            want = tuple(ref_eval(f, env) for env in all_envs("ab"))
+        except KeyError:
             with pytest.raises(MissingVariableError):
                 table_over(f, ["a", "b"])
         else:
-            table_over(f, ["a", "b"])
+            assert table_over(f, ["a", "b"]).values() == want
     # the right side of a product is skipped wherever the left is false
     assert table_over(Prod(Var("a"), Prod(Neg(Var("a")), Var("x"))), ["a"]).values() == (False, False)
 
@@ -176,6 +217,9 @@ def _chain(shape, names):
 
 SIXTEEN = NAMES + "nop"
 EIGHTEEN = SIXTEEN + "qr"
+# The rows of each block a whole scan over 16 variables walks: the first
+# block, then each as large as all before it (7 walks of the formula).
+DOUBLING_16 = [2**10] + [2**k for k in range(10, 16)]
 
 
 def _count_block_evaluations(monkeypatch):
@@ -199,7 +243,7 @@ def test_counterexample_search_stops_at_the_first_block(monkeypatch):
 def test_counterexample_search_scans_every_block_for_the_last_row(monkeypatch):
     calls = _count_block_evaluations(monkeypatch)
     assert find_counterexample(_chain(Sum, SIXTEEN)) == dict.fromkeys(SIXTEEN, False)
-    assert calls == [2**BLOCK_BITS] * 2 ** (16 - BLOCK_BITS)
+    assert calls == DOUBLING_16
 
 
 def test_no_variable_cap_on_counterexample_search():
@@ -219,24 +263,70 @@ def test_herbrand_scan_follows_the_atom_budget_past_sixteen(monkeypatch):
         herbrand_scan(some_p, 18)
 
 
+def scan_blocks(names, blocks):
+    """A whole row scan over `names`, its test finding no row: the (env,
+    full) of each block it walks is appended to `blocks`, in order."""
+    return truth._first_row(tuple(names), lambda env, full: blocks.append((dict(env), full)) or 0)
+
+
+def block_rows(env, full):
+    """Each row of a block as an assignment, read off the bits of `env`."""
+    return [{name: bool(mask >> j & 1) for name, mask in env.items()}
+            for j in range(full.bit_length())]
+
+
+def assert_blocks_match_ref_eval(f, blocks):
+    for env, full in blocks:
+        bits = truth._eval_masks(f, env, full)
+        assert [bool(bits >> j & 1) for j in range(full.bit_length())] == [
+            ref_eval(f, row) for row in block_rows(env, full)]
+
+
+def test_masks_match_ref_eval_on_every_block_of_a_scan(monkeypatch):
+    """The scan's blocks cover every row once, in canonical order, and the
+    engine agrees with ref_eval on each row of each block, past 1,024 rows
+    too.  A scan past 16 variables, its budget cut to 2^13 rows and its
+    blocks to 2^11, walks 2^10, 2^10 and three 2^11 rows, then names the
+    rows it cleared as before."""
+    rng = random.Random(1897)
+    for names, count in ((NAMES[:12], 3), (SIXTEEN[:14], 1)):
+        blocks = []
+        assert scan_blocks(names, blocks) is None
+        assert [full.bit_length() for _, full in blocks] == [2**10] + [
+            2**k for k in range(10, len(names))]
+        assert [row for block in blocks for row in block_rows(*block)] == list(all_envs(names))
+        for _ in range(count):
+            assert_blocks_match_ref_eval(wide_formula(rng, names, extra=2), blocks)
+    monkeypatch.setattr(errors, "MAX_SCAN_BITS", 13)
+    monkeypatch.setattr(errors, "MAX_TABLE_VARS", 11)
+    blocks = []
+    with pytest.raises(LimitExceededError, match=(
+            r"^row scan stopped after clearing 8,192 of the 2\^18 rows over 18 variables$")):
+        scan_blocks(EIGHTEEN, blocks)
+    assert [full.bit_length() for _, full in blocks] == [2**10, 2**10, 2**11, 2**11, 2**11]
+    assert [row for block in blocks for row in block_rows(*block)] == list(
+        itertools.islice(all_envs(EIGHTEEN), 2**13))
+    assert_blocks_match_ref_eval(wide_formula(rng, EIGHTEEN, extra=2), blocks)
+
+
 def test_relational_masks_match_the_expansion_on_every_block():
     """Pi and Sigma folded by the engine against the expansion they fold to,
-    on each block of rows the model search would scan (up to 12 cells at
-    n = 3, so up to 4 blocks)."""
+    on each block of rows the model search scans: up to 12 cells at n = 3,
+    so blocks of 2^10, 2^10 and 2^11 rows, and up to 16 at n = 4, so blocks
+    up to 2^15 rows."""
     rng = random.Random(1883)
-    for n, count in ((1, 40), (2, 40), (3, 12)):
+    largest = 0
+    for n, count, signature in ((1, 40, {"p": 1, "l": 2}), (2, 40, {"p": 1, "l": 2}),
+                                (3, 12, {"p": 1, "l": 2}), (4, 6, {"l": 2})):
         for _ in range(count):
-            f = random_closed_formula(rng, 5, {"p": 1, "l": 2})
+            f = random_closed_formula(rng, 5, signature)
             expansion = expand(f, n)
-            cells = interpretation_cells(f, n)
-            low = min(len(cells), BLOCK_BITS)
-            high = len(cells) - low
-            full = (1 << (1 << low)) - 1
-            env = dict(zip(cells[high:], row_masks(low)))
-            for block in range(1 << high):
-                for i, cell in enumerate(cells[:high]):
-                    env[cell] = full if block >> i & 1 else 0
+            blocks = []
+            scan_blocks(interpretation_cells(f, n), blocks)
+            for env, full in blocks:
                 atoms = {atom_name(*cell): mask for cell, mask in env.items()}
                 assert truth._eval_masks(f, env, full, n) == truth._eval_masks(
                     expansion, atoms, full
-                ), (f, n, block)
+                ), (f, n, full.bit_length())
+                largest = max(largest, full.bit_length())
+    assert largest == 2**15

@@ -11,15 +11,26 @@ The algebraic reader lexes a slice of the text at a time; a list of every
 token string of the whole text peaked at 78-90 bytes per node.  A slice also
 ends after an operator, so a flat chain with no whitespace or bracket is not
 lexed whole: cut only after those, `a|b|c|...` peaked at 72 bytes per node.
+The counterexample scan's blocks grow to 2^15 rows over 16 variables, and a
+chain of last sides, as in a | (b & ~(c > d)), holds two row masks however
+long it is: on the four right-nested tautologies over 16 variables below,
+the scan peaks at 0.1 MB.  Over blocks of 2^10 rows alone, each binary
+node holding its left side's mask and the mask of the rows its right side
+is reached on, they peaked at 2.2, 1.6, 3.9 and 0.5 MB; with the blocks
+grown but a mask still held per level, at 0.9, 1.6, 42.8 and 8.5 MB.
 """
 
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 
-from illation.formulas import PROPOSITIONAL, walk
+from illation.formulas import (
+    EQUIVALENCE_INDEX, PROPOSITIONAL, Claw, Conn16, Neg, Prod, Sum, Var, walk,
+)
 from illation.notations import Notation, parse, print_formula
+from illation.truth import find_counterexample
 
 LEAVES = 20_000
 
@@ -91,3 +102,40 @@ def test_a_flat_chain_is_lexed_a_slice_at_a_time():
     nodes = len({id(h) for h in walk(g, PROPOSITIONAL)})  # 16 shared leaves
     assert nodes == 100_000 + 15
     assert parse_peak / nodes <= 52, parse_peak / nodes
+
+
+def right_nested(shape, parts):
+    acc = parts[-1]
+    for part in reversed(parts[:-1]):
+        acc = shape(part, acc)
+    return acc
+
+
+SIXTEEN = [Var(chr(ord("a") + i)) for i in range(16)]
+A, O, P = SIXTEEN[0], SIXTEEN[14], SIXTEEN[15]
+DEEP = {  # each a tautology read down to its last term on some rows of the scan
+    "sum": right_nested(Sum, [SIXTEEN[i % 16] for i in range(9_999)] + [Neg(A)]),
+    "claw": right_nested(Claw, [SIXTEEN[i % 16] for i in range(9_999)] + [A]),
+    # the left sides are masks made on rows the scan does not decide
+    "sum-of-products": right_nested(
+        Sum, [Prod(x, Neg(x)) for x in SIXTEEN] + [Prod(O, P)] * 10_000 + [Sum(Neg(A), A)]),
+    "equivalences": right_nested(
+        partial(Conn16, EQUIVALENCE_INDEX),
+        [x for x in SIXTEEN for _ in "xx"] + [Prod(O, P)] * 2_000 + [Sum(Neg(A), A)]),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_a_deep_scan_holds_no_mask_per_level(name):
+    """`x_1 | (x_2 | ... | ~a)` and `x_1 > (x_2 > ... > a)`, the x cycling
+    through 16 variables; 16 contradictions `x & ~x`, 10^4 copies of
+    `o & p`, then `~a | a`, in a right-nested sum; and the 16 variables,
+    each twice, then 2,000 copies of `o & p`, in a right-nested chain of
+    equivalences that ends in `~a | a`."""
+    tracemalloc.start()
+    try:
+        assert find_counterexample(DEEP[name]) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20, peak

@@ -25,7 +25,7 @@ from helpers import (
     RClaw, RNeg, RProd, RSum, interpretation_cells, random_closed_formula,
     ref_expand, ref_herbrand_scan, ref_sat_search,
 )
-from test_engine import _count_block_evaluations
+from test_engine import DOUBLING_16, _count_block_evaluations
 
 # More than ten cells, each first model past the first 2^BLOCK_BITS structures.
 LATE_MODELS = [
@@ -143,10 +143,10 @@ def test_last_structure_and_no_model_scan_every_block(monkeypatch):
     calls = _count_block_evaluations(monkeypatch)
     every = sat_search(parse_relational("Pi i . Pi j . l(i,j)"), 4)
     assert every.predicates["l"][1] == frozenset((i, j) for i in range(4) for j in range(4))
-    assert calls == [2**BLOCK_BITS] * 2 ** (16 - BLOCK_BITS) + [1]
+    assert calls == DOUBLING_16 + [1]  # the blocks, then eval_in's check of the model
     calls.clear()
     assert sat_search(parse_relational("Sum i . Sum j . l(i,j) & ~l(i,j)"), 4) is None
-    assert calls == [2**BLOCK_BITS] * 2 ** (16 - BLOCK_BITS)
+    assert calls == DOUBLING_16
 
 
 def test_cell_limit_message_is_unchanged(monkeypatch):
