@@ -106,6 +106,11 @@ CONNECTIVE_VECTORS: dict[int, tuple[bool, bool, bool, bool]] = {
     16: (True, True, True, True),
 }
 
+# For the claw, product and sum: the value of each side that alone decides
+# the node's value, which is then the second side's (a claw is v once its
+# antecedent is f or its consequent v).
+_DECIDING = {Claw: (False, True), Prod: (False, False), Sum: (True, True)}
+
 # The claw's own vector (v,f,v,v) sits in column 13; plain equivalence
 # (v,f,f,v) in column 8.
 CLAW_INDEX = 13

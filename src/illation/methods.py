@@ -18,14 +18,12 @@ from .errors import LimitExceededError
 from .formulas import (
     EQUIVALENCE_INDEX,
     SUBFORMULAS,
-    Claw,
     Conn16,
     Const,
     Neg,
-    Prod,
     PropFormula,
-    Sum,
     Var,
+    _DECIDING,
     _rows,
     connective_vector,
     free_vars,
@@ -54,12 +52,6 @@ class Tautology(metaclass=record):
 
 class Falsified(metaclass=record):
     counterexample: dict[str, bool]
-
-
-# For the claw, product and sum: the value of each side that alone decides
-# the node's value, which is then the second side's (a claw is v once its
-# antecedent is f or its consequent v).
-_DECIDING = {Claw: (False, True), Prod: (False, False), Sum: (True, True)}
 
 
 def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
@@ -258,7 +250,9 @@ def congruence_check(
     """Check Boole's rule: from s = t derive context(s) = context(t).
 
     The plugged contexts hold every variable of s and t, so their tables,
-    over the merged variables, check the table limit before either scan."""
+    over the merged variables, check the table limit before the operands'
+    scan.  The contexts' witness is the first row where the two tables
+    differ: the row `semantic_difference` of the contexts would find."""
     if hole not in free_vars(context):
         raise ValueError(f"hole {hole!r} does not occur in the context")
     plugged_s = substitute(context, hole, s)
@@ -267,7 +261,9 @@ def congruence_check(
     plugged_s_table = table_over(plugged_s, shared)
     plugged_t_table = table_over(plugged_t, shared)
     operands_witness = semantic_difference(s, t)
-    contexts_witness = semantic_difference(plugged_s, plugged_t)
+    differ = plugged_s_table.mask ^ plugged_t_table.mask
+    first = (differ & -differ).bit_length() - 1
+    contexts_witness = plugged_s_table.assignment(first) if differ else None
     return CongruenceReport(
         operands_equal=operands_witness is None,
         operands_witness=operands_witness,

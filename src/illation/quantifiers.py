@@ -4,9 +4,10 @@ Sigma and Pi are sums and products in earnest: over a domain of size n,
 Sigma_i b(i) expands to b(0) + ... + b(n-1) and Pi_i b(i) to the product,
 folded left in index order.  Expansion atoms become propositional variables
 named predicate_e1_..._ek (so l(1,0) at domain elements 1,0 is l_1_0).  The
-row engine (truth._eval_masks) folds the quantifiers the same way without
-expanding, for Tarskian evaluation in a finite structure (its one-row case)
-and the first-witness satisfiability search (a block of structures a pass).
+row engine (truth._eval_masks) folds a quantifier as the chain of products
+or sums it expands to, without expanding, for Tarskian evaluation in a
+finite structure (its one-row case) and the first-witness satisfiability
+search (a block of structures a pass).
 
 Also here: the duplicate-an-element model extension (the finite
 Loewenheim-Skolem-Tarski step upward), a Herbrand-flavored validity scan,
@@ -172,9 +173,10 @@ def eval_in(formula: RelFormula, s: Structure) -> bool:
     """Tarskian truth of a closed formula in a finite structure.
 
     The one-row case of the row engine: the cell of each true tuple is the
-    one-row mask 1 and every other cell 0, and Pi and Sigma fold their body
-    over the domain as a product and a sum, with the short-circuit of each.
-    The work is the true tuples plus the atoms read, not the cells.
+    one-row mask 1 and every other cell 0, and Pi and Sigma are chains of
+    products and sums of their body over the domain, each link with the
+    short-circuit of a product or a sum.  The work is the true tuples plus
+    the atoms read, not the cells.
     """
     ensure_closed(formula)
     for name, arity in predicate_signature(formula).items():

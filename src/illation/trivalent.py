@@ -15,7 +15,7 @@ from typing import Iterator
 
 from . import errors
 from ._record import record
-from .formulas import PROPOSITIONAL, Neg, Prod, PropFormula, Sum, Var, free_vars, walk
+from .formulas import PROPOSITIONAL, Neg, Prod, PropFormula, Sum, Var, walk
 from .truth import _tile, render_tsv, row_bits
 
 
@@ -111,7 +111,7 @@ def tri_table(formula: PropFormula) -> TriTable:
     for f in nodes:  # unsupported nodes before the limit, the first in preorder
         if type(f) not in (Var, Neg, Sum, Prod):
             raise UnsupportedConnectiveError(f)
-    names = tuple(free_vars(formula))
+    names = tuple(dict.fromkeys(f.name for f in nodes if type(f) is Var))
     if len(names) > errors.MAX_TRI_VARS:
         raise errors.LimitExceededError(
             f"{len(names)} variables exceed the {errors.MAX_TRI_VARS}-variable trivalent limit"

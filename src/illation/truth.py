@@ -24,7 +24,6 @@ from .formulas import (
     PROPOSITIONAL,
     RELATIONAL,
     SUBFORMULAS,
-    Claw,
     Conn16,
     Const,
     Neg,
@@ -32,7 +31,9 @@ from .formulas import (
     PropFormula,
     Quant,
     RAtom,
+    Sum,
     Var,
+    _DECIDING,
     free_vars,
 )
 
@@ -89,9 +90,15 @@ def _eval_masks(formula, env: Mapping, full: int, domain: Optional[int] = None) 
     mask and `full` is the mask of all rows.
 
     Given a `domain` size the formula is relational and closed: `env` maps
-    each cell (predicate, elements) to its row mask, and Pi and Sigma fold
-    their body over the elements as Prod and Sum fold two sides.  No index is
-    bound twice on a path, so one dict of bindings serves every atom.
+    each cell (predicate, elements) to its row mask, and Pi and Sigma are
+    chains of products and sums of their body over the elements, element
+    n-1 the last side.  No index is bound twice on a path, so one dict of
+    bindings serves every atom.
+
+    Every node folds into the chain its last side ends, so one value is live
+    at a time: a side's value is read as soon as its parent's entry pops.
+    A claw, product or sum, or a Pi or Sigma step, reads from
+    `formulas._DECIDING` the rows where its left side decides it.
 
     `care` is the mask of the rows on which a left-to-right, short-circuit
     evaluation of one row reaches a node.  A side that it skips on every
@@ -101,7 +108,6 @@ def _eval_masks(formula, env: Mapping, full: int, domain: Optional[int] = None) 
     """
     kinds = PROPOSITIONAL if domain is None else RELATIONAL
     binds: dict[str, int] = {}  # each index to its quantifier's current element
-    values: list[int] = []
     todo = [(formula, full, 0)]  # (node, care, how many sides are done)
     while todo:
         f, care, done = todo.pop()
@@ -109,29 +115,16 @@ def _eval_masks(formula, env: Mapping, full: int, domain: Optional[int] = None) 
         if cls is Var:
             if f.name not in env:
                 raise MissingVariableError(f.name)
-            values.append(env[f.name])
+            value = env[f.name]
         elif f is _FOLD:  # (_FOLD, x, c): the chain's last side is done
-            values[-1] = care ^ (values[-1] & done)
+            value = care ^ (value & done)
         elif cls is Const:
-            values.append(full if f.value else 0)
+            value = full if f.value else 0
         elif cls not in kinds:
             raise TypeError(f"not a {'relational' if domain else 'propositional'} formula: {f!r}")
         elif cls is RAtom:
-            values.append(env[f.predicate, tuple(map(binds.__getitem__, f.indices))])
-        elif cls is Quant:  # a left fold over the elements: Pi of products, Sigma of sums
-            pi = f.kind == PI
-            if done > 1:
-                side = values.pop()
-                values[-1] = values[-1] & side if pi else values[-1] | side
-            if done:  # the next side counts only where the fold so far does not decide
-                care &= values[-1] if pi else full ^ values[-1]
-            if done == domain or not care:  # all folded, or decided on every row it reaches
-                continue
-            binds[f.var] = done
-            todo += ((f, care, done + 1), (f.body, care, 0))
-        elif cls is Neg and done:
-            values[-1] ^= full
-        elif done == 0 and not (cls is Neg and todo and todo[-1][0] is _FOLD):
+            value = env[f.predicate, tuple(map(binds.__getitem__, f.indices))]
+        elif done == 0 and cls is not Neg and cls is not Quant:
             todo += ((f, care, 1), (SUBFORMULAS[cls](f)[0], care, 0))
         else:  # all but the last side are done: fold f into the chain it ends
             _, x, c = todo.pop() if todo and todo[-1][0] is _FOLD else (_FOLD, 0, care)
@@ -139,25 +132,27 @@ def _eval_masks(formula, env: Mapping, full: int, domain: Optional[int] = None) 
                 x ^= c
             elif cls is Conn16:  # both sides count on every row it reaches
                 vv, vf, fv, ff = CONNECTIVE_VECTORS[f.index]
-                on_v = c & values.pop()
+                on_v = c & value
                 for rows, right_v, right_f in ((on_v, vv, vf), (c ^ on_v, fv, ff)):
                     x ^= rows if right_f else 0  # v, or the right side's negation, on these rows
                     c ^= rows if right_v == right_f else 0  # decided on these rows
-            else:  # the right side counts only where the left does not decide
-                left, same = values.pop(), c is care
-                if cls is Claw:  # a -< b is the sum of not-a and b
-                    left ^= full
-                if cls is Prod:  # f where the left is f
-                    c &= left
-                else:  # v where the left is v
-                    decided = c & left
-                    x, c = x ^ decided, c ^ decided
-                care = c if same else care & (left if cls is Prod else full ^ left)
+            elif done:  # `value` is the left side's, or the body's at element done - 1
+                on_left, then = _DECIDING[(Prod if f.kind == PI else Sum) if cls is Quant else cls]
+                same, hit = c is care, c & value  # the rows of c where the left side is v
+                if then:  # v on the rows the left side decides
+                    x ^= hit if on_left else c ^ hit
+                c = c ^ hit if on_left else hit
+                care = c if same else care & (full ^ value if on_left else value)
                 if not care:
-                    values.append(x)
+                    value = x
+                    continue
+            if cls is Quant:  # element `done` of the body, then the next unless it is the last
+                binds[f.var] = done
+                if done < domain - 1:
+                    todo += ((_FOLD, x, c), (f, care, done + 1), (f.body, care, 0))
                     continue
             todo += ((_FOLD, x, c), (SUBFORMULAS[cls](f)[-1], care, 0))
-    return values[0]
+    return value
 
 
 def row_bits(mask: int, size: int) -> str:
@@ -309,7 +304,7 @@ def is_tautology(formula: PropFormula) -> bool:
 # --- the names defined in `methods` ---------------------------------------
 
 _METHODS = frozenset({
-    "Tautology", "Falsified", "_DECIDING", "indirect_falsify", "xframe", "AnfPoly", "anf",
+    "Tautology", "Falsified", "indirect_falsify", "xframe", "AnfPoly", "anf",
     "CongruenceReport", "merged_vars", "semantic_difference", "congruence_check",
 })
 

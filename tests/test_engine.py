@@ -9,25 +9,30 @@ budget cut) 18 variables.  Chains of last sides, as a | (b & ~(c > d)),
 which the engine folds into one stack entry, are checked on every row,
 and for where a missing variable raises.  On relational formulas the
 engine is checked against itself on the formula's expansion, on the
-blocks the model search walks.
+blocks the model search walks, and chains with Pi and Sigma among their
+links row by row against ref_eval_in.
 """
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
 from illation import errors, truth
 from illation.errors import LimitExceededError, MissingVariableError
-from illation.formulas import Claw, Conn16, Const, Neg, Prod, Sum, Var, free_vars
+from illation.formulas import (
+    PI, SIGMA, SUBFORMULAS, Claw, Conn16, Const, Neg, Prod, Quant, Sum, Var, free_vars,
+)
 from illation.methods import anf, semantic_difference
-from illation.quantifiers import atom_name, expand, herbrand_scan
+from illation.quantifiers import Structure, atom_name, expand, herbrand_scan
 from illation.relsyntax import parse_relational
 from illation.trivalent import L, F, V, TriTable, tri_table
 from illation.truth import BLOCK_BITS, find_counterexample, table_over
 
 from helpers import (
-    all_envs, interpretation_cells, random_closed_formula, random_formula, ref_eval, ref_tri_eval,
+    all_envs, interpretation_cells, random_closed_formula, random_formula, ref_eval, ref_eval_in,
+    ref_tri_eval,
 )
 
 NAMES = "abcdefghijklm"
@@ -330,3 +335,69 @@ def test_relational_masks_match_the_expansion_on_every_block():
                 ), (f, n, full.bit_length())
                 largest = max(largest, full.bit_length())
     assert largest == 2**15
+
+
+def random_closed_chain(rng, signature, links):
+    """A closed chain of `links` last sides, as in
+    Sigma i . (p(i) > ~Pi j . (l(i, j) & ...)): each link a negation, or a
+    claw, product or sum with a small random closed left side, and one to
+    three of them a Pi or Sigma, over i, j and k, whose body is the rest of
+    the chain."""
+    quantified = rng.sample(range(links), rng.randint(1, 3))
+    made, bound = [], ()
+    for link in range(links):
+        if link in quantified:
+            bound += ("ijk"[len(bound)],)
+            made.append(partial(Quant, rng.choice((PI, SIGMA)), bound[-1]))
+        else:
+            kind = rng.choice((Neg, Claw, Prod, Sum))
+            made.append(kind if kind is Neg else partial(kind, random_closed_formula(
+                rng, 3, signature, bound)))
+    f = random_closed_formula(rng, 2, signature, bound)
+    for link in reversed(made):
+        f = link(f)
+    return f
+
+
+def quantifier_links(f):
+    """The classes of the links of `f`'s chain whose last side is a Pi or
+    Sigma link, None for one at the top."""
+    found = {None} if type(f) is Quant else set()
+    while type(f) in SUBFORMULAS:
+        side = SUBFORMULAS[type(f)](f)[-1]
+        if type(side) is Quant:
+            found.add(type(f))
+        f = side
+    return found
+
+
+def test_quantifier_links_match_ref_eval_in_on_every_block():
+    """Pi and Sigma as links of 40-link chains (`random_closed_chain`), each
+    the last side of a negation, claw, product, sum or quantifier or at the
+    top, on each block of rows the model search scans: row by row against
+    ref_eval_in up to n = 3, whose 12 cells make blocks of 2^10, 2^10 and
+    2^11 rows, and against the expansion at n = 4.  At n = 1 a quantifier's
+    body is its last side at once; above, its body at element n-1 is."""
+    rng = random.Random(1885)
+    links, largest = set(), {}
+    for n, count, signature in ((1, 40, {"p": 1, "l": 2}), (2, 30, {"p": 1, "l": 2}),
+                                (3, 2, {"p": 1, "l": 2}), (4, 4, {"l": 2})):
+        for _ in range(count):
+            f = random_closed_chain(rng, signature, 40)
+            links |= quantifier_links(f)
+            blocks = []
+            scan_blocks(interpretation_cells(f, n), blocks)
+            for env, full in blocks:
+                bits = truth._eval_masks(f, env, full, n)
+                if n == 4:
+                    atoms = {atom_name(*cell): mask for cell, mask in env.items()}
+                    assert bits == truth._eval_masks(expand(f, n), atoms, full), f
+                    continue
+                structures = [Structure(n, {name: (arity, frozenset(
+                    row for (p, row), v in cells.items() if p == name and v))
+                    for name, arity in signature.items()}) for cells in block_rows(env, full)]
+                assert [bool(bits >> j & 1) for j in range(full.bit_length())] == [
+                    ref_eval_in(f, s) for s in structures], f
+            largest[n] = max(largest.get(n, 0), *(full.bit_length() for _, full in blocks))
+    assert links == {None, Neg, Claw, Prod, Sum, Quant}
+    assert largest == {1: 4, 2: 64, 3: 2**11, 4: 2**15}

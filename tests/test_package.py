@@ -44,7 +44,7 @@ EXPORTED = [
     "trivalent", "truth", "truth_table", "wiener_pair", "xframe",
 ]
 # The names defined in `methods`, which `truth` defined before.
-MOVED = ["Tautology", "Falsified", "_DECIDING", "indirect_falsify", "xframe", "AnfPoly", "anf",
+MOVED = ["Tautology", "Falsified", "indirect_falsify", "xframe", "AnfPoly", "anf",
          "CongruenceReport", "merged_vars", "semantic_difference", "congruence_check"]
 
 
@@ -114,6 +114,7 @@ def test_truth_resolves_the_names_defined_in_methods():
     for name in MOVED:
         assert getattr(truth, name) is getattr(methods, name)
         assert name not in vars(truth)
+    assert truth._DECIDING is methods._DECIDING  # the engine and the tableau read one table
     from illation.truth import indirect_falsify, anf  # noqa: F401  the old import still works
     assert (indirect_falsify, anf) == (methods.indirect_falsify, methods.anf)
 

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from illation import errors
 from illation.errors import LimitExceededError
-from illation.formulas import Claw, Conn16, Const, Neg, Prod, RAtom, Sum, Var
+from illation.formulas import Claw, Conn16, Const, Neg, Prod, RAtom, Sum, Var, free_vars
 from illation.trivalent import (
     F,
     L,
@@ -119,6 +120,22 @@ def test_tri_table_row_order():
     t2 = tri_table(Prod(A, B))
     assert [cells for cells, _ in t2.rows] == list(itertools.product((V, L, F), repeat=2))
     assert len(t2.rows) == 9
+
+
+def test_tri_table_lists_the_variables_in_first_occurrence_order():
+    """As `free_vars` lists them: random products, sums and negations over
+    five names, each name read at many places."""
+    rng = random.Random(1909)
+
+    def grow(depth):
+        if depth == 0 or rng.random() < 0.2:
+            return Var(rng.choice("edcba"))
+        kind = rng.choice((Neg, Sum, Prod))
+        return Neg(grow(depth - 1)) if kind is Neg else kind(grow(depth - 1), grow(depth - 1))
+
+    for _ in range(200):
+        f = grow(5)
+        assert tri_table(f).variables == tuple(free_vars(f))
 
 
 def test_tri_table_tsv():

@@ -1,6 +1,6 @@
 import itertools
 import random
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 
@@ -21,14 +21,18 @@ from illation.formulas import (
     connective_vector,
     free_vars,
     sop_expansion,
+    substitute,
 )
 from illation.methods import (
     AnfPoly,
+    CongruenceReport,
     Falsified,
     Tautology,
     anf,
     congruence_check,
     indirect_falsify,
+    merged_vars,
+    semantic_difference,
     xframe,
 )
 from illation.notations import Notation, parse
@@ -493,6 +497,36 @@ def test_congruence_preserved_under_any_context():
             report = congruence_check(s, t, ctx, "x")
             assert report.operands_equal
             assert report.contexts_equal
+
+
+def test_congruence_contexts_witness_is_the_scan_of_the_contexts():
+    """The contexts' witness, read off the two plugged tables, is the one
+    `semantic_difference` of the plugged contexts finds, its keys in the
+    same order: 300 random (s, t, context) triples, a third with t
+    equivalent to s by construction."""
+    rng = random.Random(1854)
+    equal = 0
+    for k in range(300):
+        s = random_formula(rng, 3, "abc", with_conn16=True)
+        t = (Neg(Neg(s)), Sum(s, Prod(s, B)), random_formula(rng, 3, "abd", with_conn16=True))[k % 3]
+        sides = [random_formula(rng, 3, "bcx", with_conn16=True), Var("x")]
+        rng.shuffle(sides)
+        context = rng.choice([Claw, Prod, Sum, partial(Conn16, rng.randrange(1, 17))])(*sides)
+        plugged = [substitute(context, "x", operand) for operand in (s, t)]
+        shared = merged_vars(*plugged)
+        operands_witness, contexts_witness = semantic_difference(s, t), semantic_difference(*plugged)
+        report = congruence_check(s, t, context, "x")
+        assert report == CongruenceReport(
+            operands_equal=operands_witness is None,
+            operands_witness=operands_witness,
+            contexts_equal=contexts_witness is None,
+            contexts_witness=contexts_witness,
+            plugged_s_table=table_over(plugged[0], shared),
+            plugged_t_table=table_over(plugged[1], shared),
+        )
+        assert list(report.contexts_witness or ()) == list(contexts_witness or ())
+        equal += report.contexts_equal
+    assert 100 < equal < 250
 
 
 def test_claw_equals_sum_of_negated_antecedent():
