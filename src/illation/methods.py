@@ -68,9 +68,11 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
     Up to MAX_TABLE_VARS variables the bit-parallel row search decides.
     Every falsifying row lies on an open branch whose completion is no
     greater, so the first falsifying row is the answer without any search;
-    for a tautology the depth-first search only looks for the trace, and
-    skips any branch that can no longer beat the best trace found.  Above
-    that, the search runs over the whole tree.
+    for a tautology the depth-first search only looks for the trace.  It
+    skips a state that can at best tie the best trace found (a closure sets
+    one step past its trail), and a branch point (node, wanted value, rest
+    of the goals, assignment) met before at no more branchings, whose
+    closures come again later.  Above that, it searches the whole tree.
     """
     order = free_vars(formula)
     known_tautology = False
@@ -91,19 +93,25 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
     # A completion's key has bit rank[name] set where it assigns f, the first
     # variable highest, so keys order completions as their rows do.
     rank = {name: i for i, name in enumerate(reversed(order))}
+    # `held` has bit 2 * rank[name] + value set per name on the trail; `met`
+    # maps a branch point to its least branchings and the goals whose id its
+    # key holds, so the id is not reused.  Above the table limit both idle.
+    weight = {name: 1 << 2 * i if known_tautology else 0 for name, i in rank.items()}
+    held, met = 0, {}
     states = 0
 
     while stack:
         goals, mark, level = stack.pop()
-        if known_tautology and (mark, level) >= best:
-            continue  # every trace below here is longer, or as long and deeper
+        if known_tautology and (mark + 1, level) >= best:
+            continue  # every trace below here is longer, or as long and no shallower
         states += 1
         if states > errors.MAX_INDIRECT_STATES:
             raise LimitExceededError(
                 f"indirect search exceeded its state cap of {errors.MAX_INDIRECT_STATES:,} states"
             )
         while len(trail) > mark:
-            del assignment[trail.pop()]
+            name = trail.pop()
+            held ^= weight[name] << assignment.pop(name)
         alternatives: list = []
         clash = None
         while goals is not None:
@@ -115,6 +123,7 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
                 if prior is None:
                     assignment[name] = want
                     trail.append(name)
+                    held |= weight[name] << want
                 elif prior != want:
                     clash = (name, want)
                     break
@@ -142,6 +151,11 @@ def indirect_falsify(formula: PropFormula) -> Tautology | Falsified:
                 best = (len(trail) + 1, level)
                 best_trace = tuple((name, assignment[name]) for name in trail) + (clash,)
             continue
+        if known_tautology:
+            point = (id(node), want, id(goals), held)
+            if point in met and met[point][0] <= level:
+                continue  # its closures come again, no shallower and later in branch order
+            met[point] = (level, goals)
         for alt in reversed(alternatives):  # so that they pop in order
             cell = goals
             for node, want in reversed(alt):

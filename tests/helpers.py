@@ -380,8 +380,12 @@ REF_QUADRANTS = ((True, True), (True, False), (False, True), (False, False))
 def ref_indirect(formula):
     """The indirect method as an unpruned breadth-first search over every
     branch: the oracle for `methods.indirect_falsify`, which decides by row
-    search and prunes its depth-first trace search.  Among the shortest
-    contradiction traces it keeps the first in breadth-first order."""
+    search and prunes its depth-first trace search (a branch that could at
+    best tie the best trace, a branch point met before at no more
+    branchings).  This search skips nothing: it walks every branch again,
+    repeated branch points included.  Among the shortest contradiction
+    traces it keeps the first in breadth-first order, which is the one with
+    the fewest branchings, then the first in branch order."""
     order = free_vars(formula)
     queue = deque()
     queue.append((((formula, False),), {}, ()))
@@ -448,6 +452,59 @@ def ref_indirect(formula):
 def _ref_branch(queue, rest, assignment, trace, alternatives):
     for alt in alternatives:
         queue.append((tuple(alt) + rest, dict(assignment), trace))
+
+
+def ref_replays(formula, trace):
+    """Whether the indirect method's tableau on `formula` has a branch that
+    sets the steps of `trace` but its last, in order, and then clashes on the
+    last: so each step is forced on that branch and the trace ends in a
+    contradiction.  A branch that sets any other step is given up."""
+    stack = [(((formula, False),), {}, 0)]  # goals, assignment, steps replayed
+    while stack:
+        goals, assignment, done = stack.pop()
+        while goals:
+            (node, want), goals = goals[0], goals[1:]
+            cls = type(node)
+            if cls is Var or cls is Const:
+                name = node.name if cls is Var else "#t" if node.value else "#f"
+                prior = assignment.get(name) if cls is Var else node.value
+                if prior == want:
+                    continue
+                if done == len(trace) or trace[done] != (name, want):
+                    break  # a step off the trace
+                if prior is not None:  # the clash
+                    if done == len(trace) - 1:
+                        return True
+                    break
+                assignment = {**assignment, name: want}
+                done += 1
+            elif cls is Neg:
+                goals = ((node.inner, not want),) + goals
+            elif (cls, want) in REF_RULES:
+                sides = SUBFORMULAS[cls](node)
+                alternatives = [tuple((sides[i], value) for i, value in alt)
+                                for alt in REF_RULES[cls, want]]
+                stack.extend((alt + goals, assignment, done) for alt in alternatives)
+                break
+            else:  # a Conn16: each quadrant with the wanted value is an alternative
+                rows = [pair for pair, value in zip(REF_QUADRANTS, EXPECTED_VECTORS[node.index])
+                        if value == want]
+                if not rows:  # a constant connective asked for the other value
+                    if trace[done:] == (("#f", True) if want else ("#t", False),):
+                        return True
+                    break
+                stack.extend((tuple(zip(SUBFORMULAS[cls](node), row)) + goals, assignment, done)
+                             for row in rows)
+                break
+    return False
+
+
+def minterm_sum(names):
+    """The sum of every minterm over `names`, in Peano-Russell text: a
+    tautology whose every row is true by exactly one minterm."""
+    terms = ("&".join(("" if value else "~") + name for name, value in zip(names, row))
+             for row in itertools.product((True, False), repeat=len(names)))
+    return "|".join(f"({term})" for term in terms)
 
 
 # --- the recursive-descent parsers ------------------------------------------

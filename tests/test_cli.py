@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from illation import cli, errors
+from illation.notations import Notation, parse
+
+from helpers import minterm_sum, ref_replays
 
 
 CMD = [sys.executable, "-m", "illation.cli"]
@@ -124,6 +127,23 @@ def test_taut_indirect_trace():
     assert lines[0] == "tautology"
     assert lines[1] == "force a=v"
     assert lines[2] == "force a=f (contradiction)"
+
+
+def test_taut_indirect_answers_a_decided_tautology():
+    # the sum of all 64 minterms over six variables, which the row search
+    # calls a tautology: the trace search finds a two-step trace inside the
+    # cap, the least any trace has, and the trace replays on the tableau
+    text = minterm_sum("abcdef")
+    r = run("taut", "--method", "indirect", text)
+    assert (r.returncode, r.stderr) == (0, "")
+    first, *steps = r.stdout.splitlines()
+    assert first == "tautology" and len(steps) == 2
+    assert all(step.startswith("force ") for step in steps)
+    assert steps[1].endswith(" (contradiction)")
+    pairs = (step.removeprefix("force ").removesuffix(" (contradiction)").split("=")
+             for step in steps)
+    trace = tuple((name, value == "v") for name, value in pairs)
+    assert ref_replays(parse(text, Notation.PEANO_RUSSELL), trace)
 
 
 def test_taut_indirect_counterexample():

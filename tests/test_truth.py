@@ -42,9 +42,11 @@ from helpers import (
     EXPECTED_VECTORS,
     all_envs,
     formulas_up_to_depth,
+    minterm_sum,
     random_formula,
     ref_eval,
     ref_indirect,
+    ref_replays,
 )
 
 A, B, C = Var("a"), Var("b"), Var("c")
@@ -232,7 +234,17 @@ def test_indirect_trace_replay():
                     break
                 assigned[name] = value
             assert conflict, result.trace
+            assert ref_replays(f, result.trace), (f, result.trace)
     assert seen_taut > 5
+
+
+def test_replay_follows_one_branch_to_its_clash():
+    # ((a>b)>a)>a assumed false: a=v, b=f, a=f closes one branch, a=v, a=f the other
+    assert ref_replays(PEIRCE_LAW, (("a", True), ("a", False)))
+    assert ref_replays(PEIRCE_LAW, (("a", True), ("b", False), ("a", False)))
+    assert not ref_replays(PEIRCE_LAW, (("a", False), ("a", True)))
+    assert not ref_replays(PEIRCE_LAW, (("a", True),))
+    assert not ref_replays(PEIRCE_LAW, (("a", True), ("a", False), ("b", True)))
 
 
 def test_indirect_matches_the_breadth_first_oracle():
@@ -248,6 +260,42 @@ def test_indirect_matches_the_breadth_first_oracle():
         assert result == ref_indirect(f), f
         tautologies += isinstance(result, Tautology)
     assert 1_000 < tautologies < 2_000
+
+
+def branch_point_formula(rng):
+    """(C1 & ... & Ck) > D, k <= 8, whose branch points recur: every clause
+    branches, and alternatives that end under the same assignment meet the
+    next clause as the same point.  A clause is two literals over 4-6 names:
+    a sum, a sum with one literal again one branching deeper (so a point
+    recurs at fewer branchings), a Conn16, or a sum with a constant.  D is
+    mostly one of the Ci, which makes a tautology.  On 800 of them, a memo
+    that ignores the branchings gives a wrong trace 6 times."""
+    names = "abcdef"[: rng.randrange(4, 7)]
+
+    def literal():
+        x = Var(rng.choice(names))
+        return Neg(x) if rng.random() < 0.3 else x
+
+    def clause():
+        x, y = literal(), literal()
+        return rng.choice((Sum(x, y), Sum(Sum(x, y), x), Sum(y, Sum(x, y)),
+                           Conn16(rng.randrange(1, 17), x, y),
+                           Sum(x, Const(rng.random() < 0.5))))
+
+    parts = [clause() for _ in range(rng.randrange(2, 9))]
+    consequent = rng.choice(parts) if rng.random() < 0.8 else clause()
+    return Claw(reduce(Prod, parts), consequent)
+
+
+def test_indirect_matches_the_oracle_where_branch_points_recur():
+    rng = random.Random(35)
+    tautologies = 0
+    for _ in range(800):
+        f = branch_point_formula(rng)
+        result = indirect_falsify(f)
+        assert result == ref_indirect(f), f
+        tautologies += isinstance(result, Tautology)
+    assert tautologies > 600
 
 
 def clauses(names):
@@ -271,8 +319,21 @@ def test_indirect_prunes_the_trace_search(monkeypatch):
     parts = clauses(names)
     f = Claw(conjunction(parts), parts[9])
     expected = ref_indirect(f)
-    monkeypatch.setattr(errors, "MAX_INDIRECT_STATES", 65_535)
+    # 1,758 states; without the bound of one step past the trail 14,228, and
+    # without skipping repeated branch points 2,615
+    monkeypatch.setattr(errors, "MAX_INDIRECT_STATES", 2_000)
     assert isinstance(expected, Tautology) and indirect_falsify(f) == expected
+
+
+def test_indirect_answers_a_decided_tautology_well_inside_the_cap(monkeypatch):
+    # The sum of all 64 minterms over six variables: the row search decides
+    # it, and the trace search needs 638 states; walking ties and repeated
+    # branch points again took it past 200,000
+    f = parse(minterm_sum("abcdef"), Notation.PEANO_RUSSELL)
+    monkeypatch.setattr(errors, "MAX_INDIRECT_STATES", 1_000)
+    result = indirect_falsify(f)
+    assert isinstance(result, Tautology) and len(result.trace) == 2  # the least a trace has
+    assert ref_replays(f, result.trace)
 
 
 def test_indirect_above_the_table_limit_matches_the_oracle():
