@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import re
 from functools import cache, partial
-from itertools import islice
+from itertools import product
 from typing import Iterator, Optional
 
 from ._record import record
@@ -363,107 +363,87 @@ def parse(text: str, notation: Notation) -> PropFormula:
 # the right side of a product or sum binds tighter than the node, and nested
 # claws are bracketed on BOTH sides, the way the period sources set them,
 # even though the parser is right-associative.
-_LOWEST = {Neg: (_NEG_LEVEL,), Prod: (_PROD_LEVEL, _NEG_LEVEL),
+_LOWEST = {Neg: (_NEG_LEVEL, 0), Prod: (_PROD_LEVEL, _NEG_LEVEL),
            Sum: (_SUM_LEVEL, _PROD_LEVEL), Claw: (_SUM_LEVEL, _SUM_LEVEL)}
 
-
-class _Text(str):
-    """Text on a printer's stack; its own class, so no subformula is taken for it."""
+_BATCH = 4096  # pieces joined at a time: no list holds them all
 
 
-_JOINT = "\0"  # between juxtaposed factors; no formula text contains it
-_NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
-
-
+@cache
 def _layout(notation: Notation) -> dict:
-    """How `notation` writes each connective, as the pieces a printer's
-    stack takes, last first: text, or a side as (its position, the lowest
-    level it may have unbracketed)."""
-    if notation is Notation.POLISH:  # the letter, then sides that need no brackets
-        return {cls: [(1, 0), (0, 0), _Text(letter)] if cls is not Neg else [(0, 0), _Text("N")]
-                for cls, letter in _POLISH_LETTER.items()}
-    style = _STYLES[notation]
-    spaced = " {} " if style.juxtaposition else "{}"
-    pieces = {
-        Neg: (style.neg_prefix, 0) if style.neg_prefix else (0, style.neg_postfix),
-        Prod: (0, _JOINT if style.juxtaposition else style.prod, 1),
-        Sum: (0, spaced.format(style.sum), 1),
-        Claw: (0, spaced.format(style.claw), 1),
-    }
-    return {cls: [(p, _LOWEST[cls][p]) if type(p) is int else _Text(p) for p in reversed(ps)]
-            for cls, ps in pieces.items()}
-
-
-# The printer is a generator: CPython 3.11 specializes a function's
-# bytecode only once it has been entered a few times, and a generator is
-# entered again at every yield, so a long walk runs specialized.
-
-
-def _fragments(f: PropFormula, notation: Notation) -> Iterator[str]:
-    """The text in order, with the fewest brackets.  At the first Conn16
-    met, `check_expansions` bounds what the formula's expansions print."""
-    layout = _layout(notation)
-    opened, closed = _Text("("), _Text(")")
-    root = f  # until `check_expansions` has run on it, then None
-    if type(f) is Conn16:
-        check_expansions(f)
-        root = None
-    todo: list = [expanded(f)]
-    pop, push = todo.pop, todo.append
-    while todo:
-        f = pop()
-        cls = type(f)
-        if cls is Var:
-            yield f.name
-        elif cls is _Text:
-            yield f
-        elif cls in layout:
-            sides = SUBFORMULAS[cls](f)
-            for piece in layout[cls]:
-                if type(piece) is _Text:
-                    push(piece)
-                    continue
-                position, lowest = piece
-                side = sides[position]
-                if type(side) is Conn16:
-                    if root is not None:
-                        check_expansions(root)
-                        root = None
-                    side = expanded(side)
-                if lowest and _LEVEL.get(type(side), _ATOM_LEVEL) < lowest:
-                    todo += (closed, side, opened)
-                else:
-                    push(side)
-        elif cls is Const and notation is not Notation.POLISH:
-            yield f.name
-        elif cls is Const:
-            raise PrintError("Polish notation has no constant literals")
-        else:
-            raise TypeError(f"not a propositional formula: {f!r}")
-
-
-def _spaced(fragments: Iterator[str]) -> Iterator[str]:
-    """`fragments` with each joint between juxtaposed factors made a space
-    where two names would run together, and dropped elsewhere."""
-    before, joint = "", False
-    for piece in fragments:
-        if piece == _JOINT:
-            joint = True
-            continue
-        if joint and before[-1] in _NAME_CHARS and piece[0] in _NAME_CHARS:
-            yield " "
-        joint = False
-        yield piece
-        before = piece
-
-
-# `print_formula` joins this many fragments at a time, so it holds no list
-# of them all.
-_BATCH = 4096
+    """Per connective: its sides' getter and, by the class of its first side
+    and then of its last, the texts before the first side, after it and after
+    the last (a negation has one side)."""
+    polish = notation is Notation.POLISH
+    if polish:  # the letter, then sides that need no brackets
+        pieces = {cls: (letter, "") for cls, letter in _POLISH_LETTER.items()}
+    else:
+        style = _STYLES[notation]
+        spaced = " {} " if style.juxtaposition else "{}"
+        pieces = {Neg: (style.neg_prefix or "", style.neg_postfix or ""),
+                  Prod: ("", "" if style.juxtaposition else style.prod),
+                  Sum: ("", spaced.format(style.sum)), Claw: ("", spaced.format(style.claw))}
+    layout = {}
+    for cls, (before, text) in pieces.items():
+        low, high = (0, 0) if polish else _LOWEST[cls]
+        ways = {(a, b): (before + "(" * a, ")" * a + text + "(" * b, ")" * b)
+                for a, b in product((False, True), repeat=2)}  # by the sides bracketed
+        layout[cls] = SUBFORMULAS[cls], {
+            first: {last: ways[_LEVEL[first] < low, _LEVEL[last] < high] for last in _LEVEL}
+            for first in _LEVEL}
+    return layout
 
 
 def print_formula(f: PropFormula, notation: Notation) -> str:
-    fragments = _fragments(f, notation)
-    if notation is not Notation.POLISH and _STYLES[notation].juxtaposition:
-        fragments = _spaced(fragments)
-    return "".join(iter(lambda: "".join(islice(fragments, _BATCH)), ""))
+    """The text of `f` in `notation`, with the fewest brackets, a space only
+    between juxtaposed names.  One loop goes at once into each node's
+    first side; only later sides and text wait on a stack.  At the first
+    Conn16 met, `check_expansions` bounds its expansions."""
+    layout, constants = _layout(notation), notation is not Notation.POLISH
+    juxtaposed = constants and _STYLES[notation].juxtaposition
+    root = f  # until `check_expansions` has run on it, then None
+    if type(f) not in _LEVEL:  # a Conn16, printed expanded, or no formula
+        check_expansions(f)
+        root, f = None, expanded(f)
+    chunks, batch, todo = [], [""], []
+    emit, push = batch.append, todo.append
+    name = None  # the last name printed
+    while True:
+        cls = type(f)
+        if cls is Var or cls is Const and constants:
+            if juxtaposed and cls is Var and batch[-1] is name:
+                emit(" ")
+            if len(batch) >= _BATCH:
+                chunks.append("".join(batch))
+                batch.clear()
+            name = f.name
+            emit(name)
+        elif cls is str:
+            emit(f)
+        elif cls is Const:
+            raise PrintError("Polish notation has no constant literals")
+        else:
+            get, texts = layout[cls]
+            sides = get(f)
+            try:
+                before, between, after = texts[type(sides[0])][type(sides[-1])]
+            except KeyError:  # a Conn16 side, printed expanded, or no formula
+                if root is not None:  # it raises TypeError at a node of no formula
+                    check_expansions(root)
+                    root = None
+                sides = tuple(map(expanded, sides))
+                before, between, after = texts[type(sides[0])][type(sides[-1])]
+            if before:
+                emit(before)
+            if after:
+                push(after)
+            if cls is not Neg:
+                push(sides[1])
+            if between:
+                push(between)
+            f = sides[0]
+            continue
+        if not todo:
+            chunks.append("".join(batch))
+            return "".join(chunks)
+        f = todo.pop()

@@ -138,32 +138,40 @@ def _cells(formula: RelFormula, n: int) -> tuple[tuple, ...]:
 def expand(formula: RelFormula, n: int) -> PropFormula:
     """Eliminate quantifiers over a domain of size n by sum/product folding."""
     _check_expansion(formula, n)
-    atoms: dict[tuple, Var] = {}  # each cell's variable, named on its first read
-    # The expansion in prefix order: each atom as its cell's variable, each
-    # quantifier as the n - 1 sums or products of its left fold, then its body
-    # once per element in index order, under a `(var, element)` pair binding
-    # the index.  A closed formula binds no index twice on a path: one dict.
+    # The expansion in prefix order: each atom as its cell's variable, named on
+    # first read; each quantifier as the n - 1 sums or products of its left
+    # fold, then its body per element in index order, element 0 at once and
+    # the others under a `(var, element, body)` entry that binds the index.
+    # A closed formula binds no index twice on a path: one dict.
+    atoms: dict[tuple, Var] = {}
     binds: dict[str, int] = {}
-    tokens, todo = [], [formula]
-    while todo:
-        f = todo.pop()
+    tokens, todo, f = [], [], formula
+    bound, token = binds.__getitem__, tokens.append
+    while True:
         cls = type(f)
         if cls is RAtom:
-            cell = f.predicate, tuple(map(binds.__getitem__, f.indices))
-            if cell not in atoms:
-                atoms[cell] = Var(atom_name(*cell))
-            tokens.append(atoms[cell])
-        elif cls is tuple:
-            binds[f[0]] = f[1]
+            cell = f.predicate, tuple(map(bound, f.indices))
+            token(atoms.get(cell) or atoms.setdefault(cell, Var(atom_name(*cell))))
         elif cls is Quant:
             (body,) = SUBFORMULAS[cls](f)
             tokens += [Prod if f.kind == PI else Sum] * (n - 1)
-            for d in reversed(range(n)):
-                todo += (body, (f.var, d))
+            todo += [(f.var, d, body) for d in range(n - 1, 0, -1)]
+            binds[f.var], f = 0, body
+            continue
+        elif cls is tuple:
+            var, element, f = f
+            binds[var] = element
+            continue
         else:
-            tokens.append(cls)
-            todo += SUBFORMULAS[cls](f)[::-1]
-    return from_prefix(reversed(tokens))
+            token(cls)
+            sides = SUBFORMULAS[cls](f)
+            if cls is not Neg:
+                todo.append(sides[1])
+            f = sides[0]
+            continue
+        if not todo:
+            return from_prefix(reversed(tokens))
+        f = todo.pop()
 
 
 # --- evaluation and search ---------------------------------------------------

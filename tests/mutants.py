@@ -46,6 +46,24 @@ MUTANTS = [
     Mutant("illation/methods.py", "point = (id(node), want, id(goals), held)",
            "point = (id(node), want, id(goals))",
            ("tests/test_truth.py::test_indirect_matches_the_oracle_where_branch_points_recur",)),
+    # The printer brackets a side whose level is below, not at, the lowest its place allows.
+    Mutant("illation/notations.py", "_LEVEL[first] < low", "_LEVEL[first] <= low",
+           ("tests/test_notations.py::test_prints_match_the_independent_reference",)),
+    Mutant("illation/notations.py", "_LEVEL[last] < high", "_LEVEL[last] <= high",
+           ("tests/test_notations.py::test_prints_match_the_independent_reference",)),
+    # Juxtaposed factors are spaced only where two names meet: not always, not never.
+    Mutant("illation/notations.py", 'Prod: ("", "" if style.juxtaposition',
+           'Prod: ("", " " if style.juxtaposition',
+           ("tests/test_notations.py::test_prints_match_the_independent_reference",)),
+    Mutant("illation/notations.py", "and batch[-1] is name:", "and batch[-1] is None:",
+           ("tests/test_notations.py::test_prints_match_the_independent_reference",)),
+    # `expand` takes a quantifier's body at its elements in index order.
+    Mutant("illation/quantifiers.py", "for d in range(n - 1, 0, -1)]", "for d in range(1, n)]",
+           ("tests/test_properties.py::test_expand_matches_the_expansion_with_bindings_per_copy",)),
+    # A quadratic form mended before: `ensure_closed` copied its set at every quantifier.
+    Mutant("illation/formulas.py", "            bound.add(f.var)",
+           "            bound = bound | {f.var}",
+           ("tests/test_growth.py::test_expand_under_nested_quantifiers_grows_linearly",)),
 ]
 
 

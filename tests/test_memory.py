@@ -59,7 +59,7 @@ def test_polish_parse_and_print_hold_little_beyond_the_tree():
         f = parse(text, Notation.POLISH)
         tree, parse_peak = tracemalloc.get_traced_memory()
         added = {}
-        for notation in (Notation.POLISH, Notation.PEANO_RUSSELL):
+        for notation in Notation:
             tracemalloc.reset_peak()
             printed = print_formula(f, notation)
             added[notation] = tracemalloc.get_traced_memory()[1] - tree

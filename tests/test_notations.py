@@ -6,12 +6,14 @@ import pytest
 
 from illation import errors
 from illation.errors import LimitExceededError
-from illation.formulas import (EQUIVALENCE_INDEX, PROPOSITIONAL, Claw, Conn16, Const, Neg, Prod,
-                               RAtom, Sum, Var, check_expansions, free_vars, sop_expansion, walk)
+from illation.formulas import (EQUIVALENCE_INDEX, PROPOSITIONAL, SUBFORMULAS, Claw, Conn16, Const,
+                               Neg, Prod, RAtom, Sum, Var, check_expansions, free_vars,
+                               sop_expansion, walk)
 from illation.frege import render_frege
 from illation.notations import Notation, ParseError, PrintError, parse, print_formula
 
 from helpers import formulas_up_to_depth, random_formula, ref_eval, all_envs
+from test_bench_oracle import O as ORACLE  # the benchmark's reference model
 
 A, B, C = Var("a"), Var("b"), Var("c")
 
@@ -293,9 +295,55 @@ def test_a_relational_node_is_a_type_error_in_every_printer(f):
             print_it(f)
 
 
+@pytest.mark.parametrize("f", ["a", Prod(A, "a"), Conn16(8, A, "a")],
+                         ids=["alone", "under-a-product", "under-a-connective"])
+def test_a_str_node_is_a_type_error_in_every_printer(f):
+    """The printer keeps its text on its stack as str, and takes no str
+    node for such text."""
+    for print_it in [check_expansions, *PRINTERS]:
+        with pytest.raises(TypeError, match=r"^not a propositional formula: 'a'$"):
+            print_it(f)
+
+
 def test_print_is_deterministic():
     rng = random.Random(946)
     for _ in range(50):
         f = random_formula(rng, 6, "abc", with_consts=False)
         for notation in Notation:
             assert print_formula(f, notation) == print_formula(f, notation)
+
+
+_ORACLE_TAGS = {Neg: "not", Prod: "and", Sum: "or", Claw: "imp"}
+
+
+def oracle_tuple(f):
+    """`f` as the reference model's tuple."""
+    if type(f) is Var:
+        return ("var", f.name)
+    if type(f) is Const:
+        return ("const", f.value)
+    return (_ORACLE_TAGS[type(f)], *map(oracle_tuple, SUBFORMULAS[type(f)](f)))
+
+
+def test_prints_match_the_independent_reference():
+    """The exact text, against `bench/oracle.render`: the fewest brackets,
+    nested claws bracketed on both sides, and juxtaposed factors spaced only
+    between two names, here names that end and start with letters, digits
+    and underscores.  A constant in Polish is a ValueError in both."""
+    rng = random.Random(36)
+    names = ("a", "v", "p_1", "x2_10", "q0_3")
+    refused = 0
+    for _ in range(2000):
+        f = random_formula(rng, rng.randint(1, 8), names)
+        ref = oracle_tuple(f)
+        for notation in Notation:
+            try:
+                want = ORACLE.render(ref, notation.value)
+            except ValueError:
+                refused += 1
+                assert notation is Notation.POLISH and "const" in repr(ref)
+                with pytest.raises(ValueError):
+                    print_formula(f, notation)
+                continue
+            assert print_formula(f, notation) == want, (ref, notation)
+    assert 0 < refused < 2000  # some trees have no constant
